@@ -12,9 +12,11 @@ Usage::
         [--warn-only]
 
 ``compare``/``gate`` also accept a *directory* as BASE (e.g. the repo
-root): the committed ``BENCH_*.json`` with the best aggregate instrs/s
-becomes the base, so the gate measures against the strongest recorded
-trajectory point.
+root): the committed ``BENCH_*.json`` of NEW's suite with the best
+aggregate instrs/s becomes the base, so the gate measures against the
+strongest recorded trajectory point for the same benchmarks. ``gate``
+exits 2 when no such artifact exists or the two reports share no
+benchmark: a gate that compared nothing must not pass.
     python -m repro.bench fidelity [--tier quick|full] [--json]
         [--markdown]
 
@@ -86,9 +88,9 @@ def _cmd_profile(args) -> int:
 
 
 def _compare(args):
-    base_path = resolve_base(args.base)
-    base = load_report(base_path)
     new = load_report(args.new)
+    base_path = resolve_base(args.base, new.suite, exclude=args.new)
+    base = load_report(base_path)
     report = compare_reports(base, new, threshold=args.threshold)
     aggregate = (f"aggregate instrs/s: base "
                  f"{aggregate_instrs_per_sec(base):,.0f} "
@@ -108,7 +110,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    report, aggregate = _compare(args)
+    try:
+        report, aggregate = _compare(args)
+    except FileNotFoundError as exc:
+        print(f"[gate] error: {exc}", file=sys.stderr)
+        return 2
+    if not report.deltas:
+        print(f"[gate] error: base and new share no benchmark "
+              f"({len(report.only_in_base)} only in base, "
+              f"{len(report.only_in_new)} only in new); nothing to gate",
+              file=sys.stderr)
+        return 2
     print(report.to_text())
     print(aggregate)
     if report.ok:
@@ -172,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     comp = sub.add_parser("compare", help="diff two BENCH artifacts")
     comp.add_argument("base",
                       help="base artifact, or a directory of BENCH_*.json "
-                           "(the best aggregate-throughput point wins)")
+                           "(the best same-suite throughput point wins)")
     comp.add_argument("new")
     comp.add_argument("--threshold", type=float,
                       default=DEFAULT_THRESHOLD,
@@ -185,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                                        "regressions or model drift")
     gate.add_argument("base",
                       help="base artifact, or a directory of BENCH_*.json "
-                           "(the best aggregate-throughput point wins)")
+                           "(the best same-suite throughput point wins)")
     gate.add_argument("new")
     gate.add_argument("--threshold", type=float,
                       default=DEFAULT_THRESHOLD)

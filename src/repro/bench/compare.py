@@ -17,9 +17,10 @@ points.
 
 The base of a comparison may also be a *directory* of committed
 ``BENCH_*.json`` artifacts: :func:`resolve_base` picks the strongest
-trajectory point (highest aggregate instrs/s), so the CI gate always
-measures against the best the repo has ever recorded on comparable
-hardware rather than an arbitrary ancestor.
+trajectory point of the new report's suite (highest aggregate
+instrs/s), so the CI gate always measures against the best the repo has
+ever recorded for the same benchmarks rather than an arbitrary ancestor
+or another suite's artifact.
 """
 
 from __future__ import annotations
@@ -41,23 +42,37 @@ def aggregate_instrs_per_sec(report: BenchReport) -> float:
     return instrs / wall if wall > 0 else 0.0
 
 
-def best_artifact(directory: str | pathlib.Path) -> pathlib.Path:
-    """The committed ``BENCH_*.json`` with the highest aggregate
-    instrs/s — the strongest trajectory point to gate against."""
+def best_artifact(directory: str | pathlib.Path, suite: str,
+                  exclude: str | pathlib.Path | None = None
+                  ) -> pathlib.Path:
+    """The committed ``BENCH_*.json`` of ``suite`` with the highest
+    aggregate instrs/s — the strongest trajectory point to gate against.
+    Other suites' artifacts measure other benchmarks, so they never
+    qualify; ``exclude`` (the new report itself, when it was written
+    into ``directory``) never qualifies either."""
     directory = pathlib.Path(directory)
-    candidates = sorted(directory.glob("BENCH_*.json"))
-    if not candidates:
+    skip = pathlib.Path(exclude).resolve() if exclude else None
+    throughput: dict[pathlib.Path, float] = {}
+    for path in sorted(directory.glob("BENCH_*.json")):
+        if path.resolve() == skip:
+            continue
+        report = load_report(path)
+        if report.suite == suite:
+            throughput[path] = aggregate_instrs_per_sec(report)
+    if not throughput:
         raise FileNotFoundError(
-            f"no BENCH_*.json artifacts in {directory}")
-    return max(candidates,
-               key=lambda p: aggregate_instrs_per_sec(load_report(p)))
+            f"no BENCH_*.json artifact of suite {suite!r} in {directory}")
+    return max(throughput, key=throughput.__getitem__)
 
 
-def resolve_base(path: str | pathlib.Path) -> pathlib.Path:
-    """Accept either one artifact or a directory of them (best wins)."""
+def resolve_base(path: str | pathlib.Path, suite: str,
+                 exclude: str | pathlib.Path | None = None
+                 ) -> pathlib.Path:
+    """Accept either one artifact or a directory of them (the best
+    artifact of ``suite`` other than ``exclude`` wins)."""
     path = pathlib.Path(path)
     if path.is_dir():
-        return best_artifact(path)
+        return best_artifact(path, suite, exclude)
     return path
 
 

@@ -7,9 +7,7 @@ simulated cycle and instruction counts; only wall-clock varies. The
 figures exercise (OoO and in-order and multicore x PPA / Capri / software
 logging); the ``campaign`` group measures orchestrator throughput over an
 uncached in-process campaign, aggregating only simulated (non-cache-hit)
-points; the ``cohort`` group walks one wide lockstep cohort through a
-pinned kernel (scalar / list-based / numpy columnar) so one artifact
-records the vectorization speedup as a ratio of recorded throughputs.
+points.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ class Benchmark:
     """One named, deterministic measurement unit."""
 
     name: str
-    group: str                 # "simulate" | "campaign" | "cohort"
+    group: str                 # "simulate" | "campaign"
     description: str
     # One measured execution; returns (simulated cycles, instructions).
     run: Callable[[], tuple[float, int]]
@@ -87,63 +85,6 @@ def _campaign_benchmark(name: str, description: str, sweep: str,
 
     return Benchmark(name=name, group="campaign",
                      description=description, run=run)
-
-
-def _wide_cohort_points() -> list:
-    """The 96-lane fig16-shaped cohort: one interned trace (mcf, length
-    3000, seed 0) under ``ppa``, with the integer PRF size swept
-    80..270 in steps of 2 — one point per lane, differing only in core
-    configuration, exactly the shape the columnar kernel vectorizes."""
-    from dataclasses import replace
-
-    from repro.orchestrator.points import make_point
-
-    points = []
-    for lane in range(96):
-        point = make_point("mcf", "ppa", length=3_000)
-        core = replace(point.config.core, int_prf_size=80 + 2 * lane)
-        points.append(replace(point, config=replace(point.config,
-                                                    core=core)))
-    return points
-
-
-def _cohort_benchmark(name: str, description: str,
-                      vector: bool | None) -> Benchmark:
-    """One lockstep walk of the 96-lane wide cohort through a pinned
-    kernel: ``vector=True`` forces the numpy columnar kernel,
-    ``vector=False`` the list-based lane kernel (the PR 9 reference),
-    and ``vector=None`` runs every lane through the scalar engine
-    one-by-one. All three must retire bit-identical counts, so the
-    drift gate cross-checks the kernels against each other; the
-    vector:list instrs/s ratio is the tentpole's headline number and
-    both operands are recorded in the same artifact."""
-
-    def run() -> tuple[float, int]:
-        cycles = 0.0
-        instructions = 0
-        points = _wide_cohort_points()
-        if vector is None:
-            from repro.orchestrator.execute import simulate_point
-
-            for point in points:
-                stats, _ = simulate_point(point, engine="scalar")
-                c, i = sim_volume(stats)
-                cycles += c
-                instructions += i
-            return cycles, instructions
-        from repro.engine.batched import run_cohort
-
-        for point, lane in zip(points, run_cohort(points, vector=vector)):
-            if lane.error is not None:
-                raise RuntimeError(
-                    f"wide-cohort lane {point.name} failed: {lane.error}")
-            c, i = sim_volume(lane.stats)
-            cycles += c
-            instructions += i
-        return cycles, instructions
-
-    return Benchmark(name=name, group="cohort", description=description,
-                     run=run)
 
 
 def _smoke_suite() -> list[Benchmark]:
@@ -263,34 +204,11 @@ def _batched_suite() -> list[Benchmark]:
     ]
 
 
-def _wide_suite() -> list[Benchmark]:
-    """The 96-lane wide-cohort head-to-head: scalar engine vs the
-    list-based lane kernel vs the numpy columnar kernel on the identical
-    fig16-shaped cohort. The artifact records instrs/s for all three, so
-    the vector:list ratio — the vectorization headline — is pinned into
-    the perf trajectory and gated alongside the counts."""
-    return [
-        _cohort_benchmark(
-            "wide:cohort96:scalar",
-            "96-lane fig16-shaped cohort, scalar engine lane-by-lane",
-            vector=None),
-        _cohort_benchmark(
-            "wide:cohort96:list",
-            "96-lane fig16-shaped cohort, list-based lane kernel",
-            vector=False),
-        _cohort_benchmark(
-            "wide:cohort96:vector",
-            "96-lane fig16-shaped cohort, numpy columnar kernel",
-            vector=True),
-    ]
-
-
 SUITES: dict[str, Callable[[], list[Benchmark]]] = {
     "smoke": _smoke_suite,
     "quick": _quick_suite,
     "full": _full_suite,
     "batched": _batched_suite,
-    "wide": _wide_suite,
 }
 
 

@@ -23,19 +23,6 @@ from typing import Iterator
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 ENGINES = ("auto", "scalar", "batched")
 
-# Escape hatch for the numpy columnar kernel: the batched engine runs
-# wide out-of-order cohorts through vectorized lane state unless this is
-# set to 0/false/off/no, in which case the list-based lockstep kernel
-# (the reference implementation) serves every cohort.
-VECTOR_ENV_VAR = "REPRO_BATCHED_VECTOR"
-
-
-def vector_enabled() -> bool:
-    """Whether the columnar (numpy) kernel may serve cohorts."""
-    value = os.environ.get(VECTOR_ENV_VAR, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 def default_engine() -> str:
     """The session default: ``REPRO_ENGINE`` or ``auto``."""
     value = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
@@ -97,10 +84,8 @@ def runtime_scalar_reason() -> str | None:
 __all__ = [
     "ENGINES",
     "ENGINE_ENV_VAR",
-    "VECTOR_ENV_VAR",
     "default_engine",
     "engine_env",
     "resolve_engine",
     "runtime_scalar_reason",
-    "vector_enabled",
 ]

@@ -3,19 +3,14 @@
 A cohort is a list of :class:`~repro.orchestrator.points.SimPoint`-shaped
 points sharing an interned trace and a cache geometry (see
 :mod:`repro.engine.plan`). :func:`run_cohort` dispatches a cohort to one
-of three kernels:
+of two kernels:
 
-* the **list kernel** (this module) — the reference implementation:
-  per-lane free lists, CSQ occupancy, write-buffer slots, WPQ rings, and
-  register ready-times held in parallel Python lists indexed by lane, so
-  the per-instruction work that is lane-invariant (decode, memory-script
-  lookup, branch structure) is paid once per cohort instead of once per
-  run. Serves the out-of-order schemes in :data:`KERNEL_SCHEMES`.
-* the **columnar kernel** (:mod:`repro.engine.columns`) — the same
-  arithmetic over numpy ``[lane]``/``[lane, reg]`` arrays with a
-  uniform-path fast lane, used for wide cohorts when numpy is available
-  and ``REPRO_BATCHED_VECTOR`` is not 0 (see
-  :func:`repro.engine.vector_enabled`).
+* the **list kernel** (this module) — per-lane free lists, CSQ
+  occupancy, write-buffer slots, WPQ rings, and register ready-times
+  held in parallel Python lists indexed by lane, so the per-instruction
+  work that is lane-invariant (decode, memory-script lookup, branch
+  structure) is paid once per cohort instead of once per run. Serves the
+  out-of-order schemes in :data:`KERNEL_SCHEMES`.
 * the **in-order lane kernel** (:mod:`repro.engine.inorder_lanes`) — for
   ``core="inorder"`` points (schemes in
   :data:`INORDER_KERNEL_SCHEMES`).
@@ -69,16 +64,6 @@ KERNEL_SCHEMES = frozenset({"ppa", "baseline", "eadr", "dram-only", "capri"})
 # Schemes the in-order lane kernel implements (the facade's in-order
 # dispatch accepts exactly these two).
 INORDER_KERNEL_SCHEMES = frozenset({"ppa", "baseline"})
-
-# Cohorts at least this wide default to the columnar kernel: below it the
-# fixed per-instruction cost of issuing numpy expressions exceeds the
-# interpreter cost of the per-lane list loop. The ppa scheme pays extra
-# per-instruction stall/region-close machinery that amortizes more
-# slowly, so its crossover sits much higher (measured; see bench suite
-# "wide").
-VECTOR_MIN_LANES = 12
-VECTOR_MIN_LANES_PPA = 48
-
 
 @dataclass(frozen=True)
 class LaneError:
@@ -161,22 +146,14 @@ def _latency_list(core, dec) -> list:
     })
 
 
-def run_cohort(points, *, diverge_at=None,
-               vector: bool | None = None) -> list[LaneResult]:
+def run_cohort(points, *, diverge_at=None) -> list[LaneResult]:
     """Run every point of a compatible cohort in lockstep; returns one
     :class:`LaneResult` per point, in order.
 
     ``diverge_at`` maps lane index -> instruction index at which that lane
     is forcibly retired to the scalar kernel (testing hook for the
     divergence path).
-
-    ``vector`` pins the kernel choice for out-of-order cohorts: True
-    forces the columnar (numpy) kernel, False forces the list kernel,
-    None (the default) picks the columnar kernel for cohorts of
-    :data:`VECTOR_MIN_LANES`+ lanes when ``REPRO_BATCHED_VECTOR`` allows
-    it. Value-tracking cohorts always use the list kernel.
     """
-    from repro.engine import vector_enabled
     from repro.engine.plan import cohort_key, unbatchable_reason
 
     if not points:
@@ -189,36 +166,15 @@ def run_cohort(points, *, diverge_at=None,
     if len(keys) != 1:
         raise ValueError("cohort mixes incompatible points")
 
-    p0 = points[0]
-    if getattr(p0, "core", "ooo") == "inorder":
+    if getattr(points[0], "core", "ooo") == "inorder":
         from repro.engine.inorder_lanes import run_inorder_cohort
 
         return run_inorder_cohort(points, diverge_at=diverge_at)
-
-    want = vector
-    if want is None:
-        floor = (VECTOR_MIN_LANES_PPA if p0.scheme == "ppa"
-                 else VECTOR_MIN_LANES)
-        want = (vector_enabled() and not p0.track_values
-                and len(points) >= floor)
-    if want and not p0.track_values:
-        from repro.engine import columns
-
-        if p0.scheme in columns.VECTOR_SCHEMES and columns.available():
-            try:
-                return columns.run_cohort_vector(points,
-                                                 diverge_at=diverge_at)
-            except Exception:
-                # An explicitly forced vector run must surface its own
-                # failure; the automatic path degrades to the reference
-                # kernel, whose results are identical by contract.
-                if vector:
-                    raise
     return _run_cohort_lists(points, diverge_at=diverge_at)
 
 
 def _run_cohort_lists(points, *, diverge_at=None) -> list[LaneResult]:
-    """The list-based lockstep kernel (reference implementation)."""
+    """The list-based lockstep kernel for out-of-order cohorts."""
     n = len(points)
     p0 = points[0]
     scheme = p0.scheme

@@ -137,6 +137,15 @@ def _plan_preview(campaign: str, engine: str | None) -> dict:
 
 
 def _cmd_status(args) -> int:
+    if args.plan is not None and args.plan not in SWEEPS:
+        known = ", ".join(sorted(SWEEPS))
+        if args.plan == "matrix":
+            print(f"matrix campaigns have no fixed grid to preview "
+                  f"(--plan takes a sweep: {known})", file=sys.stderr)
+        else:
+            print(f"unknown sweep {args.plan!r} (known: {known})",
+                  file=sys.stderr)
+        return 2
     cache = ResultCache(pathlib.Path(args.cache_dir)
                         if args.cache_dir else default_cache_dir())
     info = cache.inventory()

@@ -48,8 +48,7 @@ class TestFingerprint:
 
 class TestSuites:
     def test_known_suites(self):
-        assert set(SUITES) == {"smoke", "quick", "full", "batched",
-                               "wide"}
+        assert set(SUITES) == {"smoke", "quick", "full", "batched"}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):

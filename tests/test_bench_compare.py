@@ -5,7 +5,11 @@ import json
 
 import pytest
 
-from repro.bench.compare import DEFAULT_THRESHOLD, compare_reports
+from repro.bench.compare import (
+    DEFAULT_THRESHOLD,
+    best_artifact,
+    compare_reports,
+)
 from repro.bench.fingerprint import EnvFingerprint
 from repro.bench.harness import BenchReport, BenchResult
 
@@ -26,8 +30,9 @@ def _result(name: str, wall: float, cycles: float = 1000.0,
                        deterministic=deterministic)
 
 
-def _report(results: list[BenchResult]) -> BenchReport:
-    return BenchReport(suite="quick", repetitions=2, warmup=1,
+def _report(results: list[BenchResult],
+            suite: str = "quick") -> BenchReport:
+    return BenchReport(suite=suite, repetitions=2, warmup=1,
                        fingerprint=_fingerprint(), results=results,
                        created="2026-08-05T00:00:00Z")
 
@@ -102,10 +107,35 @@ class TestCompare:
         assert data["deltas"][0]["ratio"] == 3.0
 
 
+class TestBestArtifact:
+    def test_other_suite_never_picked(self, tmp_path):
+        """A faster artifact of another suite measures other benchmarks;
+        the base must be the best artifact of the new report's suite."""
+        _report([_result("a", 2.0)]).write(tmp_path / "BENCH_1_slow.json")
+        _report([_result("a", 1.0)]).write(tmp_path / "BENCH_2_fast.json")
+        _report([_result("x", 0.01, instructions=10**6)],
+                suite="batched").write(tmp_path / "BENCH_3_other.json")
+        assert best_artifact(tmp_path, "quick").name == "BENCH_2_fast.json"
+        assert best_artifact(tmp_path, "batched").name == \
+            "BENCH_3_other.json"
+
+    def test_new_report_in_directory_never_its_own_base(self, tmp_path):
+        _report([_result("a", 2.0)]).write(tmp_path / "BENCH_1_old.json")
+        new = tmp_path / "BENCH_2_new.json"
+        _report([_result("a", 1.0)]).write(new)
+        assert best_artifact(tmp_path, "quick", exclude=new).name == \
+            "BENCH_1_old.json"
+
+    def test_no_same_suite_artifact_raises(self, tmp_path):
+        _report([_result("a", 1.0)]).write(tmp_path / "BENCH_1.json")
+        with pytest.raises(FileNotFoundError, match="suite 'smoke'"):
+            best_artifact(tmp_path, "smoke")
+
+
 class TestGateCli:
-    def _write(self, tmp_path, name, results):
+    def _write(self, tmp_path, name, results, suite="quick"):
         path = tmp_path / name
-        _report(results).write(path)
+        _report(results, suite=suite).write(path)
         return str(path)
 
     @pytest.fixture
@@ -141,3 +171,34 @@ class TestGateCli:
         assert data["ok"] is False
         assert [d["name"] for d in data["deltas"]
                 if d["regressed"]] == ["b"]
+
+    def test_gate_fails_when_nothing_compared(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        base = self._write(tmp_path, "base.json", [_result("a", 1.0)])
+        new = self._write(tmp_path, "new.json", [_result("b", 1.0)])
+        assert main(["gate", base, new, "--threshold", "1.0"]) == 2
+        assert "share no benchmark" in capsys.readouterr().err
+
+    def test_gate_fails_without_same_suite_base(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        self._write(tmp_path, "BENCH_1.json", [_result("a", 1.0)],
+                    suite="batched")
+        new = self._write(tmp_path, "new.json", [_result("a", 1.0)])
+        assert main(["gate", str(tmp_path), new]) == 2
+        err = capsys.readouterr().err
+        assert "no BENCH_*.json artifact of suite 'quick'" in err
+        assert "Traceback" not in err
+
+    def test_gate_against_directory_uses_same_suite(self, tmp_path,
+                                                     capsys):
+        from repro.bench.__main__ import main
+
+        self._write(tmp_path, "BENCH_1.json", [_result("a", 1.0)])
+        self._write(tmp_path, "BENCH_2.json",
+                    [_result("x", 0.01, instructions=10**6)],
+                    suite="batched")
+        new = self._write(tmp_path, "new.json", [_result("a", 1.0)])
+        assert main(["gate", str(tmp_path), new]) == 0
+        assert "BENCH_1.json" in capsys.readouterr().out

@@ -410,3 +410,18 @@ class TestCliJson:
         text = capsys.readouterr().out
         assert "plan preview:" in text
         assert "scalar x" in text and "engine=scalar" in text
+
+    def test_status_plan_rejects_non_sweeps_cleanly(self, tmp_path,
+                                                    capsys):
+        from repro.orchestrator.__main__ import main
+
+        assert main(["status", "--cache-dir", str(tmp_path),
+                     "--plan", "matrix"]) == 2
+        err = capsys.readouterr().err
+        assert "no fixed grid to preview" in err
+        assert len(err.strip().splitlines()) == 1
+
+        assert main(["status", "--cache-dir", str(tmp_path),
+                     "--plan", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown sweep 'fig99'" in err and "fig16" in err
