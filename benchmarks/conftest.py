@@ -1,13 +1,13 @@
 """Benchmark-suite configuration.
 
-Unlike the unit tests, benchmarks share the run memoizer across files: most
+Unlike the unit tests, benchmarks share results across files: most
 figures reuse the same baseline/PPA runs, and the whole suite would
-otherwise re-simulate them dozens of times. On top of that in-process L1,
-the suite enables the orchestrator's on-disk L2 result cache, so a repeat
-run of the benchmarks resolves every simulation from disk (set
-``REPRO_NO_DISK_CACHE=1`` to opt out, e.g. when timing the simulator
-itself). The cache is salted with a hash of the ``repro`` sources, so
-editing the simulator invalidates it automatically.
+otherwise re-simulate them dozens of times. The suite points the
+experiments' campaigns at a repo-local copy of the orchestrator's on-disk
+result cache, so later figures and repeat runs of the benchmarks resolve
+shared points from disk (set ``REPRO_NO_DISK_CACHE=1`` to opt out, e.g.
+when timing the simulator itself). The cache is salted with a hash of the
+``repro`` sources, so editing the simulator invalidates it automatically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.runner import cache_counters, configure_disk_cache
+from repro.experiments.runner import configure_disk_cache, disk_cache
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SIMCACHE_DIR = RESULTS_DIR / ".simcache"
@@ -25,7 +25,8 @@ SIMCACHE_DIR = RESULTS_DIR / ".simcache"
 
 @pytest.fixture(scope="session", autouse=True)
 def _disk_result_cache():
-    """Point the runner's L2 at a repo-local cache for the whole session."""
+    """Point the runner's disk cache at a repo-local directory for the
+    whole session."""
     if os.environ.get("REPRO_NO_DISK_CACHE"):
         configure_disk_cache(None)
         yield
@@ -33,9 +34,9 @@ def _disk_result_cache():
     RESULTS_DIR.mkdir(exist_ok=True)
     configure_disk_cache(SIMCACHE_DIR)
     yield
-    counters = cache_counters()
-    print(f"\n[simcache] L2 {counters['l2_hits']} hit / "
-          f"{counters['l2_misses']} miss at {SIMCACHE_DIR}")
+    counters = disk_cache().counters
+    print(f"\n[simcache] L2 {counters.hits} hit / "
+          f"{counters.misses} miss at {SIMCACHE_DIR}")
     configure_disk_cache(None)
 
 

@@ -5,31 +5,23 @@ Reproduces the paper's headline comparison — PPA's ~2 % overhead against
 Capri's ~26 % and ReplayCache's ~5x — on a representative subset of the 41
 applications (pass --all for the full set; expect a few minutes).
 
+All (app x scheme) points run as one campaign, so compatible points batch
+through the lockstep kernel; set $REPRO_CACHE_DIR to keep the results in
+the disk cache the experiments and the orchestrator share.
+
 Run:  python examples/overhead_study.py [--all] [--length N]
 """
 
 import argparse
-from functools import lru_cache
 
-from repro import simulate
 from repro.analysis.stats import gmean
-from repro.orchestrator.points import DEFAULT_WARMUP
+from repro.experiments.runner import run_points
+from repro.orchestrator.points import make_point
 from repro.workloads.profiles import ALL_PROFILES, profile_by_name
 
 REPRESENTATIVE = ("gcc", "bzip2", "mcf", "lbm", "libquantum", "namd",
                   "rb", "pc", "water-ns", "lulesh", "xsbench", "sjeng")
 SCHEMES = ("ppa", "capri", "replaycache")
-
-
-@lru_cache(maxsize=None)
-def run(app: str, scheme: str, length: int):
-    return simulate(app, scheme=scheme, engine="auto", length=length,
-                    warmup=DEFAULT_WARMUP).stats
-
-
-def slowdown(app: str, scheme: str, length: int) -> float:
-    return (run(app, scheme, length).cycles
-            / run(app, "baseline", length).cycles)
 
 
 def main() -> None:
@@ -42,6 +34,12 @@ def main() -> None:
 
     apps = ([p.name for p in ALL_PROFILES] if args.all
             else list(REPRESENTATIVE))
+    columns = ("baseline", *SCHEMES)
+    stats = run_points([make_point(app, scheme, length=args.length)
+                        for app in apps for scheme in columns])
+    runs = {(app, scheme): stats[i * len(columns) + j]
+            for i, app in enumerate(apps)
+            for j, scheme in enumerate(columns)}
 
     header = f"{'app':14s} {'suite':10s}" + "".join(
         f"{scheme:>13s}" for scheme in SCHEMES)
@@ -52,7 +50,7 @@ def main() -> None:
         suite = profile_by_name(app).suite
         row = f"{app:14s} {suite:10s}"
         for scheme in SCHEMES:
-            ratio = slowdown(app, scheme, args.length)
+            ratio = runs[app, scheme].cycles / runs[app, "baseline"].cycles
             ratios[scheme].append(ratio)
             row += f"{ratio:13.3f}"
         print(row)
@@ -65,8 +63,7 @@ def main() -> None:
     print("\npaper: PPA 1.02x, Capri 1.26x, ReplayCache ~5x")
 
     # Why PPA wins: region length vs the comparators.
-    ppa = run("gcc", "ppa", args.length)
-    capri = run("gcc", "capri", args.length)
+    ppa, capri = runs["gcc", "ppa"], runs["gcc", "capri"]
     print(f"\ngcc region length: PPA {ppa.mean_region_instrs:.0f} "
           f"instructions vs Capri {capri.mean_region_instrs:.0f} "
           "(the paper reports 11x longer regions for PPA)")

@@ -45,6 +45,9 @@ COMPONENTS: tuple[tuple[str, str], ...] = (
     ("repro/multicore/", "Multicore"),
     ("repro/telemetry/", "Telemetry"),
     ("repro/orchestrator/", "Orchestrator"),
+    ("repro/engine/", "Engine"),
+    ("repro/service/", "Service"),
+    ("repro/observe/", "Observability"),
     ("repro/", "repro (other)"),
 )
 

@@ -59,22 +59,9 @@ class PersistentProcessor:
         self._trace: Trace | None = None
 
     def run(self, trace: Trace) -> CoreStats:
-        """Simulate the trace to completion under PPA.
-
-        .. deprecated:: kept as a thin delegate — prefer the unified
-           :func:`repro.simulate` facade (``core="ooo"``,
-           ``scheme="ppa"``), which returns a :class:`repro.SimResult`
-           bundling stats, telemetry, and this crash/recover API.
-        """
-        from repro._compat import warn_legacy
-
-        warn_legacy("PersistentProcessor.run()",
-                    'repro.simulate(..., scheme="ppa")')
-        return self._run(trace)
-
-    def _run(self, trace: Trace) -> CoreStats:
+        """Simulate the trace to completion under PPA."""
         self._trace = trace
-        self.stats = self.core._run(trace)
+        self.stats = self.core.run(trace)
         self._injector = PowerFailureInjector(self.stats, self.core.wb.log)
         return self.stats
 

@@ -58,7 +58,7 @@ class IntermittentScenario:
                  trace: Trace) -> None:
         self.processor = processor
         self.trace = trace
-        self.stats = processor._run(trace)
+        self.stats = processor.run(trace)
         plan = CheckpointPlan.for_config(processor.config)
         clock = processor.config.core.clock_ghz
         # Restore cost: re-read the checkpoint (same budget as writing).

@@ -5,7 +5,7 @@ Same contract as the out-of-order list kernel
 (:mod:`repro.inorder.core`): a cohort of ``core="inorder"`` points
 sharing one interned trace and cache geometry advances one instruction at
 a time over per-lane parallel lists, bit-exact with
-``InOrderCore._run``.
+``InOrderCore.run``.
 
 Two cohort-invariant computations are hoisted out of the lane loop:
 
@@ -47,7 +47,7 @@ _VALUE_MASK = (1 << 64) - 1
 
 def _functional_values(dec) -> list[int]:
     """The lane-invariant value stream: ``value`` as computed by
-    ``InOrderCore._run`` at each seq (zero for non-producing ops)."""
+    ``InOrderCore.run`` at each seq (zero for non-producing ops)."""
     length = dec.length
     opcode_ids = dec.opcode_ids
     dest_cls = dec.dest_cls

@@ -1,21 +1,13 @@
 """Experiment harness: one module per paper figure/table, plus the runner."""
 
-from repro.experiments.runner import (
-    clear_cache,
-    run_app,
-    run_multithreaded,
-    slowdown,
-)
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import all_experiments, get_experiment
+from repro.experiments.runner import run_points
 
 __all__ = [
     "Experiment",
     "ExperimentResult",
     "all_experiments",
-    "clear_cache",
     "get_experiment",
-    "run_app",
-    "run_multithreaded",
-    "slowdown",
+    "run_points",
 ]

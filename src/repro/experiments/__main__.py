@@ -5,6 +5,11 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments fig8 [--length N] [--apps gcc,rb,...]
     python -m repro.experiments all [--length N]
+
+Figures run their points as campaigns on the same content-addressed disk
+cache as ``python -m repro.orchestrator`` (``$REPRO_CACHE_DIR``, default
+``~/.cache/repro-sim``), so a figure already swept there is all cache
+hits here.
 """
 
 from __future__ import annotations
@@ -14,15 +19,9 @@ import sys
 import time
 
 from repro.experiments.registry import all_experiments, get_experiment
-from repro.experiments.runner import cache_counters
-
-
-def _cache_summary() -> str:
-    counters = cache_counters()
-    return (f"cache: L1 {counters['l1_hits']} hit / "
-            f"{counters['l1_misses']} miss, "
-            f"L2 {counters['l2_hits']} hit / "
-            f"{counters['l2_misses']} miss")
+from repro.experiments.runner import configure_disk_cache, disk_cache
+from repro.orchestrator.cache import default_cache_dir
+from repro.workloads.profiles import profile_by_name
 
 
 def _run_one(experiment_id: str, kwargs: dict,
@@ -30,6 +29,8 @@ def _run_one(experiment_id: str, kwargs: dict,
     experiment = get_experiment(experiment_id)
     print(f"running {experiment_id}: {experiment.title} "
           f"(paper: {experiment.paper_claim})")
+    counters = disk_cache().counters
+    hits, misses = counters.hits, counters.misses
     start = time.time()
     result = experiment(**kwargs)
     elapsed = time.time() - start
@@ -38,7 +39,10 @@ def _run_one(experiment_id: str, kwargs: dict,
         from repro.analysis.charts import bar_chart
         print()
         print(bar_chart(result))
-    print(f"[{elapsed:.1f}s, {_cache_summary()}]\n")
+    # Every campaign point is one cache lookup; each miss was simulated.
+    hits, misses = counters.hits - hits, counters.misses - misses
+    print(f"[{elapsed:.1f}s, campaign points: L2 {hits} hit / {misses} "
+          f"miss, {misses} simulated]\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,11 +66,22 @@ def main(argv: list[str] | None = None) -> int:
                   f"(paper: {experiment.paper_claim})")
         return 0
 
+    try:
+        if args.experiment != "all":
+            get_experiment(args.experiment)
+        apps = args.apps.split(",") if args.apps is not None else []
+        for app in apps:
+            profile_by_name(app)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
+    configure_disk_cache(default_cache_dir())
+
     kwargs: dict = {}
     if args.length is not None:
         kwargs["length"] = args.length
-    if args.apps is not None:
-        kwargs["apps"] = tuple(args.apps.split(","))
+    if apps:
+        kwargs["apps"] = tuple(apps)
 
     if args.experiment == "all":
         for experiment_id in sorted(all_experiments()):

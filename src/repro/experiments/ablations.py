@@ -22,8 +22,9 @@ from repro.config import skylake_default
 from repro.core.processor import PersistentProcessor
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
-from repro.experiments.runner import _slowdown as slowdown
+from repro.experiments.runner import run_points
 from repro.failure.consistency import verify_recovery
+from repro.orchestrator.points import make_point
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.synthetic import generate_trace
 
@@ -31,22 +32,26 @@ ABLATION_APPS = ("gcc", "rb", "water-ns", "lbm")
 ABLATION_LENGTH = 10_000
 
 
-def _gmean_overhead(config, apps, length) -> float:
-    return gmean([
-        slowdown(name, "ppa", config=config, baseline_config=None,
-                 length=length)
-        for name in apps
-    ])
+def _gmean_overheads(configs, apps, length) -> list[float]:
+    """PPA's gmean slowdown over the baseline on each configuration, all
+    from one campaign."""
+    stats = run_points([make_point(name, scheme, config=config,
+                                   length=length)
+                        for config in configs for name in apps
+                        for scheme in ("ppa", "baseline")])
+    ratios = [ppa.cycles / base.cycles
+              for ppa, base in zip(stats[::2], stats[1::2])]
+    width = len(apps)
+    return [gmean(ratios[i:i + width])
+            for i in range(0, len(ratios), width)]
 
 
 def run_ablation_async(apps=ABLATION_APPS,
                        length: int = ABLATION_LENGTH) -> ExperimentResult:
     base = skylake_default()
     sync_cfg = replace(base, ppa=replace(base.ppa, async_writeback=False))
-    rows = [
-        ["async (PPA)", _gmean_overhead(base, apps, length)],
-        ["synchronous", _gmean_overhead(sync_cfg, apps, length)],
-    ]
+    overheads = _gmean_overheads((base, sync_cfg), apps, length)
+    rows = [["async (PPA)", overheads[0]], ["synchronous", overheads[1]]]
     return ExperimentResult(
         experiment_id="ablation-async",
         title="Asynchronous vs synchronous store persistence",
@@ -62,10 +67,9 @@ def run_ablation_coalescing(apps=ABLATION_APPS,
     base = skylake_default()
     no_coalesce = replace(base, ppa=replace(base.ppa,
                                             persist_coalescing=False))
-    rows = [
-        ["coalescing (PPA)", _gmean_overhead(base, apps, length)],
-        ["no coalescing", _gmean_overhead(no_coalesce, apps, length)],
-    ]
+    overheads = _gmean_overheads((base, no_coalesce), apps, length)
+    rows = [["coalescing (PPA)", overheads[0]],
+            ["no coalescing", overheads[1]]]
     return ExperimentResult(
         experiment_id="ablation-coalescing",
         title="Persist coalescing on vs off",
@@ -78,11 +82,12 @@ def run_ablation_coalescing(apps=ABLATION_APPS,
 def run_ablation_boundary(apps=ABLATION_APPS,
                           length: int = ABLATION_LENGTH) -> ExperimentResult:
     base = skylake_default()
-    rows = []
-    for threshold in (0, 8, 24, 64):
-        config = replace(base, ppa=replace(
-            base.ppa, min_deferred_for_boundary=threshold))
-        rows.append([threshold, _gmean_overhead(config, apps, length)])
+    thresholds = (0, 8, 24, 64)
+    configs = [replace(base, ppa=replace(
+        base.ppa, min_deferred_for_boundary=threshold))
+        for threshold in thresholds]
+    rows = [list(row) for row in
+            zip(thresholds, _gmean_overheads(configs, apps, length))]
     return ExperimentResult(
         experiment_id="ablation-boundary",
         title="Rename-stall escalation threshold (deferred registers)",
@@ -100,7 +105,7 @@ def run_ablation_integrity(app: str = "gcc", length: int = 4_000,
         processor = PersistentProcessor(
             enforce_store_integrity=enforce)
         trace = generate_trace(profile_by_name(app), length=length)
-        stats = processor._run(trace)
+        stats = processor.run(trace)
         corrupted = 0
         for index in range(1, failure_points + 1):
             fail_time = stats.cycles * index / (failure_points + 1)

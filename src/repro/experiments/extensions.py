@@ -15,8 +15,10 @@ from repro.analysis.stats import gmean
 from repro.config import skylake_default
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
-from repro.experiments.runner import _run_app as run_app
+from repro.experiments.runner import run_points
 from repro.memory.hierarchy import MemorySystem
+from repro.orchestrator.execute import declare_steady_state
+from repro.orchestrator.points import make_point
 from repro.persistence.capri import CapriPolicy
 from repro.pipeline.core import OoOCore
 from repro.workloads.profiles import profile_by_name
@@ -28,13 +30,17 @@ SWEEP_APPS = ("gcc", "rb", "water-ns")
 
 def run_ext_psp(apps=PSP_APPS, length: int = 8_000) -> ExperimentResult:
     schemes = ("ppa", "eadr", "psp-undolog", "psp-redolog")
+    stats = run_points([make_point(app, scheme, length=length)
+                        for app in apps
+                        for scheme in ("baseline", *schemes)])
+    width = len(schemes) + 1
     rows = []
     per_scheme: dict[str, list[float]] = {s: [] for s in schemes}
-    for app in apps:
-        base = run_app(app, "baseline", length=length)
+    for index, app in enumerate(apps):
+        base, *runs = stats[index * width:(index + 1) * width]
         row = [app]
-        for scheme in schemes:
-            ratio = run_app(app, scheme, length=length).cycles / base.cycles
+        for scheme, run in zip(schemes, runs):
+            ratio = run.cycles / base.cycles
             per_scheme[scheme].append(ratio)
             row.append(ratio)
         rows.append(row)
@@ -56,23 +62,25 @@ def run_ext_region_length(apps=SWEEP_APPS, length: int = 8_000,
                           ) -> ExperimentResult:
     """Capri-style scheme with increasingly long compiler regions."""
     config = skylake_default()
+    # CapriPolicy(mean_region_length=...) is no catalog scheme, so only the
+    # baselines can run as campaign points.
+    bases = run_points([make_point(app, "baseline", length=length)
+                        for app in apps])
     rows = []
     summary = {}
     for mean_length in region_lengths:
         ratios = []
-        for app in apps:
-            base = run_app(app, "baseline", length=length)
+        for app, base in zip(apps, bases):
             profile = profile_by_name(app)
             generator = TraceGenerator(profile, seed=0)
             memory = MemorySystem(config.memory)
-            from repro.experiments.runner import _declare_steady_state
-            _declare_steady_state(memory, generator)
+            declare_steady_state(memory, generator)
             memory.prewarm_extents(generator.region_extents())
             trace = generator.generate(length)
             core = OoOCore(config,
                            CapriPolicy(mean_region_length=mean_length),
                            memory=memory, track_values=False)
-            stats = core._run(trace)
+            stats = core.run(trace)
             ratios.append(stats.cycles / base.cycles)
         mean = gmean(ratios)
         rows.append([mean_length, mean])
@@ -94,12 +102,13 @@ def run_ext_sbgate(apps=SWEEP_APPS, length: int = 8_000
                    ) -> ExperimentResult:
     """Section 6's rejected alternative: gate stores in the store buffer
     until durable instead of preserving their registers."""
+    stats = run_points([make_point(app, scheme, length=length)
+                        for app in apps
+                        for scheme in ("baseline", "sb-gate", "ppa")])
     rows = []
     gate_ratios, ppa_ratios = [], []
-    for app in apps:
-        base = run_app(app, "baseline", length=length)
-        gate = run_app(app, "sb-gate", length=length)
-        ppa = run_app(app, "ppa", length=length)
+    for index, app in enumerate(apps):
+        base, gate, ppa = stats[3 * index:3 * index + 3]
         rows.append([app, ppa.cycles / base.cycles,
                      gate.cycles / base.cycles])
         ppa_ratios.append(ppa.cycles / base.cycles)
@@ -132,13 +141,12 @@ def run_ext_inorder(apps=("gcc", "rb", "xsbench"),
         def run(persistent: bool) -> float:
             generator = TraceGenerator(profile, seed=0)
             memory = MemorySystem(config.memory)
-            from repro.experiments.runner import _declare_steady_state
-            _declare_steady_state(memory, generator)
+            declare_steady_state(memory, generator)
             memory.prewarm_extents(generator.region_extents())
             trace = generator.generate(length)
             core = InOrderCore(config, memory=memory,
                                persistent=persistent)
-            return core._run(trace).cycles
+            return core.run(trace).cycles
 
         ratio = run(True) / run(False)
         rows.append([app, ratio])

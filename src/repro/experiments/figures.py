@@ -17,11 +17,14 @@ from repro.analysis.stats import gmean
 from repro.config import skylake_default
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
-from repro.experiments.runner import (
-    _run_app as run_app,
-    _run_multithreaded as run_multithreaded,
-    _slowdown as slowdown,
+from repro.experiments.runner import run_points
+from repro.orchestrator.campaigns import (
+    SWEEP_LENGTH,
+    build_sweep,
+    summarize_sweep,
+    sweep_spec,
 )
+from repro.orchestrator.points import DEFAULT_WARMUP, make_point
 from repro.workloads.profiles import (
     ALL_PROFILES,
     memory_intensive_profiles,
@@ -29,12 +32,6 @@ from repro.workloads.profiles import (
 )
 
 FULL_LENGTH = 20_000
-SWEEP_LENGTH = 12_000
-
-# The paper's Figures 15/18 sweep "memory-intensive CPU2006/Mini-apps,
-# SPLASH3, and WHISPER"; this is our equivalent subset.
-SWEEP_APPS = ("mcf", "lbm", "libquantum", "rb", "pc", "water-ns",
-              "lulesh", "xsbench")
 
 MULTITHREADED_APPS = ("water-ns", "rb", "barnes")
 
@@ -45,14 +42,24 @@ def _app_names(apps) -> list[str]:
     return list(apps)
 
 
-def _per_app_slowdowns(scheme: str, apps=None, config=None,
-                       baseline_config=None,
-                       length: int = FULL_LENGTH) -> dict[str, float]:
-    return {
-        name: slowdown(name, scheme, config=config,
-                       baseline_config=baseline_config, length=length)
-        for name in _app_names(apps)
-    }
+def _run_per_app(names, schemes, length: int, config=None) -> list[tuple]:
+    """Stats of every (app, scheme) pair from one campaign: one tuple per
+    app, in ``schemes`` order."""
+    stats = run_points([make_point(name, scheme, config=config,
+                                   length=length)
+                        for name in names for scheme in schemes])
+    width = len(schemes)
+    return [tuple(stats[i:i + width]) for i in range(0, len(stats), width)]
+
+
+def _over_baseline(schemes, names, length: int,
+                   config=None) -> list[dict[str, float]]:
+    """Per scheme, each app's cycles over its baseline's on the same
+    configuration."""
+    runs = _run_per_app(names, (*schemes, "baseline"), length, config)
+    return [{name: run[i].cycles / run[-1].cycles
+             for name, run in zip(names, runs)}
+            for i in range(len(schemes))]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +67,7 @@ def _per_app_slowdowns(scheme: str, apps=None, config=None,
 # ---------------------------------------------------------------------------
 
 def run_fig1(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
-    ratios = _per_app_slowdowns("replaycache", apps, length=length)
+    ratios, = _over_baseline(("replaycache",), _app_names(apps), length)
     rows = [[name, ratio] for name, ratio in ratios.items()]
     return ExperimentResult(
         experiment_id="fig1",
@@ -77,11 +84,11 @@ def run_fig1(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_fig5(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
+    names = _app_names(apps)
+    runs = _run_per_app(names, ("baseline",), length)
     suites: dict[str, list] = {}
-    for name in _app_names(apps):
-        profile = profile_by_name(name)
-        stats = run_app(profile, "baseline", length=length)
-        suites.setdefault(profile.suite, []).append(stats)
+    for name, (stats,) in zip(names, runs):
+        suites.setdefault(profile_by_name(name).suite, []).append(stats)
     rows = []
     summary = {}
     for suite, stats_list in sorted(suites.items()):
@@ -115,8 +122,7 @@ def run_fig5(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 def run_fig8(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     from repro.analysis.stats import suite_means
 
-    ppa = _per_app_slowdowns("ppa", apps, length=length)
-    capri = _per_app_slowdowns("capri", apps, length=length)
+    ppa, capri = _over_baseline(("ppa", "capri"), _app_names(apps), length)
     rows = [[name, ppa[name], capri[name]] for name in ppa]
     suites = {name: profile_by_name(name).suite for name in ppa}
     summary = {
@@ -142,10 +148,9 @@ def run_fig8(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 def run_fig9(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     ppa_ratios, base_ratios = [], []
-    for name in _app_names(apps):
-        dram = run_app(name, "dram-only", length=length)
-        base = run_app(name, "baseline", length=length)
-        ppa = run_app(name, "ppa", length=length)
+    names = _app_names(apps)
+    runs = _run_per_app(names, ("dram-only", "baseline", "ppa"), length)
+    for name, (dram, base, ppa) in zip(names, runs):
         rows.append([name, ppa.cycles / dram.cycles,
                      base.cycles / dram.cycles])
         ppa_ratios.append(ppa.cycles / dram.cycles)
@@ -173,10 +178,8 @@ def run_fig10(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
         apps = [p.name for p in memory_intensive_profiles()]
     rows = []
     ppa_ratios, psp_ratios = [], []
-    for name in apps:
-        base = run_app(name, "baseline", length=length)
-        ppa = run_app(name, "ppa", length=length)
-        psp = run_app(name, "eadr", length=length)
+    runs = _run_per_app(apps, ("baseline", "ppa", "eadr"), length)
+    for name, (base, ppa, psp) in zip(apps, runs):
         rows.append([name, ppa.cycles / base.cycles,
                      psp.cycles / base.cycles])
         ppa_ratios.append(ppa.cycles / base.cycles)
@@ -202,8 +205,8 @@ def run_fig10(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 def run_fig11(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     fractions = []
-    for name in _app_names(apps):
-        stats = run_app(name, "ppa", length=length)
+    names = _app_names(apps)
+    for name, (stats,) in zip(names, _run_per_app(names, ("ppa",), length)):
         frac = stats.region_end_stall_fraction
         rows.append([name, 100.0 * frac])
         fractions.append(frac)
@@ -224,9 +227,9 @@ def run_fig11(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 def run_fig12(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     increases = []
-    for name in _app_names(apps):
-        base = run_app(name, "baseline", length=length)
-        ppa = run_app(name, "ppa", length=length)
+    names = _app_names(apps)
+    runs = _run_per_app(names, ("baseline", "ppa"), length)
+    for name, (base, ppa) in zip(names, runs):
         base_frac = base.rename_oor_stall_cycles / base.cycles
         ppa_frac = ppa.rename_oor_stall_cycles / ppa.cycles
         increase = max(0.0, ppa_frac - base_frac)
@@ -250,8 +253,8 @@ def run_fig12(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 def run_fig13(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     stores, others = [], []
-    for name in _app_names(apps):
-        stats = run_app(name, "ppa", length=length)
+    names = _app_names(apps)
+    for name, (stats,) in zip(names, _run_per_app(names, ("ppa",), length)):
         rows.append([name, stats.mean_region_others,
                      stats.mean_region_stores])
         stores.append(stats.mean_region_stores)
@@ -276,8 +279,7 @@ def run_fig13(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 
 def run_fig14(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     config = skylake_default().with_l3()
-    ratios = _per_app_slowdowns("ppa", apps, config=config,
-                                baseline_config=config, length=length)
+    ratios, = _over_baseline(("ppa",), _app_names(apps), length, config)
     rows = [[name, ratio] for name, ratio in ratios.items()]
     return ExperimentResult(
         experiment_id="fig14",
@@ -293,74 +295,47 @@ def run_fig14(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
 # Figures 15-18 — sensitivity sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep(experiment_id: str, title: str, notes: str, label: str,
-           values, config_of, apps, length: int) -> ExperimentResult:
-    apps = list(apps) if apps is not None else list(SWEEP_APPS)
-    rows = []
-    summary = {}
-    for value in values:
-        config = config_of(value)
-        ratios = [
-            slowdown(name, "ppa", config=config, baseline_config=None,
-                     length=length)
-            for name in apps
-        ]
-        mean = gmean(ratios)
-        rows.append([f"{label}={value}", mean])
-        summary[f"gmean_{value}"] = mean
+def _sweep_figure(name: str, column: str, notes: str, apps,
+                  length: int) -> ExperimentResult:
+    """Run the named sweep (:mod:`repro.orchestrator.campaigns`) as one
+    campaign; summary keys are the config values (``gmean_80_80``)."""
+    spec = sweep_spec(name, apps=apps, length=length)
+    rows = summarize_sweep(spec, run_points(build_sweep(spec)))
     return ExperimentResult(
-        experiment_id=experiment_id, title=title,
-        columns=[label, "gmean_slowdown"], rows=rows,
-        summary=summary, notes=notes,
+        experiment_id=name, title=spec.title,
+        columns=[column, "gmean_slowdown"],
+        rows=[[label, mean] for label, mean in rows],
+        summary={"gmean_" + label.split("=")[-1].replace("/", "_"): mean
+                 for label, mean in rows},
+        notes=notes,
     )
 
 
 def run_fig15(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
-    base = skylake_default()
-    return _sweep(
-        "fig15", "PPA slowdown vs WPQ size",
-        "paper: 8-entry WPQ costs ~8%; 16 (default) ~2%",
-        "wpq", (8, 16, 24), base.with_wpq, apps, length)
+    return _sweep_figure(
+        "fig15", "wpq", "paper: 8-entry WPQ costs ~8%; 16 (default) ~2%",
+        apps, length)
 
 
 def run_fig16(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
-    base = skylake_default()
-    sizes = ((80, 80), (100, 100), (120, 120), (140, 140), (180, 168),
-             (280, 224))
-    apps = list(apps) if apps is not None else list(SWEEP_APPS)
-    rows = []
-    summary = {}
-    for int_size, fp_size in sizes:
-        config = base.with_prf(int_size, fp_size)
-        ratios = [slowdown(name, "ppa", config=config, length=length)
-                  for name in apps]
-        mean = gmean(ratios)
-        rows.append([f"{int_size}/{fp_size}", mean])
-        summary[f"gmean_{int_size}_{fp_size}"] = mean
-    return ExperimentResult(
-        experiment_id="fig16", title="PPA slowdown vs PRF size",
-        columns=["int/fp PRF", "gmean_slowdown"], rows=rows,
-        summary=summary,
-        notes="paper: 80/80 costs ~12% (some apps ~30%); benefit "
-              "saturates beyond the 180/168 default",
-    )
+    return _sweep_figure(
+        "fig16", "int/fp PRF",
+        "paper: 80/80 costs ~12% (some apps ~30%); benefit saturates "
+        "beyond the 180/168 default", apps, length)
 
 
 def run_fig17(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
-    base = skylake_default()
-    return _sweep(
-        "fig17", "PPA slowdown vs CSQ size",
+    return _sweep_figure(
+        "fig17", "csq",
         "paper: minimal impact from 10 to 50 entries; 40 default",
-        "csq", (10, 20, 30, 40, 50), base.with_csq, apps, length)
+        apps, length)
 
 
 def run_fig18(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
-    base = skylake_default()
-    return _sweep(
-        "fig18", "PPA slowdown vs NVM write bandwidth",
+    return _sweep_figure(
+        "fig18", "gbs",
         "paper: ~7% at 1 GB/s; ~2% at or beyond the default 2.3 GB/s",
-        "gbs", (1.0, 2.3, 4.0, 6.0), base.with_write_bandwidth, apps,
-        length)
+        apps, length)
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +344,19 @@ def run_fig18(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
 
 def run_fig19(apps=None, threads=(8, 16, 32, 64),
               length: int = 4_000) -> ExperimentResult:
+    from repro import simulate
+
+    def makespan(name: str, scheme: str, count: int) -> float:
+        return simulate(name, scheme=scheme, core="multicore",
+                        threads=count, length=length,
+                        warmup=DEFAULT_WARMUP).stats.makespan
+
     apps = list(apps) if apps is not None else list(MULTITHREADED_APPS)
     rows = []
     summary = {}
     for count in threads:
-        ratios = []
-        for name in apps:
-            base = run_multithreaded(name, "baseline", threads=count,
-                                     length=length)
-            ppa = run_multithreaded(name, "ppa", threads=count,
-                                    length=length)
-            ratios.append(ppa.makespan / base.makespan)
+        ratios = [makespan(name, "ppa", count) /
+                  makespan(name, "baseline", count) for name in apps]
         mean = gmean(ratios)
         rows.append([count, mean])
         summary[f"gmean_t{count}"] = mean

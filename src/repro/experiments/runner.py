@@ -1,64 +1,25 @@
-"""Shared machinery for running (application x scheme x config) points.
+"""How the experiments run their simulation points.
 
-Runs are memoized in two tiers: an in-process dict (L1 — most figures
-share the same baseline runs, and the benchmark suite would otherwise
-re-simulate them dozens of times) in front of the orchestrator's optional
-content-addressed disk cache (L2 — survives across processes and makes
-repeated figure runs near-instant). Cached :class:`CoreStats` objects must
-be treated as read-only.
-
-The actual simulation is delegated to
-:func:`repro.orchestrator.execute.simulate_point`, the same entry the
-parallel :class:`repro.orchestrator.Campaign` workers use.
+Every figure builds its full point list first and hands it to
+:func:`run_points`, which runs one :class:`repro.orchestrator.Campaign`
+over it: cache misses are batched into lockstep cohorts, and results are
+read from (and written to) the content-addressed disk cache configured
+here.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.config import SystemConfig
-from repro.orchestrator.cache import (
-    CacheCounters,
-    ResultCache,
-    point_digest,
-)
-from repro.orchestrator.execute import (
-    declare_steady_state as _declare_steady_state,  # noqa: F401 — re-export
-)
-from repro.orchestrator.execute import run_point_payload, simulate_point
-from repro.orchestrator.points import (
-    DEFAULT_LENGTH,
-    DEFAULT_WARMUP,
-    config_for,
-    make_point,
-    memo_key,
-    multicore_memo_key,
-)
-from repro.orchestrator.serialize import stats_from_payload
+from repro.orchestrator.cache import ResultCache
+from repro.orchestrator.campaign import Campaign
+from repro.orchestrator.points import SimPoint
 from repro.pipeline.stats import CoreStats
-from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
-__all__ = [
-    "DEFAULT_LENGTH", "DEFAULT_WARMUP", "run_app", "slowdown",
-    "run_multithreaded", "clear_cache", "cache_counters",
-    "configure_disk_cache", "disk_cache",
-]
+__all__ = ["configure_disk_cache", "disk_cache", "run_points"]
 
-_CACHE: dict[tuple, object] = {}
-
-# L1 = the in-process dict above; L2 = the orchestrator's disk cache.
-_L1_COUNTERS = CacheCounters()
 _L2: ResultCache | None = None
 _L2_CONFIGURED = False
-
-
-def clear_cache() -> None:
-    """Drop all memoized runs and reset hit/miss counters (tests use this
-    for isolation). The disk cache, if any, is left alone."""
-    _CACHE.clear()
-    _L1_COUNTERS.reset()
-    if _L2 is not None:
-        _L2.counters.reset()
 
 
 def configure_disk_cache(root: str | os.PathLike | None) -> None:
@@ -79,156 +40,10 @@ def disk_cache() -> ResultCache | None:
     return _L2
 
 
-def cache_counters() -> dict[str, int]:
-    """Hit/miss counters for both tiers (L2 all-zero when disabled)."""
-    l2 = disk_cache()
-    return {
-        "l1_hits": _L1_COUNTERS.hits,
-        "l1_misses": _L1_COUNTERS.misses,
-        "l2_hits": l2.counters.hits if l2 is not None else 0,
-        "l2_misses": l2.counters.misses if l2 is not None else 0,
-    }
-
-
-def _config_for(scheme: str, config: SystemConfig | None) -> SystemConfig:
-    return config_for(scheme, config)
-
-
-def run_app(profile: WorkloadProfile | str, scheme: str,
-            config: SystemConfig | None = None,
-            length: int = DEFAULT_LENGTH, warmup: int = DEFAULT_WARMUP,
-            seed: int = 0, track_values: bool = False,
-            use_cache: bool = True) -> CoreStats:
-    """Simulate one application under one scheme on one configuration.
-
-    .. deprecated:: kept as a thin delegate — prefer the unified
-       :func:`repro.simulate` facade; campaign-scale sweeps belong in
-       :class:`repro.orchestrator.Campaign`, which memoizes through the
-       same disk cache and batches compatible points.
-    """
-    from repro._compat import warn_legacy
-
-    warn_legacy("repro.experiments.runner.run_app()", "repro.simulate()")
-    return _run_app(profile, scheme, config=config, length=length,
-                    warmup=warmup, seed=seed, track_values=track_values,
-                    use_cache=use_cache)
-
-
-def _run_app(profile: WorkloadProfile | str, scheme: str,
-             config: SystemConfig | None = None,
-             length: int = DEFAULT_LENGTH, warmup: int = DEFAULT_WARMUP,
-             seed: int = 0, track_values: bool = False,
-             use_cache: bool = True) -> CoreStats:
-    point = make_point(profile, scheme, config=config, length=length,
-                       warmup=warmup, seed=seed, track_values=track_values)
-    if not use_cache:
-        stats, _log = simulate_point(point)
-        return stats
-
-    key = memo_key(point)
-    if key in _CACHE:
-        _L1_COUNTERS.hits += 1
-        return _CACHE[key]  # type: ignore[return-value]
-    _L1_COUNTERS.misses += 1
-
-    l2 = disk_cache()
-    if l2 is not None:
-        digest = point_digest(point)
-        payload = l2.get(digest)
-        if payload is not None:
-            stats = stats_from_payload(payload)
-            _CACHE[key] = stats
-            return stats
-        payload = run_point_payload(point)
-        l2.put(digest, payload, meta={"point": point.name})
-        stats = stats_from_payload(payload)
-    else:
-        stats, _log = simulate_point(point)
-    _CACHE[key] = stats
-    return stats
-
-
-def slowdown(profile: WorkloadProfile | str, scheme: str,
-             baseline: str = "baseline",
-             config: SystemConfig | None = None,
-             baseline_config: SystemConfig | None = None,
-             length: int = DEFAULT_LENGTH, warmup: int = DEFAULT_WARMUP,
-             seed: int = 0) -> float:
-    """Normalized execution-time ratio of ``scheme`` over ``baseline``.
-
-    .. deprecated:: kept as a thin delegate — compute the ratio from two
-       :func:`repro.simulate` results instead.
-    """
-    from repro._compat import warn_legacy
-
-    warn_legacy("repro.experiments.runner.slowdown()", "repro.simulate()")
-    return _slowdown(profile, scheme, baseline=baseline, config=config,
-                     baseline_config=baseline_config, length=length,
-                     warmup=warmup, seed=seed)
-
-
-def _slowdown(profile: WorkloadProfile | str, scheme: str,
-              baseline: str = "baseline",
-              config: SystemConfig | None = None,
-              baseline_config: SystemConfig | None = None,
-              length: int = DEFAULT_LENGTH, warmup: int = DEFAULT_WARMUP,
-              seed: int = 0) -> float:
-    target = _run_app(profile, scheme, config=config, length=length,
-                      warmup=warmup, seed=seed)
-    if baseline_config is None:
-        baseline_config = config
-    ref = _run_app(profile, baseline, config=baseline_config, length=length,
-                   warmup=warmup, seed=seed)
-    return target.cycles / ref.cycles
-
-
-def run_multithreaded(profile: WorkloadProfile | str, scheme: str,
-                      config: SystemConfig | None = None,
-                      threads: int | None = None,
-                      length: int = DEFAULT_LENGTH,
-                      warmup: int = DEFAULT_WARMUP,
-                      seed: int = 0, use_cache: bool = True):
-    """Simulate a multithreaded application; returns the MulticoreStats.
-
-    .. deprecated:: kept as a thin delegate — prefer the unified
-       :func:`repro.simulate` facade (``core="multicore"``).
-    """
-    from repro._compat import warn_legacy
-
-    warn_legacy("repro.experiments.runner.run_multithreaded()",
-                'repro.simulate(core="multicore")')
-    return _run_multithreaded(profile, scheme, config=config,
-                              threads=threads, length=length,
-                              warmup=warmup, seed=seed,
-                              use_cache=use_cache)
-
-
-def _run_multithreaded(profile: WorkloadProfile | str, scheme: str,
-                       config: SystemConfig | None = None,
-                       threads: int | None = None,
-                       length: int = DEFAULT_LENGTH,
-                       warmup: int = DEFAULT_WARMUP,
-                       seed: int = 0, use_cache: bool = True):
-    """Imported lazily to keep the single-core path free of the multicore
-    machinery. Multicore results stay L1-only: their stats type has no
-    serialized form yet.
-    """
-    from repro.multicore.system import MulticoreSystem
-
-    if isinstance(profile, str):
-        profile = profile_by_name(profile)
-    cfg = config_for(scheme, config)
-    count = threads if threads is not None else profile.threads
-    key = multicore_memo_key(profile, scheme, cfg, count, length, warmup,
-                             seed)
-    if use_cache and key in _CACHE:
-        _L1_COUNTERS.hits += 1
-        return _CACHE[key]
-    if use_cache:
-        _L1_COUNTERS.misses += 1
-    system = MulticoreSystem(cfg, scheme, threads=count)
-    result = system.run_profile(profile, length=length, warmup=warmup,
-                                seed=seed)
-    if use_cache:
-        _CACHE[key] = result
-    return result
+def run_points(points: list[SimPoint]) -> list[CoreStats]:
+    """Run ``points`` as one campaign on the disk cache; stats come back in
+    submission order. A failed point raises
+    :class:`repro.orchestrator.CampaignError`."""
+    campaign = Campaign(cache=disk_cache(), fail_fast=True)
+    campaign.extend(points)
+    return [result.stats for result in campaign.run()]

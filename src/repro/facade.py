@@ -1,9 +1,8 @@
 """The unified run API: one call simulates any core under any scheme.
 
-The legacy entry points — :meth:`repro.core.processor.PersistentProcessor.run`,
-:meth:`repro.inorder.processor.InOrderPersistentProcessor.run`, and
-:meth:`repro.multicore.system.MulticoreSystem.run_profile` — remain as thin
-delegates, but new code should call :func:`simulate`:
+It wraps the per-model classes (``PersistentProcessor``,
+``InOrderPersistentProcessor``, ``MulticoreSystem``, ...) and the engine
+layer, so callers need not pick one themselves:
 
 >>> result = repro.simulate("gcc", scheme="ppa", trace=True)
 >>> result.stats.ipc
@@ -136,11 +135,11 @@ def _run_ooo(profile, run_trace, scheme, config, length, warmup,
         from repro.core.processor import PersistentProcessor
 
         proc = PersistentProcessor(config, memory=memory)
-        stats = proc._run(run_trace)
+        stats = proc.run(run_trace)
         return SimResult(stats=stats, telemetry=proc.tracer,
                          crash_api=proc)
     core = OoOCore(config, make_policy(scheme), memory=memory)
-    stats = core._run(run_trace)
+    stats = core.run(run_trace)
     return SimResult(stats=stats, telemetry=core.tracer, crash_api=None)
 
 
@@ -168,14 +167,14 @@ def _run_inorder(profile, run_trace, scheme, config, length,
         from repro.inorder.processor import InOrderPersistentProcessor
 
         proc = InOrderPersistentProcessor(config)
-        stats = proc._run(run_trace)
+        stats = proc.run(run_trace)
         return SimResult(stats=stats, telemetry=proc.core.tracer,
                          crash_api=proc)
     if scheme == "baseline":
         from repro.inorder.core import InOrderCore
 
         core = InOrderCore(config, persistent=False)
-        stats = core._run(run_trace)
+        stats = core.run(run_trace)
         return SimResult(stats=stats, telemetry=core.tracer,
                          crash_api=None)
     raise ValueError(

@@ -163,18 +163,6 @@ class InOrderCore:
     def run(self, trace: Trace) -> InOrderStats:
         """Execute the trace in order; returns statistics + store log.
 
-        .. deprecated:: kept as a thin delegate — prefer the unified
-           :func:`repro.simulate` facade (``core="inorder"``).
-        """
-        from repro._compat import warn_legacy
-
-        warn_legacy("InOrderCore.run()",
-                    'repro.simulate(core="inorder")')
-        return self._run(trace)
-
-    def _run(self, trace: Trace) -> InOrderStats:
-        """Execute the trace in order; returns statistics + store log.
-
         Like the out-of-order core, the loop consumes the trace's
         predecoded flat arrays and aliases hot callables — representation
         only; the event order and arithmetic of the instruction-object

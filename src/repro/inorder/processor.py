@@ -46,22 +46,9 @@ class InOrderPersistentProcessor:
         self._region_close: dict[int, float] = {}
 
     def run(self, trace: Trace) -> InOrderStats:
-        """Simulate the trace to completion on the in-order core.
-
-        .. deprecated:: kept as a thin delegate — prefer the unified
-           :func:`repro.simulate` facade (``core="inorder"``), which
-           returns a :class:`repro.SimResult` bundling stats, telemetry,
-           and this crash/recover API.
-        """
-        from repro._compat import warn_legacy
-
-        warn_legacy("InOrderPersistentProcessor.run()",
-                    'repro.simulate(core="inorder")')
-        return self._run(trace)
-
-    def _run(self, trace: Trace) -> InOrderStats:
+        """Simulate the trace to completion on the in-order core."""
         self._trace = trace
-        self.stats = self.core._run(trace)
+        self.stats = self.core.run(trace)
         self._region_close = {
             r.region_id: r.boundary_time + r.drain_wait
             for r in self.stats.regions

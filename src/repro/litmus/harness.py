@@ -428,7 +428,7 @@ def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
         check.result.runs += 1
         if scheme != "ppa":
             core = InOrderCore(config, persistent=False)
-            core._run(trace)
+            core.run(trace)
             # Nothing persists without a policy; only the initial state
             # is observable — and the write buffer must agree.
             if core.wb.log:
@@ -437,7 +437,7 @@ def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
             check.note(0.0, {}, "nvm", interleaving)
             continue
         proc = InOrderPersistentProcessor(config)
-        stats = proc._run(trace)
+        stats = proc.run(trace)
         times = sorted({
             durable_time
             for op in proc.core.wb.log if op.submitted

@@ -139,7 +139,7 @@ class MulticoreSystem:
         core = OoOCore(self.config, make_policy(self.scheme),
                        memory=memory, track_values=track_values,
                        tracer=tracer)
-        return core._run(trace)
+        return core.run(trace)
 
     def run_traces(self, traces, track_values: bool = False
                    ) -> MulticoreStats:
@@ -176,12 +176,8 @@ class MulticoreSystem:
 
     def run_profile(self, profile: WorkloadProfile, length: int = 20_000,
                     warmup: int = 1, seed: int = 0) -> MulticoreStats:
-        """Simulate ``threads`` copies of the profile with barrier sync.
-
-        .. deprecated:: kept as a thin delegate — prefer the unified
-           :func:`repro.simulate` facade (``core="multicore"``), which
-           returns a :class:`repro.SimResult` bundling stats + telemetry.
-        """
+        """Simulate ``threads`` copies of the profile with barrier sync
+        (:func:`repro.simulate` with ``core="multicore"`` wraps this)."""
         from repro import telemetry
         from repro.workloads.interning import (
             interned_thread_traces,

@@ -31,7 +31,7 @@ from repro.orchestrator.campaign import (
     PointResult,
 )
 from repro.orchestrator.execute import simulate_point
-from repro.orchestrator.points import SimPoint, config_for, make_point, memo_key
+from repro.orchestrator.points import SimPoint, config_for, make_point
 
 __all__ = [
     "CacheCounters",
@@ -45,7 +45,6 @@ __all__ = [
     "config_for",
     "default_cache_dir",
     "make_point",
-    "memo_key",
     "point_digest",
     "simulate_point",
 ]

@@ -63,19 +63,31 @@ def _make_campaign(args) -> Campaign:
 
 
 def _cmd_run(args) -> int:
-    campaign = _make_campaign(args)
     apps = args.apps.split(",") if args.apps else None
     summary_rows: list[tuple[str, float]] = []
+    if args.campaign == "matrix" and (not apps or not args.schemes):
+        print("matrix campaigns need --apps and --schemes", file=sys.stderr)
+        return 2
+    if args.campaign != "matrix" and args.campaign not in SWEEPS:
+        known = ", ".join(sorted(SWEEPS)) + ", matrix"
+        print(f"unknown campaign {args.campaign!r} (known: {known})",
+              file=sys.stderr)
+        return 2
+    try:
+        if args.campaign == "matrix":
+            points = build_matrix(apps, args.schemes.split(","),
+                                  length=args.length or 12_000)
+        else:
+            spec = sweep_spec(args.campaign, apps=apps, length=args.length)
+            points = build_sweep(spec)
+    except ValueError as error:       # an unknown app or scheme
+        print(error, file=sys.stderr)
+        return 2
 
+    campaign = _make_campaign(args)
+    campaign.extend(points)
+    results = campaign.run()
     if args.campaign == "matrix":
-        if not apps or not args.schemes:
-            print("matrix campaigns need --apps and --schemes",
-                  file=sys.stderr)
-            return 2
-        points = build_matrix(apps, args.schemes.split(","),
-                              length=args.length or 12_000)
-        campaign.extend(points)
-        results = campaign.run()
         if not args.json:
             print(f"{'point':32s} {'cycles':>12s} {'ipc':>6s} {'src':>5s}")
             for result in results:
@@ -87,20 +99,13 @@ def _cmd_run(args) -> int:
                       f"{result.stats.cycles:12.0f} "
                       f"{result.stats.ipc:6.2f} "
                       f"{'cache' if result.cache_hit else 'sim':>5s}")
-    elif args.campaign in SWEEPS:
-        spec = sweep_spec(args.campaign, apps=apps, length=args.length)
-        campaign.extend(build_sweep(spec))
-        results = campaign.run()
-        summary_rows = summarize_sweep(spec, results)
+    else:
+        summary_rows = summarize_sweep(
+            spec, [result.stats for result in results])
         if not args.json:
             print(f"== {spec.name}: {spec.title} ==")
             for label, mean in summary_rows:
                 print(f"  {label:12s} {mean:.3f}")
-    else:
-        known = ", ".join(sorted(SWEEPS)) + ", matrix"
-        print(f"unknown campaign {args.campaign!r} (known: {known})",
-              file=sys.stderr)
-        return 2
 
     telemetry = campaign.telemetry
     if args.json:

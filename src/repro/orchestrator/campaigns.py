@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 from repro.analysis.stats import gmean
 from repro.config import SystemConfig, skylake_default
+from repro.pipeline.stats import CoreStats
 
 from repro.orchestrator.points import (
     DEFAULT_WARMUP,
@@ -23,10 +24,14 @@ from repro.orchestrator.points import (
 
 SWEEP_LENGTH = 12_000
 
-# Mirrors repro.experiments.figures.SWEEP_APPS (kept literal here so the
-# orchestrator has no import edge into the experiments layer).
+# The paper's Figures 15-18 sweep "memory-intensive CPU2006/Mini-apps,
+# SPLASH3, and WHISPER"; this is our equivalent subset.
 SWEEP_APPS = ("mcf", "lbm", "libquantum", "rb", "pc", "water-ns",
               "lulesh", "xsbench")
+
+# Figure 16's (int, fp) physical register file sizes.
+PRF_SIZES = ((80, 80), (100, 100), (120, 120), (140, 140), (180, 168),
+             (280, 224))
 
 
 @dataclass(frozen=True)
@@ -47,11 +52,10 @@ class SweepSpec:
 
 def _prf_spec() -> SweepSpec:
     base = skylake_default()
-    sizes = ((80, 80), (100, 100), (120, 120), (140, 140), (180, 168),
-             (280, 224))
     return SweepSpec(
         name="fig16", title="PPA slowdown vs PRF size",
-        configs=tuple((f"{i}/{f}", base.with_prf(i, f)) for i, f in sizes))
+        configs=tuple((f"{i}/{f}", base.with_prf(i, f))
+                      for i, f in PRF_SIZES))
 
 
 def _wpq_spec() -> SweepSpec:
@@ -83,11 +87,10 @@ def _capri_spec() -> SweepSpec:
     # every (app, scheme) column forms a lockstep cohort. With capri in
     # KERNEL_SCHEMES all three scheme columns batch.
     base = skylake_default()
-    sizes = ((80, 80), (100, 100), (120, 120), (140, 140), (180, 168),
-             (280, 224))
     return SweepSpec(
         name="capri", title="PPA and Capri slowdown vs PRF size",
-        configs=tuple((f"{i}/{f}", base.with_prf(i, f)) for i, f in sizes),
+        configs=tuple((f"{i}/{f}", base.with_prf(i, f))
+                      for i, f in PRF_SIZES),
         schemes=("ppa", "capri", "baseline"))
 
 
@@ -151,23 +154,26 @@ def build_sweep(spec: SweepSpec) -> list[SimPoint]:
     return points
 
 
-def summarize_sweep(spec: SweepSpec, results) -> list[tuple[str, float]]:
-    """(config label, gmean slowdown) rows from a finished campaign.
+def summarize_sweep(spec: SweepSpec,
+                    stats: Sequence[CoreStats | None]) \
+        -> list[tuple[str, float]]:
+    """(config label, gmean slowdown) rows from a finished sweep.
 
-    ``results`` must come from the point list ``build_sweep`` produced;
-    ordering is positional, which :meth:`Campaign.run` guarantees."""
+    ``stats`` holds one result per point of the list ``build_sweep``
+    produced, in that order (``None`` for a failed point, which raises);
+    :meth:`Campaign.run` and ``run_points`` both keep submission order."""
     rows = []
-    cursor = iter(results)
+    cursor = iter(stats)
     for label, _config in spec.configs:
         ratios = []
-        for _app in spec.apps:
+        for app in spec.apps:
             per_scheme = {}
             for scheme in spec.schemes:
                 result = next(cursor)
-                if result.stats is None:
-                    raise RuntimeError(
-                        f"point {result.point.name} failed: {result.error}")
-                per_scheme[scheme] = result.stats.cycles
+                if result is None:
+                    raise RuntimeError(f"point {spec.name}:{label}:{app}:"
+                                       f"{scheme} has no result")
+                per_scheme[scheme] = result.cycles
             ratios.append(per_scheme["ppa"] / per_scheme["baseline"])
         rows.append((label, gmean(ratios)))
     return rows

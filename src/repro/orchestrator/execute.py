@@ -1,8 +1,10 @@
 """Executing one simulation point — in-process or in a pool worker.
 
 This is the single place that turns a :class:`SimPoint` into a finished
-:class:`CoreStats`; ``repro.experiments.runner`` and the campaign workers
-both delegate here so the serial and parallel paths cannot drift apart.
+:class:`CoreStats`; :class:`repro.orchestrator.Campaign` (serially or in
+its pool workers, and so every experiment and the service) and the
+:func:`repro.simulate` facade's batched path all delegate here, so the
+serial and parallel paths cannot drift apart.
 
 Traces are interned (:mod:`repro.workloads.interning`) and steady-state
 cache contents cloned from prewarmed templates (:mod:`repro.memory.prewarm`),
@@ -133,7 +135,7 @@ def _scalar_simulate(point: SimPoint) \
             memory = MemorySystem(point.config.memory)
         core = OoOCore(point.config, make_policy(point.scheme),
                        memory=memory, track_values=point.track_values)
-    stats = core._run(trace)
+    stats = core.run(trace)
     log = core.wb.log if point.capture_persist_log else None
     return stats, log
 

@@ -73,21 +73,3 @@ def make_point(profile: WorkloadProfile | str, scheme: str,
                     warmup=warmup, seed=seed, track_values=track_values,
                     capture_persist_log=capture_persist_log, core=core,
                     label=label)
-
-
-def memo_key(point: SimPoint) -> tuple:
-    """In-process memo key covering *every* run parameter.
-
-    Keyed on the profile object itself (not only its name), so a modified
-    profile that reuses a stock name cannot collide with the stock run;
-    the leading tag namespaces single-core keys away from multicore ones.
-    """
-    return ("app", point.profile, point.scheme, point.config, point.length,
-            point.warmup, point.seed, point.track_values, point.core)
-
-
-def multicore_memo_key(profile: WorkloadProfile, scheme: str,
-                       config: SystemConfig, threads: int, length: int,
-                       warmup: int, seed: int) -> tuple:
-    """Memo key for a multicore run; same collision guarantees."""
-    return ("mt", profile, scheme, config, threads, length, warmup, seed)

@@ -138,19 +138,6 @@ class OoOCore:
     def run(self, trace: Trace) -> CoreStats:
         """Simulate the whole trace; returns the collected statistics.
 
-        .. deprecated:: kept as a thin delegate — prefer the unified
-           :func:`repro.simulate` facade (it accepts a ready
-           :class:`Trace` as well as a profile), which also routes the
-           run through the engine layer (``engine="auto"``).
-        """
-        from repro._compat import warn_legacy
-
-        warn_legacy("OoOCore.run()", "repro.simulate()")
-        return self._run(trace)
-
-    def _run(self, trace: Trace) -> CoreStats:
-        """Simulate the whole trace; returns the collected statistics.
-
         The loop walks the trace's predecoded flat arrays
         (:meth:`Trace.decoded`) and aliases hot callables into locals;
         policy hooks the scheme does not override are skipped outright

@@ -900,20 +900,14 @@ class FleetScheduler:
         )
         from repro.orchestrator.serialize import stats_from_payload
 
-        class _Row:
-            def __init__(self, point, payload):
-                self.point = point
-                self.stats = stats_from_payload(payload)
-                self.error = None
-
         try:
             spec = sweep_spec(sweep,
                               apps=job.meta.get("apps") or None,
                               length=job.meta.get("length") or None)
-            rows = [_Row(point, job.payloads[index])
-                    for index, point in enumerate(job.points)]
+            stats = [stats_from_payload(job.payloads[index])
+                     for index in range(len(job.points))]
             return [{"label": label, "gmean_slowdown": mean}
-                    for label, mean in summarize_sweep(spec, rows)]
+                    for label, mean in summarize_sweep(spec, stats)]
         except (ValueError, KeyError, RuntimeError):
             return None               # not a stock sweep shape; no summary
 

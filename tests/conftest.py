@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import skylake_default
-from repro.experiments.runner import clear_cache, configure_disk_cache
+from repro.experiments.runner import configure_disk_cache
 from repro.isa.instructions import Instruction, Opcode, fp_reg, int_reg
 from repro.isa.trace import Trace
 from repro.workloads.profiles import profile_by_name
@@ -19,13 +19,11 @@ def config():
 
 @pytest.fixture(autouse=True)
 def _isolated_run_cache():
-    """Keep memoized experiment runs from leaking between tests, and keep
-    the unit suite off any ambient disk cache ($REPRO_CACHE_DIR)."""
+    """Keep the unit suite off any ambient disk cache ($REPRO_CACHE_DIR),
+    so experiment runs never leak between tests."""
     configure_disk_cache(None)
-    clear_cache()
     yield
     configure_disk_cache(None)
-    clear_cache()
 
 
 @pytest.fixture

@@ -7,8 +7,14 @@ from repro.analysis.regions import (
     boundary_interval_cycles,
     region_length_stats,
 )
-from repro.experiments.runner import run_app
+from repro.experiments.runner import run_points
+from repro.orchestrator.points import make_point
 from repro.pipeline.stats import RegionRecord
+
+
+def _stats(app, scheme, **kwargs):
+    """Stats of one point, run through the experiments' campaign path."""
+    return run_points([make_point(app, scheme, **kwargs)])[0]
 
 
 def region(start, end, stores=2, cause="prf", region_id=0) -> RegionRecord:
@@ -43,14 +49,14 @@ class TestRegionLengthStats:
         assert stats.store_fraction == pytest.approx(0.1)
 
     def test_on_a_real_run(self):
-        run = run_app("gcc", "ppa", length=4_000)
+        run = _stats("gcc", "ppa", length=4_000)
         stats = region_length_stats(run.regions)
         assert stats.count == len(run.regions)
         assert stats.min_instrs <= stats.p50_instrs <= stats.max_instrs
         assert stats.mean_instrs == pytest.approx(run.mean_region_instrs)
 
     def test_boundary_interval(self):
-        run = run_app("gcc", "ppa", length=4_000)
+        run = _stats("gcc", "ppa", length=4_000)
         interval = boundary_interval_cycles(run)
         assert interval == pytest.approx(run.cycles / len(run.regions))
 
@@ -63,9 +69,9 @@ class TestSbGateScheme:
         assert scheme_backend("sb-gate") == "pmem-memory-mode"
 
     def test_much_slower_than_ppa(self):
-        base = run_app("rb", "baseline", length=4_000)
-        gate = run_app("rb", "sb-gate", length=4_000)
-        ppa = run_app("rb", "ppa", length=4_000)
+        base, gate, ppa = run_points([
+            make_point("rb", scheme, length=4_000)
+            for scheme in ("baseline", "sb-gate", "ppa")])
         assert gate.cycles > 1.5 * ppa.cycles
         assert gate.cycles > base.cycles
 
@@ -88,6 +94,6 @@ class TestSbGateScheme:
         assert core.sq.full_stall_cycles > 0
 
     def test_stores_durable_in_program_order(self):
-        gate = run_app("rb", "sb-gate", length=4_000)
+        gate = _stats("rb", "sb-gate", length=4_000)
         durables = [s.durable_at for s in gate.stores]
         assert all(b >= a for a, b in zip(durables, durables[1:]))

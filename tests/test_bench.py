@@ -181,6 +181,10 @@ class TestProfileAttribution:
             == "Rename/PRF"
         assert component_for("/x/repro/core/checkpoint.py") \
             == "Checkpoint"
+        assert component_for("/x/repro/engine/batched.py") == "Engine"
+        assert component_for("/x/repro/service/scheduler.py") == "Service"
+        assert component_for("/x/repro/observe/slog.py") \
+            == "Observability"
         assert component_for("/usr/lib/python3/json/decoder.py") \
             == "stdlib/other"
 

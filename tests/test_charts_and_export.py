@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.charts import bar_chart, series_chart
 from repro.experiments.base import ExperimentResult
-from repro.experiments.runner import run_app
+from repro.experiments.runner import run_points
+from repro.orchestrator.points import make_point
 
 
 def _result():
@@ -55,7 +56,7 @@ class TestJsonExport:
         assert parsed["summary"]["gmean"] == 1.05
 
     def test_core_stats_summary_is_json_serializable(self):
-        stats = run_app("gcc", "ppa", length=2_000)
+        stats = run_points([make_point("gcc", "ppa", length=2_000)])[0]
         digest = stats.to_summary_dict()
         blob = json.dumps(digest)
         parsed = json.loads(blob)
@@ -65,15 +66,16 @@ class TestJsonExport:
         assert parsed["ipc"] == pytest.approx(stats.ipc)
 
     def test_summary_excludes_bulk_logs(self):
-        stats = run_app("gcc", "ppa", length=2_000)
+        stats = run_points([make_point("gcc", "ppa", length=2_000)])[0]
         digest = stats.to_summary_dict()
         assert "commit_times" not in digest
         assert isinstance(digest["stores"], int)
 
 
 class TestCliChartFlag:
-    def test_chart_flag_renders_bars(self, capsys):
+    def test_chart_flag_renders_bars(self, capsys, monkeypatch, tmp_path):
         from repro.experiments.__main__ import main
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["fig13", "--length", "1200", "--apps", "gcc",
                      "--chart"]) == 0
         out = capsys.readouterr().out

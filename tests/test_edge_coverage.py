@@ -4,17 +4,23 @@ CLI fallbacks, and configuration corners."""
 import dataclasses
 
 from repro.config import skylake_default
-from repro.experiments.runner import run_app, slowdown
+from repro.experiments.runner import run_points
 from repro.inorder.core import InOrderCore
 from repro.memory.hierarchy import MemorySystem
+from repro.orchestrator.points import make_point
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.synthetic import TraceGenerator, generate_trace
+
+
+def _stats(app, scheme, **kwargs):
+    """Stats of one point, run through the experiments' campaign path."""
+    return run_points([make_point(app, scheme, **kwargs)])[0]
 
 
 class TestDeepHierarchyPaths:
     def test_l3_config_runs_end_to_end(self):
         config = skylake_default().with_l3()
-        stats = run_app("gcc", "ppa", config=config, length=2_000)
+        stats = _stats("gcc", "ppa", config=config, length=2_000)
         assert stats.cycles > 0
 
     def test_l3_eviction_cascade(self):
@@ -35,9 +41,10 @@ class TestDeepHierarchyPaths:
 
     def test_l3_slowdown_vs_l2_only_is_mild_for_ppa(self):
         deep = skylake_default().with_l3()
-        ratio = slowdown("gcc", "ppa", config=deep,
-                         baseline_config=deep, length=2_000)
-        assert ratio < 1.15
+        ppa, base = run_points([
+            make_point("gcc", scheme, config=deep, length=2_000)
+            for scheme in ("ppa", "baseline")])
+        assert ppa.cycles / base.cycles < 1.15
 
 
 class TestInOrderCsqOverflow:
@@ -131,23 +138,26 @@ class TestGeneratorCorners:
 
 class TestRunnerCorners:
     def test_warmup_zero_skips_prewarm(self):
-        cold = run_app("gcc", "baseline", length=1_500, warmup=0)
-        warm = run_app("gcc", "baseline", length=1_500)
+        cold = _stats("gcc", "baseline", length=1_500, warmup=0)
+        warm = _stats("gcc", "baseline", length=1_500)
         assert cold.cycles > warm.cycles  # cold caches cost real time
 
     def test_profile_object_and_name_equivalent(self):
-        by_name = run_app("gcc", "baseline", length=1_000)
-        by_profile = run_app(profile_by_name("gcc"), "baseline",
-                             length=1_000)
+        by_name = _stats("gcc", "baseline", length=1_000)
+        by_profile = _stats(profile_by_name("gcc"), "baseline",
+                            length=1_000)
         assert by_name.cycles == by_profile.cycles
 
     def test_different_baselines_for_slowdown(self):
         deep = skylake_default().with_l3()
-        ratio = slowdown("gcc", "ppa", config=deep, baseline_config=deep,
-                         length=1_500)
-        mixed = slowdown("gcc", "ppa", config=deep, baseline_config=None,
-                         length=1_500)
-        assert ratio != mixed or True  # both paths execute
+        ppa, deep_base, flat_base = run_points([
+            make_point("gcc", "ppa", config=deep, length=1_500),
+            make_point("gcc", "baseline", config=deep, length=1_500),
+            make_point("gcc", "baseline", length=1_500)])
+        # The baseline's configuration is part of its point: the L3
+        # changes the baseline's cycles, so the two ratios differ.
+        assert deep_base.cycles != flat_base.cycles
+        assert ppa.cycles / deep_base.cycles != ppa.cycles / flat_base.cycles
 
 
 class TestMultiControllerConfigPath:

@@ -12,6 +12,7 @@ mid-flight.
 """
 
 import os
+import warnings
 
 import hypothesis.strategies as st
 import pytest
@@ -200,7 +201,7 @@ class TestDivergence:
 
 
 class TestCampaignEngine:
-    def _run(self, engine, points):
+    def _run_campaign(self, engine, points):
         campaign = Campaign(cache=None, jobs=1, sanitize=False,
                             engine=engine)
         campaign.extend(points)
@@ -208,8 +209,8 @@ class TestCampaignEngine:
 
     def test_auto_campaign_matches_scalar_bit_exact(self):
         points = _prf_sweep(4) + [_pt("rb", "psp-undolog")]
-        _, scalar = self._run("scalar", points)
-        campaign, auto = self._run("auto", points)
+        _, scalar = self._run_campaign("scalar", points)
+        campaign, auto = self._run_campaign("auto", points)
         assert campaign.telemetry.engine == "auto"
         assert campaign.telemetry.cohorts == 1
         assert campaign.telemetry.batched_points == 4
@@ -223,7 +224,7 @@ class TestCampaignEngine:
         # A lone batchable point forms a width-1 cohort; the campaign
         # runs it per-point (keeping the run_point_payload seam) but the
         # pinned engine still pushes it through the kernel.
-        campaign, results = self._run("batched", [_pt("rb", "ppa")])
+        campaign, results = self._run_campaign("batched", [_pt("rb", "ppa")])
         assert campaign.telemetry.cohorts == 0
         assert results[0].engine == "batched"
         assert results[0].stats is not None
@@ -292,32 +293,40 @@ class TestFacadeEngine:
 
 
 class TestDeprecatedEntryPoints:
+    """The per-core ``run`` methods and the experiments runner were once
+    deprecated delegates; they are plain entry points now and warn
+    nothing."""
+
     @staticmethod
     def _trace(length=300):
         from repro.workloads import generate_trace, profile_by_name
 
         return generate_trace(profile_by_name("rb"), length=length, seed=0)
 
-    def test_core_run_warns_and_delegates(self):
+    def test_core_run_is_warning_free(self):
         from repro.persistence import make_policy
         from repro.pipeline.core import OoOCore
 
-        trace = self._trace()
-        with pytest.warns(DeprecationWarning, match="repro.simulate"):
-            stats = OoOCore(BASE, make_policy("ppa")).run(trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            stats = OoOCore(BASE, make_policy("ppa")).run(self._trace())
         assert stats.instructions == 300
 
-    def test_processor_run_warns(self):
+    def test_processor_run_is_warning_free(self):
         from repro.core.processor import PersistentProcessor
 
-        with pytest.warns(DeprecationWarning):
-            PersistentProcessor(BASE).run(self._trace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            stats = PersistentProcessor(BASE).run(self._trace())
+        assert stats.instructions == 300
 
-    def test_experiments_runner_warns(self):
-        from repro.experiments import runner
+    def test_run_points_is_warning_free(self):
+        from repro.experiments.runner import run_points
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            runner.run_app("rb", "ppa", length=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            stats, = run_points([make_point("rb", "ppa", length=300)])
+        assert stats.instructions == 300
 
     def test_facade_emits_no_deprecation_noise(self, recwarn):
         from repro import simulate

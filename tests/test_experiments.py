@@ -4,8 +4,13 @@ import pytest
 
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import all_experiments, get_experiment
-from repro.experiments.runner import clear_cache, run_app, slowdown
+from repro.experiments.runner import (
+    configure_disk_cache,
+    disk_cache,
+    run_points,
+)
 from repro.experiments import figures, tables, ablations
+from repro.orchestrator.points import make_point
 
 LIGHT_APPS = ("gcc", "rb")
 LIGHT = dict(apps=LIGHT_APPS, length=2_000)
@@ -36,30 +41,37 @@ class TestRegistry:
 
 
 class TestRunner:
-    def test_memoization_returns_same_object(self):
-        first = run_app("gcc", "baseline", length=1_000)
-        second = run_app("gcc", "baseline", length=1_000)
-        assert first is second
-
-    def test_cache_cleared(self):
-        first = run_app("gcc", "baseline", length=1_000)
-        clear_cache()
-        second = run_app("gcc", "baseline", length=1_000)
-        assert first is not second
-
-    def test_use_cache_false_bypasses(self):
-        first = run_app("gcc", "baseline", length=1_000)
-        second = run_app("gcc", "baseline", length=1_000, use_cache=False)
-        assert first is not second
-        assert first.cycles == second.cycles
-
     def test_slowdown_of_baseline_is_one(self):
-        assert slowdown("gcc", "baseline", length=1_000) == 1.0
+        first, second = run_points(
+            [make_point("gcc", "baseline", length=1_000)] * 2)
+        assert first.cycles / second.cycles == 1.0
 
     def test_backend_injected_per_scheme(self):
-        eadr = run_app("gcc", "eadr", length=1_000)
-        base = run_app("gcc", "baseline", length=1_000)
+        eadr, base = run_points([make_point("gcc", scheme, length=1_000)
+                                 for scheme in ("eadr", "baseline")])
         assert eadr.cycles != base.cycles
+
+    def test_sweep_figure_reuses_an_orchestrator_campaign(self, tmp_path):
+        from repro.orchestrator import Campaign
+        from repro.orchestrator.campaigns import (
+            build_sweep,
+            summarize_sweep,
+            sweep_spec,
+        )
+
+        configure_disk_cache(tmp_path)
+        spec = sweep_spec("fig15", apps=["rb"], length=1_500)
+        campaign = Campaign(cache=disk_cache())
+        campaign.extend(build_sweep(spec))
+        rows = summarize_sweep(
+            spec, [result.stats for result in campaign.run()])
+
+        counters = disk_cache().counters
+        counters.reset()
+        result = figures.run_fig15(apps=("rb",), length=1_500)
+        assert counters.misses == 0
+        assert counters.hits == len(campaign.points)
+        assert result.rows == [[label, mean] for label, mean in rows]
 
 
 class TestResultRendering:

@@ -41,56 +41,59 @@ class TestValueCsq:
 
 
 class TestInOrderCore:
-    def _run(self, length=2_000, app="gcc", persistent=True):
+    def _simulate(self, length=2_000, app="gcc", persistent=True):
         trace = generate_trace(profile_by_name(app), length=length)
         core = InOrderCore(skylake_default(), persistent=persistent)
         return core.run(trace), trace
 
     def test_runs_a_trace(self):
-        stats, trace = self._run()
+        stats, trace = self._simulate()
         assert stats.instructions == len(trace)
         assert stats.cycles > 0
 
     def test_in_order_ipc_below_width(self):
-        stats, __ = self._run()
+        stats, __ = self._simulate()
         assert stats.ipc <= skylake_default().core.width
 
     def test_slower_than_out_of_order(self):
-        from repro.experiments.runner import run_app
-        inorder, __ = self._run(app="gcc")
-        ooo = run_app("gcc", "ppa", length=2_000, warmup=0)
+        from repro.experiments.runner import run_points
+        from repro.orchestrator.points import make_point
+
+        inorder, __ = self._simulate(app="gcc")
+        ooo, = run_points([make_point("gcc", "ppa", length=2_000,
+                                      warmup=0)])
         assert inorder.ipc < ooo.ipc * 1.2  # no miss overlap in order
 
     def test_commit_times_monotone(self):
-        stats, __ = self._run()
+        stats, __ = self._simulate()
         assert all(b >= a for a, b in zip(stats.commit_times,
                                           stats.commit_times[1:]))
 
     def test_regions_formed(self):
-        stats, __ = self._run()
+        stats, __ = self._simulate()
         assert stats.regions
         assert stats.regions[-1].cause == "end"
         assert {r.cause for r in stats.regions} <= \
             {"csq", "sync", "end"}
 
     def test_region_store_counts(self):
-        stats, trace = self._run()
+        stats, trace = self._simulate()
         assert sum(r.store_count for r in stats.regions) == \
             len(trace.stores())
 
     def test_store_values_recorded(self):
-        stats, __ = self._run()
+        stats, __ = self._simulate()
         assert stats.entries
         assert all(isinstance(e.value, int) for e in stats.entries)
 
     def test_non_persistent_mode_forms_no_regions(self):
-        stats, __ = self._run(persistent=False)
+        stats, __ = self._simulate(persistent=False)
         assert stats.regions == []
         assert stats.entries == []
 
     def test_persistence_overhead_is_moderate(self):
-        persistent, __ = self._run(persistent=True)
-        plain, __ = self._run(persistent=False)
+        persistent, __ = self._simulate(persistent=True)
+        plain, __ = self._simulate(persistent=False)
         assert persistent.cycles >= plain.cycles
         assert persistent.cycles < plain.cycles * 1.25
 

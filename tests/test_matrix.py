@@ -4,8 +4,9 @@ and every workload survives a crash under PPA."""
 import pytest
 
 from repro.core.processor import PersistentProcessor
-from repro.experiments.runner import run_app
+from repro.experiments.runner import run_points
 from repro.failure.consistency import verify_recovery
+from repro.orchestrator.points import make_point
 from repro.persistence.catalog import scheme_names
 from repro.workloads.profiles import ALL_PROFILES
 from repro.workloads.synthetic import generate_trace
@@ -32,7 +33,7 @@ def test_every_workload_recovers_under_ppa(profile):
 def test_every_scheme_runs_every_kind_of_app(scheme, app):
     """Each persistence scheme simulates cleanly on compute-bound,
     streaming, and store-locality-heavy workloads."""
-    stats = run_app(app, scheme, length=LENGTH)
+    stats = run_points([make_point(app, scheme, length=LENGTH)])[0]
     assert stats.instructions == LENGTH
     assert stats.cycles > 0
     # Schemes that track durability mark every store.
@@ -43,7 +44,8 @@ def test_every_scheme_runs_every_kind_of_app(scheme, app):
 
 @pytest.mark.parametrize("scheme", ["ppa", "capri", "replaycache"])
 def test_region_schemes_partition_every_trace(scheme):
-    stats = run_app("water-ns", scheme, length=LENGTH)
+    stats = run_points([make_point("water-ns", scheme,
+                                   length=LENGTH)])[0]
     assert stats.regions
     assert stats.regions[0].start_seq == 0
     assert stats.regions[-1].end_seq == LENGTH

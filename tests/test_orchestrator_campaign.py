@@ -283,7 +283,8 @@ class TestSweepCampaigns:
         assert len(points) == len(spec.configs) * 2
         campaign = Campaign(cache=ResultCache(tmp_path))
         campaign.extend(points)
-        rows = summarize_sweep(spec, campaign.run())
+        rows = summarize_sweep(
+            spec, [result.stats for result in campaign.run()])
         assert [label for label, _ in rows] \
             == [label for label, _ in spec.configs]
         assert all(mean > 0 for _, mean in rows)
@@ -425,3 +426,18 @@ class TestCliJson:
                      "--plan", "fig99"]) == 2
         err = capsys.readouterr().err
         assert "unknown sweep 'fig99'" in err and "fig16" in err
+
+    def test_unknown_app_is_rejected_cleanly(self, tmp_path, capsys):
+        from repro.orchestrator.__main__ import main
+
+        for argv in (["run", "fig16", "--apps", "nosuchapp"],
+                     ["run", "matrix", "--apps", "nosuchapp",
+                      "--schemes", "ppa"]):
+            assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.strip() == "unknown workload 'nosuchapp'"
+        # status has no --apps: argparse rejects it with the usual exit 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["status", "--cache-dir", str(tmp_path), "--plan",
+                  "fig16", "--apps", "nosuchapp"])
+        assert excinfo.value.code == 2

@@ -171,10 +171,12 @@ class TestCapriPolicy:
     def test_faster_than_replaycache_slower_than_ppa(self):
         # Ordering holds on warmed caches (the paper's steady state); the
         # shared runner prewarms the hierarchy.
-        from repro.experiments.runner import run_app
-        capri = run_app("gcc", "capri", length=4_000)
-        rc = run_app("gcc", "replaycache", length=4_000)
-        ppa = run_app("gcc", "ppa", length=4_000)
+        from repro.experiments.runner import run_points
+        from repro.orchestrator.points import make_point
+
+        capri, rc, ppa = run_points([
+            make_point("gcc", scheme, length=4_000)
+            for scheme in ("capri", "replaycache", "ppa")])
         assert ppa.cycles < capri.cycles < rc.cycles
 
     def test_stores_durable_at_commit(self):

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.experiments.runner import run_app
+from repro.experiments.runner import run_points
+from repro.orchestrator.points import make_point
 from repro.persistence.catalog import make_policy, scheme_backend
 from repro.persistence.swlog import RedoLogPolicy, UndoLogPolicy
 
 LENGTH = 4_000
+
+
+def _stats(app, scheme, **kwargs):
+    """Stats of one point, run through the experiments' campaign path."""
+    return run_points([make_point(app, scheme, **kwargs)])[0]
 
 
 class TestCatalogIntegration:
@@ -25,35 +31,35 @@ class TestCatalogIntegration:
 
 class TestBehaviour:
     def test_undo_log_slower_than_ideal_psp(self):
-        base = run_app("rb", "baseline", length=LENGTH)
-        ideal = run_app("rb", "eadr", length=LENGTH)
-        undo = run_app("rb", "psp-undolog", length=LENGTH)
+        base, ideal, undo = run_points([
+            make_point("rb", scheme, length=LENGTH)
+            for scheme in ("baseline", "eadr", "psp-undolog")])
         assert undo.cycles > ideal.cycles > base.cycles
 
     def test_redo_log_slower_than_ideal_psp(self):
-        ideal = run_app("rb", "eadr", length=LENGTH)
-        redo = run_app("rb", "psp-redolog", length=LENGTH)
+        ideal = _stats("rb", "eadr", length=LENGTH)
+        redo = _stats("rb", "psp-redolog", length=LENGTH)
         assert redo.cycles > ideal.cycles
 
     def test_ppa_beats_all_psp_variants(self):
-        ppa = run_app("rb", "ppa", length=LENGTH)
+        ppa = _stats("rb", "ppa", length=LENGTH)
         for scheme in ("eadr", "psp-undolog", "psp-redolog"):
-            assert ppa.cycles < run_app("rb", scheme, length=LENGTH).cycles
+            assert ppa.cycles < _stats("rb", scheme, length=LENGTH).cycles
 
     def test_log_writes_at_least_double_store_traffic(self):
-        undo = run_app("rb", "psp-undolog", length=LENGTH)
+        undo = _stats("rb", "psp-undolog", length=LENGTH)
         # Undo logging: one log entry plus one data flush per store.
         assert undo.extra["log_writes"] >= 2 * len(undo.stores)
 
     def test_transactions_form_regions(self):
-        undo = run_app("rb", "psp-undolog", length=LENGTH)
+        undo = _stats("rb", "psp-undolog", length=LENGTH)
         assert undo.regions
         txn_stores = [r.store_count for r in undo.regions[:-1]]
         if txn_stores:
             assert max(txn_stores) <= UndoLogPolicy().transaction_stores
 
     def test_stores_marked_durable(self):
-        undo = run_app("rb", "psp-undolog", length=LENGTH)
+        undo = _stats("rb", "psp-undolog", length=LENGTH)
         assert all(s.durable_at < float("inf") for s in undo.stores)
 
     def test_larger_transactions_amortize_barriers(self):

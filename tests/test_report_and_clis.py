@@ -61,6 +61,11 @@ class TestDigest:
 
 
 class TestExperimentsCli:
+    @pytest.fixture(autouse=True)
+    def _private_cache(self, monkeypatch, tmp_path):
+        """The CLI caches under $REPRO_CACHE_DIR; keep it off ~/.cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
     def test_list(self, capsys):
         from repro.experiments.__main__ import main
         assert main(["list"]) == 0
@@ -77,10 +82,26 @@ class TestExperimentsCli:
         assert main(["fig13", "--length", "1500", "--apps", "gcc"]) == 0
         assert "gcc" in capsys.readouterr().out
 
-    def test_unknown_experiment_raises(self):
+    def test_unknown_experiment_raises(self, capsys):
         from repro.experiments.__main__ import main
-        with pytest.raises(ValueError):
-            main(["fig99"])
+        assert main(["fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_app_exits_cleanly(self, capsys):
+        from repro.experiments.__main__ import main
+        assert main(["fig16", "--apps", "nosuchapp"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "unknown workload 'nosuchapp'"
+
+    def test_figure_reports_its_campaign_points(self, capsys):
+        from repro.experiments.__main__ import main
+        argv = ["fig15", "--length", "1000", "--apps", "rb"]
+        assert main(argv) == 0
+        assert "L2 0 hit / 6 miss, 6 simulated" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "L2 6 hit / 0 miss, 0 simulated" in capsys.readouterr().out
 
 
 class TestWorkloadsCli:

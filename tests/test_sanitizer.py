@@ -175,7 +175,7 @@ class TestCleanRuns:
 
 class TestOracle:
     @staticmethod
-    def _run(length=1_500, seed=5):
+    def _simulate(length=1_500, seed=5):
         processor = PersistentProcessor()
         trace = generate_trace(profile_by_name("rb"), length=length,
                                seed=seed)
@@ -183,7 +183,7 @@ class TestOracle:
         return stats, processor.core.wb.log
 
     def test_sweep_is_consistent_on_real_run(self):
-        stats, log = self._run()
+        stats, log = self._simulate()
         report = crash_sweep(stats, log, samples=48, seed=1)
         assert report.consistent
         assert bool(report)
@@ -195,7 +195,7 @@ class TestOracle:
         """Corrupt the durable payload of the stores backing one address:
         after that address's region closes, no CSQ replay covers it, so
         recovery at later failure points must mismatch."""
-        stats, log = self._run()
+        stats, log = self._simulate()
         victim = next(iter(reference_image(stats.stores)))
         tampered = 0
         for op in log:
@@ -209,7 +209,7 @@ class TestOracle:
         assert not report.consistent
 
     def test_summary_mentions_verdict(self):
-        stats, log = self._run()
+        stats, log = self._simulate()
         report = crash_sweep(stats, log, samples=16, seed=2)
         assert "consistent" in report.summary()
 
