@@ -77,6 +77,11 @@ class Plan:
     def batched_points(self) -> int:
         return sum(len(c) for c in self.cohorts)
 
+    def units(self) -> list[list[int]]:
+        """Each cohort's indices and each scalar index alone, in order."""
+        return sorted([list(c.indices) for c in self.cohorts]
+                      + [[index] for index in self.scalar_indices])
+
     def summary(self) -> dict:
         """Introspection digest for observability surfaces: cohort count
         and widths, the batched/scalar split, and a histogram of why
@@ -127,5 +132,27 @@ def plan_points(points, engine: str) -> Plan:
                 plan.scalar_indices.append(index)
                 plan.reasons[index] = (
                     f"cohort of 1 (auto batches >= {MIN_AUTO_COHORT})")
+    plan.scalar_indices.sort()
+    return plan
+
+
+def plan_units(points, engine: str, sanitize: bool = False,
+               traced: bool = False) -> Plan:
+    """The plan both front ends run (``Campaign``, ``FleetScheduler``).
+
+    Sanitized or traced runs need the scalar kernel's hooks, so all their
+    points stay scalar. A width-1 cohort (``engine="batched"`` only) is
+    demoted, with no reason recorded, to a singleton: per-point execution
+    resolves the pinned engine itself, so it still runs batched."""
+    if engine != "scalar" and (sanitize or traced):
+        reason = ("sanitizer needs scalar instrumentation" if sanitize
+                  else "tracing needs scalar instrumentation")
+        indices = list(range(len(points)))
+        return Plan(engine=engine, scalar_indices=indices,
+                    reasons=dict.fromkeys(indices, reason))
+    plan = plan_points(points, engine)
+    for cohort in [c for c in plan.cohorts if len(c) < 2]:
+        plan.cohorts.remove(cohort)
+        plan.scalar_indices.extend(cohort.indices)
     plan.scalar_indices.sort()
     return plan

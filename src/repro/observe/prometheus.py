@@ -182,7 +182,7 @@ def render_prometheus(scheduler) -> str:
              "process-pool fleet size", {}, scheduler.workers)
     fams.add("repro_service_pool_generation_current", "gauge",
              "current worker-fleet generation", {},
-             scheduler._pool_generation)
+             scheduler.executor.generation)
     fams.add("repro_service_info", "gauge",
              "daemon configuration (always 1)",
              {"engine": scheduler.engine,

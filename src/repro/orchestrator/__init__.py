@@ -4,8 +4,9 @@ The layer between the simulator and everything that consumes it:
 
 * :class:`SimPoint` / :func:`make_point` — one (app x scheme x config)
   simulation, fully pinned down (``repro.orchestrator.points``);
-* :class:`Campaign` — fan points out over a process pool with bounded
-  retries, per-point timeouts, deterministic result ordering, and progress
+* :class:`Campaign` — run points through the pool executor
+  (``repro.orchestrator.pool``: bounded retries, per-point deadlines,
+  cohort splits) with deterministic result ordering and progress
   telemetry (``repro.orchestrator.campaign``);
 * :class:`ResultCache` — content-addressed on-disk L2 keyed by a stable
   hash of the full run parameters plus a code-version salt

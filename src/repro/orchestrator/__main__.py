@@ -25,7 +25,7 @@ import json
 import pathlib
 import sys
 
-from repro.cli import add_json_flag
+from repro.cli import add_json_flag, reject_bad_limits
 from repro.orchestrator.cache import ResultCache, default_cache_dir
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.campaigns import (
@@ -87,6 +87,7 @@ def _cmd_run(args) -> int:
     campaign = _make_campaign(args)
     campaign.extend(points)
     results = campaign.run()
+    failed = [result for result in results if not result.ok]
     if args.campaign == "matrix":
         if not args.json:
             print(f"{'point':32s} {'cycles':>12s} {'ipc':>6s} {'src':>5s}")
@@ -99,13 +100,18 @@ def _cmd_run(args) -> int:
                       f"{result.stats.cycles:12.0f} "
                       f"{result.stats.ipc:6.2f} "
                       f"{'cache' if result.cache_hit else 'sim':>5s}")
-    else:
+    elif not failed:
         summary_rows = summarize_sweep(
             spec, [result.stats for result in results])
         if not args.json:
             print(f"== {spec.name}: {spec.title} ==")
             for label, mean in summary_rows:
                 print(f"  {label:12s} {mean:.3f}")
+    elif not args.json:
+        # A sweep summary needs every point: report the failures instead.
+        for result in failed:
+            print(f"{result.point.name} FAILED after {result.attempts} "
+                  f"attempts: {result.error}")
 
     telemetry = campaign.telemetry
     if args.json:
@@ -285,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.set_defaults(func=_cmd_gc)
 
     args = parser.parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
     return args.func(args)
 
 

@@ -1,16 +1,13 @@
-"""Parallel simulation campaigns over a process pool with an L2 disk cache.
+"""Simulation campaigns: the synchronous front end of the pool executor.
 
 A :class:`Campaign` collects :class:`SimPoint`\\ s, resolves as many as it
-can from the content-addressed :class:`ResultCache`, fans the misses out
-across a ``ProcessPoolExecutor``, and returns results in submission order
-regardless of completion order. Worker failures are retried a bounded
-number of times.
-
-Per-point timeouts are real deadlines: at most ``jobs`` points are
-outstanding at once, each point's clock starts when it is handed to the
-pool (not when the collector gets around to it), and a worker that blows
-its deadline is killed and its pool slot reclaimed — one wedged point can
-neither inflate later points' budgets nor permanently occupy a worker.
+can from the content-addressed :class:`ResultCache`, plans the misses into
+lockstep cohorts and scalar singletons (:func:`repro.engine.plan.plan_units`),
+and runs them through the pool executor core
+(:mod:`repro.orchestrator.pool`), which owns retries, per-point deadlines,
+cohort splits and pool rebuilds. Results come back in submission order
+regardless of completion order. With ``jobs=1`` and no timeout the units
+run in this process; otherwise on a pool of ``jobs`` workers.
 
 Telemetry (points done, cache hits/misses, retries, worker busy-time) is
 kept up to date as points complete and handed to an optional progress
@@ -20,14 +17,6 @@ callback after every point.
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -36,12 +25,8 @@ from repro.memory.writebuffer import PersistOp
 from repro.pipeline.stats import CoreStats
 
 from repro.orchestrator.cache import ResultCache, point_digest
-from repro.orchestrator.execute import (
-    run_cohort_payloads,
-    run_point_payload,
-    worker_init,
-)
 from repro.orchestrator.points import SimPoint
+from repro.orchestrator.pool import Lane, PoolExecutor
 from repro.orchestrator.serialize import (
     persist_log_from_payload,
     stats_from_payload,
@@ -197,11 +182,8 @@ class Campaign:
         self.progress = progress
         self.fail_fast = fail_fast
         # Execution engine (repro.engine contract: None resolves
-        # REPRO_ENGINE, default "auto"). Cache misses are planned into
-        # lockstep cohorts (repro.engine.plan) and each cohort is one
-        # schedulable unit; a failed cohort splits back to scalar
-        # singletons. Sanitized/traced campaigns need the scalar kernel's
-        # instrumentation hooks, so they never plan cohorts.
+        # REPRO_ENGINE, default "auto"); repro.engine.plan.plan_units
+        # turns cache misses into cohorts and singletons under it.
         self.engine = resolve_engine(engine)
         # Run every simulated point under the persistency sanitizer
         # (repro.sanitizer); None defers to the REPRO_SANITIZE environment
@@ -269,14 +251,7 @@ class Campaign:
                 misses.append(index)
 
         if misses:
-            jobs = self._plan_jobs(misses)
-            # A timeout needs a worker process to kill: in-process serial
-            # execution cannot interrupt a wedged simulation, so a
-            # jobs=1 campaign with a deadline runs on a 1-worker pool.
-            if self.jobs == 1 and self.timeout is None:
-                self._run_serial(jobs, results)
-            else:
-                self._run_pool(misses, jobs, results)
+            self._simulate(misses, results)
         assert all(r is not None for r in results)
         if self._slog is not None:
             self._slog.emit("campaign.done",
@@ -284,38 +259,6 @@ class Campaign:
                                in telemetry.to_dict().items()
                                if key != "worker_imports"})
         return results  # type: ignore[return-value]
-
-    # -- batch planning -------------------------------------------------
-
-    def _plan_jobs(self, misses: list[int]) \
-            -> list[tuple[tuple[int, ...], bool]]:
-        """Partition the missed indices into schedulable jobs: each job is
-        ``(point indices, run_batched)`` — a lockstep cohort or a scalar
-        singleton. A width-1 cohort (only possible under
-        ``engine="batched"``) is demoted to a singleton: per-point
-        execution resolves the engine itself (workers inherit it via
-        :func:`worker_init`), so the point still runs the batched kernel,
-        while keeping the per-point path — with its timeout/retry
-        accounting and test seams — the only way single points execute."""
-        if self.engine == "scalar" or self.sanitize or \
-                self.trace_dir is not None:
-            reason = ("engine=scalar" if self.engine == "scalar"
-                      else "sanitizer needs scalar instrumentation"
-                      if self.sanitize
-                      else "tracing needs scalar instrumentation")
-            self.telemetry.scalar_reasons[reason] = len(misses)
-            return [((index,), False) for index in misses]
-        from repro.engine.plan import plan_points
-
-        plan = plan_points([self.points[i] for i in misses], self.engine)
-        self.telemetry.scalar_reasons = plan.summary()["scalar_reasons"]
-        jobs = [(tuple(misses[i] for i in cohort.indices), True)
-                for cohort in plan.cohorts if len(cohort.indices) > 1]
-        self.telemetry.cohorts = len(jobs)
-        jobs.extend(((misses[cohort.indices[0]],), False)
-                    for cohort in plan.cohorts if len(cohort.indices) == 1)
-        jobs.extend(((misses[i],), False) for i in plan.scalar_indices)
-        return jobs
 
     # -- cache probe ----------------------------------------------------
 
@@ -334,11 +277,6 @@ class Campaign:
             cached_wall_clock=payload.get("wall_clock", 0.0),
             engine=payload.get("engine", "scalar"),
         )
-
-    def _store(self, point: SimPoint, payload: dict[str, Any]) -> None:
-        if self.cache is not None:
-            self.cache.put(point_digest(point), payload,
-                           meta={"point": point.name})
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -391,68 +329,53 @@ class Campaign:
             engine=payload.get("engine", "scalar"),
             worker=worker,
         )
-        self._store(point, payload)
+        if self.cache is not None:
+            self.cache.put(point_digest(point), payload,
+                           meta={"point": point.name})
         return result
 
-    # -- serial path ----------------------------------------------------
+    # -- simulation -----------------------------------------------------
 
-    def _run_serial(self, jobs: list[tuple[tuple[int, ...], bool]],
-                    results: list[PointResult | None]) -> None:
-        from repro.engine import engine_env
+    def _simulate(self, misses: list[int],
+                  results: list[PointResult | None]) -> None:
+        """Plan the missed points into units and run them through the
+        pool executor core; results land in ``results`` by index."""
+        from repro.engine.plan import plan_units
 
-        # Singleton jobs resolve the engine per point (so a width-1
-        # "cohort" under engine="batched" still runs the batched kernel);
-        # in-process that resolution reads the environment, which this
-        # scope pins to the campaign's engine — the serial counterpart of
-        # worker_init's pinning in pool workers.
-        with engine_env(self.engine):
-            self._drain_serial(jobs, results)
-
-    def _drain_serial(self, jobs: list[tuple[tuple[int, ...], bool]],
-                      results: list[PointResult | None]) -> None:
-        pending = deque(jobs)
-        while pending:
-            job, batched = pending.popleft()
-            if batched:
-                try:
-                    payloads = run_cohort_payloads(
-                        [self.points[i] for i in job], self.sanitize,
-                        self.trace_dir)
-                except Exception:  # noqa: BLE001 — split and retry scalar
-                    # The cohort's failure is not any one point's failure:
-                    # re-run each lane as a scalar singleton with its full
-                    # attempt budget.
-                    pending.extendleft(((i,), False)
-                                       for i in reversed(job))
-                    continue
-                for index, payload in zip(job, payloads):
-                    result = self._result_from_payload(
-                        index, self.points[index], payload, 1)
-                    results[index] = result
-                    self._account(result)
-                continue
-            index = job[0]
-            point = self.points[index]
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    payload = run_point_payload(point, self.sanitize,
-                                              self.trace_dir)
-                except Exception as exc:  # noqa: BLE001 — retried below
-                    if attempts <= self.retries:
-                        self.telemetry.retries += 1
-                        continue
-                    result = PointResult(index=index, point=point,
-                                         attempts=attempts, error=repr(exc))
+        plan = plan_units([self.points[i] for i in misses], self.engine,
+                          self.sanitize, self.trace_dir is not None)
+        self.telemetry.scalar_reasons = plan.summary()["scalar_reasons"]
+        self.telemetry.cohorts = len(plan.cohorts)
+        # A deadline needs a worker process to kill, so only a jobs=1
+        # campaign without one runs its units in this process.
+        executor = PoolExecutor(
+            self.jobs, self._on_pool_event, timeout=self.timeout,
+            retries=self.retries, sanitize=self.sanitize,
+            trace_dir=self.trace_dir, engine=self.engine,
+            preload=self._preload_specs(misses),
+            inline=self.jobs == 1 and self.timeout is None)
+        for unit in plan.units():
+            executor.submit([Lane(self.points[misses[i]], tag=misses[i])
+                             for i in unit])
+        try:
+            for lane, payload, error in executor.drain():
+                if payload is None:
+                    result = PointResult(index=lane.tag, point=lane.point,
+                                         attempts=lane.attempts,
+                                         error=error)
                 else:
                     result = self._result_from_payload(
-                        index, point, payload, attempts)
-                break
-            results[index] = result
-            self._account(result)
+                        lane.tag, lane.point, payload, lane.attempts)
+                results[lane.tag] = result
+                self._account(result)
+        finally:
+            executor.close()
 
-    # -- pool path ------------------------------------------------------
+    def _on_pool_event(self, event: str, unit) -> None:
+        if event == "timeout":
+            self.telemetry.timeouts += 1
+        elif event == "retry":
+            self.telemetry.retries += 1
 
     def _preload_specs(self, misses: list[int]) -> tuple:
         """Trace specs worth interning in every worker up front: the
@@ -465,181 +388,3 @@ class Campaign:
              self.points[i].seed) for i in misses)
         return tuple(spec for spec, count in counts.most_common(8)
                      if count >= 2)
-
-    def _make_pool(self, misses: list[int]) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=worker_init,
-            initargs=(self._preload_specs(misses), self.engine))
-
-    def _run_pool(self, misses: list[int],
-                  jobs: list[tuple[tuple[int, ...], bool]],
-                  results: list[PointResult | None]) -> None:
-        """Completion-order collection over a bounded in-flight window.
-
-        At most ``jobs`` schedulable units are outstanding, so a submitted
-        unit is (modulo executor hand-off) a *running* unit and its
-        deadline can honestly start at submission. A lockstep cohort is
-        one unit: its deadline scales with its lane count, and on any
-        failure (worker exception, blown deadline, dead pool) it splits
-        back into scalar singletons re-queued at the front with the
-        cohort attempt refunded — the cohort's failure is not any one
-        point's failure. Results land in ``results`` by index, so the
-        caller still observes submission order.
-        """
-        pool = self._make_pool(misses)
-        waiting: deque = deque(jobs)             # not yet (re)submitted
-        inflight: dict[Future, tuple[tuple[int, ...], bool]] = {}
-        deadlines: dict[tuple, float] = {}
-        attempts: dict[int, int] = dict.fromkeys(misses, 0)
-        try:
-            while waiting or inflight:
-                while waiting and len(inflight) < self.jobs:
-                    job = waiting.popleft()
-                    indices, batched = job
-                    for index in indices:
-                        attempts[index] += 1
-                    if batched:
-                        future = pool.submit(
-                            run_cohort_payloads,
-                            [self.points[i] for i in indices],
-                            self.sanitize, self.trace_dir)
-                    else:
-                        future = pool.submit(
-                            run_point_payload, self.points[indices[0]],
-                            self.sanitize, self.trace_dir)
-                    inflight[future] = job
-                    if self.timeout is not None:
-                        deadlines[job] = (time.monotonic()
-                                          + self.timeout * len(indices))
-                budget = None
-                if deadlines:
-                    budget = max(0.0, min(deadlines[j] for j in
-                                          inflight.values())
-                                 - time.monotonic())
-                done, _ = wait(set(inflight), timeout=budget,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = inflight.pop(future, None)
-                    if job is None:
-                        # A sibling's BrokenExecutor already recycled this
-                        # job onto the fresh pool.
-                        continue
-                    deadlines.pop(job, None)
-                    indices, batched = job
-                    try:
-                        payload = future.result()
-                    except BrokenExecutor as exc:
-                        # The pool is dead (worker OOM/segfault): every
-                        # sibling future broke with it, so recycle them
-                        # all onto a fresh pool; only this job is
-                        # charged.
-                        pool = self._recycle_pool(
-                            pool, inflight, deadlines, waiting, attempts,
-                            kill=False)
-                        self._fail_job(waiting, attempts, results, job,
-                                       repr(exc))
-                    except Exception as exc:  # noqa: BLE001 — worker raised
-                        self._fail_job(waiting, attempts, results, job,
-                                       repr(exc))
-                    else:
-                        payloads = payload if batched else [payload]
-                        for index, lane_payload in zip(indices, payloads):
-                            result = self._result_from_payload(
-                                index, self.points[index], lane_payload,
-                                attempts[index])
-                            results[index] = result
-                            self._account(result)
-                if self.timeout is not None:
-                    pool = self._expire_deadlines(
-                        pool, inflight, deadlines, waiting, attempts,
-                        results)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _expire_deadlines(self, pool: ProcessPoolExecutor,
-                          inflight: dict[Future, tuple],
-                          deadlines: dict[tuple, float],
-                          waiting: deque,
-                          attempts: dict[int, int],
-                          results: list[PointResult | None]) \
-            -> ProcessPoolExecutor:
-        """Fail/retry every in-flight job past its deadline and reclaim
-        the pool slots their workers occupy."""
-        now = time.monotonic()
-        expired = [(future, job) for future, job in inflight.items()
-                   if deadlines.get(job, now + 1.0) <= now]
-        if not expired:
-            return pool
-        must_kill = False
-        for future, job in expired:
-            del inflight[future]
-            del deadlines[job]
-            self.telemetry.timeouts += 1
-            # A future the executor has not started yet cancels cleanly;
-            # a running worker must be killed or it keeps the slot.
-            if not future.cancel():
-                must_kill = True
-            self._fail_job(
-                waiting, attempts, results, job,
-                f"deadline exceeded ({self.timeout}s)")
-        if must_kill:
-            pool = self._recycle_pool(pool, inflight, deadlines, waiting,
-                                      attempts, kill=True)
-        return pool
-
-    def _fail_job(self, waiting: deque, attempts: dict[int, int],
-                  results: list[PointResult | None],
-                  job: tuple[tuple[int, ...], bool], error: str) -> None:
-        """Handle one failed schedulable unit: a cohort splits back into
-        scalar singletons (front of the line, cohort attempt refunded); a
-        singleton retries or records its failure."""
-        indices, batched = job
-        if batched:
-            for index in indices:
-                attempts[index] -= 1
-            waiting.extendleft(((index,), False)
-                               for index in reversed(indices))
-            return
-        self._finish_failure(waiting, attempts, results, indices[0], error)
-
-    def _finish_failure(self, waiting: deque,
-                        attempts: dict[int, int],
-                        results: list[PointResult | None], index: int,
-                        error: str) -> None:
-        """Requeue ``index`` (front of the line) if retry budget remains,
-        else record its failed :class:`PointResult`."""
-        if attempts[index] <= self.retries:
-            self.telemetry.retries += 1
-            waiting.appendleft(((index,), False))
-            return
-        result = PointResult(index=index, point=self.points[index],
-                             attempts=attempts[index], error=error)
-        results[index] = result
-        self._account(result)
-
-    def _recycle_pool(self, pool: ProcessPoolExecutor,
-                      inflight: dict[Future, tuple],
-                      deadlines: dict[tuple, float], waiting: deque,
-                      attempts: dict[int, int],
-                      kill: bool) -> ProcessPoolExecutor:
-        """Replace a dead (or deliberately killed) pool.
-
-        Surviving in-flight jobs go back to the front of the waiting
-        queue with their submission-time attempts refunded — the pool's
-        death was not their failure, and resubmission charges them again.
-        With ``kill``, worker processes are terminated first so a wedged
-        simulation actually releases its slot."""
-        if kill:
-            for process in getattr(pool, "_processes", {}).values():
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover — already reaped
-                    pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        for job in sorted(inflight.values(), reverse=True):
-            for index in job[0]:
-                attempts[index] -= 1
-            waiting.appendleft(job)
-        inflight.clear()
-        deadlines.clear()
-        return self._make_pool([i for job in waiting for i in job[0]])

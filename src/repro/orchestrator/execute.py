@@ -1,10 +1,10 @@
 """Executing one simulation point — in-process or in a pool worker.
 
 This is the single place that turns a :class:`SimPoint` into a finished
-:class:`CoreStats`; :class:`repro.orchestrator.Campaign` (serially or in
-its pool workers, and so every experiment and the service) and the
-:func:`repro.simulate` facade's batched path all delegate here, so the
-serial and parallel paths cannot drift apart.
+:class:`CoreStats`; the pool executor (:mod:`repro.orchestrator.pool`,
+in-process or in its workers, under every campaign, experiment and the
+service) and the :func:`repro.simulate` facade's batched path all
+delegate here, so the serial and parallel paths cannot drift apart.
 
 Traces are interned (:mod:`repro.workloads.interning`) and steady-state
 cache contents cloned from prewarmed templates (:mod:`repro.memory.prewarm`),
@@ -217,28 +217,24 @@ def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
 
 class CohortLaneError(RuntimeError):
     """One lane of a batched cohort failed (its scalar fallback raised
-    too); the campaign splits the cohort to singletons and retries."""
+    too); the pool executor splits the cohort to singletons and
+    retries."""
 
 
-def run_cohort_payloads(points: list[SimPoint], sanitize: bool = False,
-                        trace_dir: str | None = None,
-                        trace_ctx: dict[str, Any] | None = None) \
-        -> list[dict[str, Any]]:
+def run_cohort_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
     """Pool-worker entry for one planned cohort: run all lanes through the
     batched kernel, returning one payload per point in lane order.
 
-    Sanitized or traced campaigns never plan cohorts (both need the
-    scalar kernel's instrumentation hooks), but a worker whose
-    environment sets ``REPRO_SANITIZE=1``/``REPRO_TRACE=1`` behind the
-    planner's back still gets correct results: the runtime guards push
-    every lane down the scalar per-point path.
+    Sanitized or traced runs never plan cohorts
+    (:func:`repro.engine.plan.plan_units`), but a worker whose environment
+    sets ``REPRO_SANITIZE=1``/``REPRO_TRACE=1`` behind the planner's back
+    still gets correct results: the runtime guard pushes every lane down
+    the scalar per-point path.
     """
     from repro.engine import runtime_scalar_reason
 
-    if sanitize or trace_dir is not None or \
-            runtime_scalar_reason() is not None:
-        return [run_point_payload(point, sanitize, trace_dir, trace_ctx)
-                for point in points]
+    if runtime_scalar_reason() is not None:
+        return [run_point_payload(point) for point in points]
     from repro.engine.batched import run_cohort
 
     start = time.perf_counter()

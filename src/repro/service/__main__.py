@@ -30,7 +30,7 @@ import pathlib
 import signal
 import sys
 
-from repro.cli import add_json_flag
+from repro.cli import add_json_flag, reject_bad_limits
 from repro.orchestrator.cache import ResultCache, default_cache_dir
 
 from repro.service.client import ServiceClient, default_socket_path
@@ -239,6 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     shutdown.set_defaults(func=_cmd_shutdown)
 
     args = parser.parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
     return args.func(args)
 
 

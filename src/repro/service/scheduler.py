@@ -1,22 +1,23 @@
 """Fair multi-tenant scheduling over one shared worker fleet.
 
-The :class:`FleetScheduler` owns the daemon's process pool and the L2
-result cache. Tenants submit campaigns (lists of :class:`SimPoint`\\ s);
-their points queue per tenant, and a single dispatch loop hands them to
-the pool in strict round-robin order across tenants — a tenant that
-submits 10,000 points cannot starve one that submits 10 — bounded by a
-per-tenant in-flight quota.
+The :class:`FleetScheduler` is the service's asyncio front end of the pool
+executor (:mod:`repro.orchestrator.pool`), which owns the worker fleet, one
+fleet-wide window of ``workers`` units, deadlines, retries, cohort splits
+and rebuilds — under the same rules as a :class:`Campaign`. The scheduler
+keeps what is its own. Tenants submit campaigns (lists of
+:class:`SimPoint`\\ s), planned into cohorts and singletons that queue per
+tenant, and every lane passes three tiers before it may take a worker
+slot:
 
-Every point passes through three tiers:
-
-1. **L2 probe** — the content-addressed :class:`ResultCache`; a hit costs
+1. **Round-robin and quotas** — units are admitted in strict round-robin
+   order across tenants, each tenant bounded by a quota of lanes in
+   flight, so 10,000 queued points cannot starve 10.
+2. **L2 probe** — the content-addressed :class:`ResultCache`; a hit costs
    no worker slot at all.
-2. **Single-flight** — a digest already being simulated (by *any*
-   tenant) is joined, not re-run; followers wait on the leader's future
-   and the simulation happens exactly once.
-3. **Simulate** — a pool worker runs the point under a per-point
-   deadline measured from dispatch; a worker that blows its deadline is
-   killed and the fleet rebuilt so the slot comes back.
+3. **Single-flight** — a lane whose digest is already being simulated
+   (by *any* tenant) joins that flight, so a cohort shrinks to the lanes
+   that remain. A flight resolves only on its leader lane's final
+   outcome; a leader that is split or bounced keeps leading it.
 
 Per-tenant counters (submitted/hits/simulated/deduped/failures/…) live
 in a :class:`repro.telemetry.metrics.MetricsRegistry` and surface through
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,60 +38,27 @@ from repro.observe.slog import log_for_run
 from repro.telemetry.metrics import MetricsRegistry
 
 from repro.orchestrator.cache import ResultCache, point_digest
-from repro.orchestrator.execute import (
-    point_trace_filename,
-    run_cohort_payloads,
-    run_point_payload,
-    worker_init,
-)
+from repro.orchestrator.execute import point_trace_filename
 from repro.orchestrator.points import SimPoint
-
-# How many times a point may be bounced by a *pool* death (another
-# point's kill, a worker OOM) without being charged a retry of its own.
-POOL_BOUNCE_BUDGET = 3
+from repro.orchestrator.pool import Done, Lane, PoolExecutor, Unit
 
 
-@dataclass
-class PointTask:
-    """One schedulable unit: a campaign point plus its cache digest."""
+@dataclass(eq=False)
+class Ticket:
+    """One admitted lane: a campaign point plus its cache digest."""
 
     job: "CampaignJob"
     index: int
-    point: SimPoint
     digest: str
-    attempts: int = 0
-    bounces: int = 0
-    enqueued_at: float = field(default_factory=time.time)
+    since: float = field(default_factory=time.time)
     # Scheduler-side stitch spans ([{name, start, end}] in wall-clock
     # seconds); a list only when the fleet traces (--trace-dir), so the
     # untraced path stays one `is None` test per record site.
     spans: list[dict[str, Any]] | None = None
 
     @property
-    def width(self) -> int:
-        return 1
-
-
-@dataclass
-class CohortTask:
-    """A lockstep cohort scheduled as one unit: its lanes advance on one
-    worker through the batched kernel (:mod:`repro.engine.batched`).
-
-    The cohort counts ``width`` lanes against its tenant's in-flight
-    quota, and any failure splits it back into scalar :class:`PointTask`
-    singletons re-queued at the front of the tenant's queue with fresh
-    attempt budgets — the cohort's failure is not any one lane's failure.
-    """
-
-    job: "CampaignJob"
-    indices: list[int]
-    points: list[SimPoint]
-    digests: list[str]
-    enqueued_at: float = field(default_factory=time.time)
-
-    @property
-    def width(self) -> int:
-        return len(self.indices)
+    def point(self) -> SimPoint:
+        return self.job.points[self.index]
 
 
 @dataclass
@@ -101,7 +67,11 @@ class TenantState:
 
     name: str
     quota: int
-    queue: deque[PointTask] = field(default_factory=deque)
+    # Planned units — a cohort's indices, or one scalar index — of the
+    # tenant's campaigns; each admitted lane holds one quota slot until
+    # it finishes.
+    queue: deque[tuple["CampaignJob", list[int]]] = field(
+        default_factory=deque)
     inflight: int = 0
 
     def to_dict(self) -> dict[str, Any]:
@@ -175,7 +145,8 @@ class CampaignJob:
 
 
 class FleetScheduler:
-    """Round-robin multiplexer of tenant campaigns onto a process pool."""
+    """Round-robin multiplexer of tenant campaigns onto the pool
+    executor."""
 
     # How long one disk-inventory scan is served from memory before the
     # next /v1/status (or /metrics scrape) pays for a fresh one.
@@ -191,10 +162,8 @@ class FleetScheduler:
 
         self.cache = cache
         self.workers = max(1, workers)
-        # Execution engine (repro.engine contract). Submissions are
-        # planned into lockstep cohorts, each a single schedulable unit;
-        # sanitized fleets stay scalar (the sanitizer instruments the
-        # scalar kernel).
+        # Execution engine (repro.engine contract), under which
+        # repro.engine.plan.plan_units plans each submission.
         self.engine = resolve_engine(engine)
         # Per-tenant in-flight cap; by default every tenant may fill the
         # fleet alone — round-robin dispatch still splits it fairly the
@@ -216,13 +185,22 @@ class FleetScheduler:
         self.jobs: dict[str, CampaignJob] = {}
         self._job_ids = itertools.count(1)
         self._rr = deque()                    # tenant round-robin order
-        self._inflight_digests: dict[str, asyncio.Future] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_generation = 0
-        self._pool_lock: asyncio.Lock | None = None
+        # digest -> the tickets that joined the lane leading its flight
+        self._flights: dict[str, list[Ticket]] = {}
+        # The daemon holds live client sockets whenever a pool worker is
+        # (re)created, so plain fork would copy those fds into long-lived
+        # workers — the server's close() then never reaches the client
+        # (no FIN while a worker still holds the fd) and event streams
+        # hang until the client's socket timeout. forkserver workers fork
+        # from an exec'd helper that never saw our sockets.
+        self.executor = PoolExecutor(
+            self.workers, self._on_pool_event, timeout=timeout,
+            retries=self.retries, sanitize=self.sanitize,
+            trace_dir=self.trace_dir, engine=self.engine,
+            context="forkserver")
         self._wakeup: asyncio.Event | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._heartbeat_task: asyncio.Task | None = None
+        self._pool_wake: asyncio.Event | None = None
+        self._loopers: list[asyncio.Task] = []
         self._point_tasks: set[asyncio.Task] = set()
         # (monotonic deadline, inventory dict) — cache_inventory() TTL.
         self._inventory: tuple[float, dict[str, Any]] | None = None
@@ -234,19 +212,17 @@ class FleetScheduler:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        self._pool_lock = asyncio.Lock()
         self._wakeup = asyncio.Event()
-        self._pool = self._make_pool()
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._pool_wake = asyncio.Event()
+        self._loopers = [asyncio.create_task(self._dispatch_loop()),
+                         asyncio.create_task(self._pump())]
         if self.heartbeat is not None:
-            self._heartbeat_task = asyncio.create_task(
-                self._heartbeat_loop())
+            self._loopers.append(asyncio.create_task(
+                self._heartbeat_loop()))
 
     async def close(self) -> None:
         self._closed = True
-        for looper in (self._dispatcher, self._heartbeat_task):
-            if looper is None:
-                continue
+        for looper in self._loopers:
             looper.cancel()
             try:
                 await looper
@@ -257,24 +233,7 @@ class FleetScheduler:
         if self._point_tasks:
             await asyncio.gather(*self._point_tasks,
                                  return_exceptions=True)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        # The daemon holds live client sockets whenever a pool worker is
-        # (re)created, so plain fork would copy those fds into long-lived
-        # workers — the server's close() then never reaches the client
-        # (no FIN while a worker still holds the fd) and event streams
-        # hang until the client's socket timeout. forkserver workers fork
-        # from an exec'd helper that never saw our sockets.
-        context = multiprocessing.get_context("forkserver")
-        # Preload the simulator in the forkserver so each worker fork is
-        # cheap; a no-op once the forkserver is already running.
-        context.set_forkserver_preload(["repro.orchestrator.execute"])
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=context,
-                                   initializer=worker_init,
-                                   initargs=((), self.engine))
+        self.executor.close()
 
     async def _heartbeat_loop(self) -> None:
         """Periodic liveness beat on every unfinished campaign's event
@@ -313,6 +272,8 @@ class FleetScheduler:
                      meta: dict[str, Any] | None = None,
                      quota: int | None = None) -> CampaignJob:
         """Queue one campaign for ``tenant_name``; returns immediately."""
+        from repro.engine.plan import plan_units
+
         if self._closed:
             raise RuntimeError("scheduler is shut down")
         if not points:
@@ -322,8 +283,14 @@ class FleetScheduler:
                           points, meta or {})
         self.jobs[job.id] = job
         job.state = "running"
-        for task in self._plan_tasks(job, points):
-            tenant.queue.append(task)
+        plan = plan_units(points, self.engine, self.sanitize,
+                          self.trace_dir is not None)
+        self._count_scalar_reasons(plan.summary()["scalar_reasons"])
+        self.metrics.counter("service.cohorts").inc(len(plan.cohorts))
+        for cohort in plan.cohorts:
+            self.metrics.histogram("service.cohort_width").add(
+                float(len(cohort)))
+        tenant.queue.extend((job, indices) for indices in plan.units())
         self._counter(tenant_name, "submitted_points").inc(len(points))
         self.metrics.counter("service.campaigns").inc()
         if self._slog is not None:
@@ -336,23 +303,12 @@ class FleetScheduler:
     def _counter(self, tenant: str, name: str):
         return self.metrics.counter(f"tenant.{tenant}.{name}")
 
-    def _record_queue_wait(self, tenant: TenantState,
-                           task: PointTask | CohortTask) -> None:
-        wait = max(0.0, time.time() - task.enqueued_at)
-        self.metrics.histogram("service.queue_wait_seconds").add(wait)
-        self.metrics.histogram(
-            f"tenant.{tenant.name}.queue_wait_seconds").add(wait)
-        if isinstance(task, PointTask) and task.spans is not None:
-            task.spans.append({"name": "queue-wait",
-                               "start": task.enqueued_at,
-                               "end": time.time()})
-
     @staticmethod
-    def _span(task: PointTask, name: str, start: float) -> None:
+    def _span(ticket: Ticket, name: str, start: float) -> None:
         """Record one closed scheduler-side span (traced fleets only)."""
-        if task.spans is not None:
-            task.spans.append({"name": name, "start": start,
-                               "end": time.time()})
+        if ticket.spans is not None:
+            ticket.spans.append({"name": name, "start": start,
+                                 "end": time.time()})
 
     def _lane_metrics(self, payload: dict[str, Any], wall: float) -> None:
         """Engine introspection counters from one simulated payload:
@@ -380,60 +336,12 @@ class FleetScheduler:
             self.metrics.counter(f"service.scalar_reason.{slug}").inc(
                 count)
 
-    def _plan_tasks(self, job: CampaignJob, points: list[SimPoint]) \
-            -> list[PointTask | CohortTask]:
-        """Schedulable units for one submission: lockstep cohorts plus
-        scalar singletons, ordered by first point index."""
-        tracing = self.trace_dir is not None
-
-        def singleton(index: int) -> PointTask:
-            return PointTask(
-                job=job, index=index, point=points[index],
-                digest=point_digest(points[index]),
-                spans=[] if tracing else None)
-
-        # Traced fleets stay scalar for the same reason sanitized ones
-        # do: runtime_scalar_reason() forces the scalar kernel in the
-        # worker, so a cohort would only be re-split there anyway.
-        if self.engine == "scalar" or self.sanitize or tracing:
-            reason = ("engine=scalar" if self.engine == "scalar"
-                      else "sanitizer needs scalar instrumentation"
-                      if self.sanitize
-                      else "tracing needs scalar instrumentation")
-            self._count_scalar_reasons({reason: len(points)})
-            return [singleton(index) for index in range(len(points))]
-        from repro.engine.plan import plan_points
-
-        plan = plan_points(points, self.engine)
-        self._count_scalar_reasons(plan.summary()["scalar_reasons"])
-        # Width-1 cohorts (engine="batched" only) are demoted to point
-        # tasks: the worker resolves the engine per point (pinned by
-        # worker_init), so the point still runs the batched kernel while
-        # keeping the singleton retry/dedup machinery the only per-point
-        # path.
-        tasks: list[PointTask | CohortTask] = [
-            CohortTask(job=job, indices=list(cohort.indices),
-                       points=list(cohort.points),
-                       digests=[point_digest(p) for p in cohort.points])
-            for cohort in plan.cohorts if len(cohort.indices) > 1]
-        self.metrics.counter("service.cohorts").inc(len(tasks))
-        for cohort_task in tasks:
-            self.metrics.histogram("service.cohort_width").add(
-                float(cohort_task.width))
-        tasks.extend(singleton(cohort.indices[0])
-                     for cohort in plan.cohorts
-                     if len(cohort.indices) == 1)
-        tasks.extend(singleton(index) for index in plan.scalar_indices)
-        tasks.sort(key=lambda t: t.indices[0]
-                   if isinstance(t, CohortTask) else t.index)
-        return tasks
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _next_task(self) \
-            -> tuple[TenantState, PointTask | CohortTask] | None:
+    def _next_unit(self) \
+            -> tuple[TenantState, CampaignJob, list[int]] | None:
         """Strict round-robin: the first tenant (in rotation order) with
         queued work and quota headroom; the rotation advances past every
         tenant inspected, so service alternates under contention.
@@ -448,22 +356,17 @@ class FleetScheduler:
             tenant = self.tenants[name]
             if not tenant.queue:
                 continue
-            width = tenant.queue[0].width
+            width = len(tenant.queue[0][1])
             if tenant.inflight and \
                     tenant.inflight + width > tenant.quota:
                 self._counter(name, "quota_deferred").inc()
                 continue
-            return tenant, tenant.queue.popleft()
+            return (tenant, *tenant.queue.popleft())
         return None
-
-    def _has_runnable(self) -> bool:
-        return any(t.queue and (not t.inflight or
-                                t.inflight + t.queue[0].width <= t.quota)
-                   for t in self.tenants.values())
 
     async def _dispatch_loop(self) -> None:
         while True:
-            picked = self._next_task()
+            picked = self._next_unit()
             if picked is None:
                 quota_blocked = any(t.queue for t in self.tenants.values())
                 if quota_blocked:
@@ -471,324 +374,186 @@ class FleetScheduler:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            tenant, task = picked
-            tenant.inflight += task.width
-            if isinstance(task, CohortTask):
-                runner = asyncio.create_task(
-                    self._run_cohort(tenant, task))
+            tenant, job, indices = picked
+            tenant.inflight += len(indices)
+            self._spawn(self._admit(tenant, job, indices))
+
+    def _spawn(self, coro) -> None:
+        task = asyncio.create_task(coro)
+        self._point_tasks.add(task)
+        task.add_done_callback(self._point_tasks.discard)
+
+    async def _admit(self, tenant: TenantState, job: CampaignJob,
+                     indices: list[int]) -> None:
+        """Probe the cache for every lane of one unit of ``job``, join
+        the lanes already in flight, and hand the rest to the executor as
+        one unit — before any of them takes a worker slot."""
+        loop = asyncio.get_running_loop()
+        admitted = time.time()
+        # Units are queued when their campaign is submitted.
+        wait = max(0.0, admitted - job.created_at)
+        self.metrics.histogram("service.queue_wait_seconds").add(wait)
+        self.metrics.histogram(
+            f"tenant.{tenant.name}.queue_wait_seconds").add(wait)
+        digests = [point_digest(job.points[i]) for i in indices]
+        payloads: list[dict[str, Any] | None] = [None] * len(digests)
+        if self.cache is not None:
+            payloads = await loop.run_in_executor(
+                None, lambda: [self.cache.get(d) for d in digests])
+        # No await from here to the executor hand-off, so every lane
+        # joins or leads its flight atomically.
+        hits, lanes = [], []
+        for index, digest, payload in zip(indices, digests, payloads):
+            ticket = Ticket(job, index, digest)
+            lane = Lane(ticket.point, tag=ticket)
+            if self.trace_dir is not None:
+                ticket.spans = [{"name": "queue-wait",
+                                 "start": job.created_at,
+                                 "end": admitted}]
+                if self.cache is not None:
+                    self._span(ticket, "cache-probe", admitted)
+                # The worker stamps this into its kernel trace; `repro.
+                # observe stitch` matches it against the stitch manifest.
+                lane.trace_ctx = {"trace_id": job.id,
+                                  "span_id": f"{job.id}/{index}"}
+            if payload is not None:
+                hits.append((ticket, payload))
+            elif digest in self._flights:
+                self._flights[digest].append(ticket)
+                self._counter(tenant.name, "deduped").inc()
+                self.metrics.counter("service.single_flight_dedup").inc()
             else:
-                runner = asyncio.create_task(
-                    self._run_point(tenant, task))
-            self._point_tasks.add(runner)
-            runner.add_done_callback(self._point_tasks.discard)
+                self._flights[digest] = []
+                lanes.append(lane)
+        if lanes:
+            self.executor.submit(lanes)
+            self._pool_wake.set()
+        for ticket, payload in hits:
+            self._counter(tenant.name, "cache_hits").inc()
+            await self._finish_point(ticket, payload, "hit")
 
     # ------------------------------------------------------------------
     # Point execution
     # ------------------------------------------------------------------
 
-    async def _run_point(self, tenant: TenantState,
-                         task: PointTask) -> None:
-        try:
-            self._record_queue_wait(tenant, task)
-            payload, source, wall, error = await self._resolve(tenant, task)
-            await self._finish_point(tenant, task, payload, source, wall,
-                                     error)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — never kill the loop
-            await self._finish_point(tenant, task, None, "fail", 0.0,
-                                     f"internal: {exc!r}")
-        finally:
-            tenant.inflight -= 1
-            self._wakeup.set()
-
-    async def _run_cohort(self, tenant: TenantState,
-                          task: CohortTask) -> None:
-        """Run one lockstep cohort: cache-probe every lane, batch the
-        misses through one worker, and on any failure split the cohort
-        back into scalar singletons at the front of the tenant's queue."""
+    async def _pump(self) -> None:
+        """Drive the executor: settle finished units and blown deadlines,
+        fill free worker slots, then sleep until a unit finishes, a
+        deadline passes, or a unit is admitted."""
         loop = asyncio.get_running_loop()
-        lanes: list[PointTask] = []           # cache misses, in lane order
-        try:
-            self._record_queue_wait(tenant, task)
-            for index, point, digest in zip(task.indices, task.points,
-                                            task.digests):
-                lane = PointTask(job=task.job, index=index, point=point,
-                                 digest=digest)
-                payload = None
-                if self.cache is not None:
-                    payload = await loop.run_in_executor(
-                        None, self.cache.get, digest)
-                if payload is not None:
-                    self._counter(tenant.name, "cache_hits").inc()
-                    await self._finish_point(tenant, lane, payload, "hit",
-                                             0.0, None)
-                else:
-                    lanes.append(lane)
-            if not lanes:
-                return
-            await self._simulate_cohort(tenant, task, lanes)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — never kill the loop
-            self._split_cohort(tenant, lanes, f"internal: {exc!r}")
-        finally:
-            tenant.inflight -= task.width
-            self._wakeup.set()
 
-    async def _simulate_cohort(self, tenant: TenantState, task: CohortTask,
-                               lanes: list[PointTask]) -> None:
-        loop = asyncio.get_running_loop()
-        # Lead the single-flight for every lane not already claimed —
-        # followers of another leader are simply simulated again here
-        # (bit-exact, so the duplicate is harmless).
-        flights: dict[str, asyncio.Future] = {}
-        for lane in lanes:
-            if lane.digest not in self._inflight_digests:
-                flight = loop.create_future()
-                flights[lane.digest] = flight
-                self._inflight_digests[lane.digest] = flight
-        generation = self._pool_generation
-        timeout = (self.timeout * len(lanes)
-                   if self.timeout is not None else None)
-        for lane in lanes:
-            lane.attempts = 1
-        try:
+        def poke(_future) -> None:
             try:
-                payloads = await asyncio.wait_for(
-                    loop.run_in_executor(
-                        self._pool, run_cohort_payloads,
-                        [lane.point for lane in lanes], self.sanitize,
-                        None),
-                    timeout=timeout)
+                loop.call_soon_threadsafe(self._pool_wake.set)
+            except RuntimeError:              # the loop already closed
+                pass
+
+        while True:
+            self._pool_wake.clear()
+            finished = self.executor.collect()
+            for future in self.executor.launch():
+                future.add_done_callback(poke)
+            if finished:
+                self._spawn(self._land(finished))
+            try:
+                await asyncio.wait_for(self._pool_wake.wait(),
+                                       self.executor.budget())
             except asyncio.TimeoutError:
-                self.metrics.counter("service.timeouts").inc()
-                self._counter(tenant.name, "timeouts").inc()
-                await self._reset_pool(generation)
-                self._split_cohort(
-                    tenant, lanes,
-                    f"cohort deadline exceeded ({timeout}s)")
-                return
-            except asyncio.CancelledError:
-                if self._closed or generation == self._pool_generation:
-                    raise
-                self._split_cohort(tenant, lanes, "pool reset")
-                return
-            except BrokenExecutor as exc:
-                await self._reset_pool(generation)
-                self._split_cohort(tenant, lanes, repr(exc))
-                return
-            except Exception as exc:  # noqa: BLE001 — worker raised
-                self._split_cohort(tenant, lanes, repr(exc))
-                return
-            for lane, payload in zip(lanes, payloads):
+                pass
+
+    def _on_pool_event(self, event: str, unit: Unit | None) -> None:
+        """Count the executor's timeouts, retries, splits and rebuilds."""
+        if event == "reset":
+            self.metrics.counter("service.pool_resets").inc()
+            if self._slog is not None:
+                self._slog.emit("pool.reset",
+                                generation=self.executor.generation,
+                                workers=self.workers)
+            return
+        if event == "split":
+            self.metrics.counter("service.cohort_splits").inc()
+            return
+        ticket = unit.lanes[0].tag
+        if event == "retry":
+            self._counter(ticket.job.tenant, "retries").inc()
+            return
+        self.metrics.counter("service.timeouts").inc()
+        self._counter(ticket.job.tenant, "timeouts").inc()
+        if self._slog is not None:
+            self._slog.emit("point.timeout", campaign=ticket.job.id,
+                            tenant=ticket.job.tenant,
+                            point=ticket.point.name, timeout=self.timeout)
+
+    async def _land(self, finished: list[Done]) -> None:
+        """Store and report the lanes the executor settled, then every
+        ticket that joined their flights."""
+        loop = asyncio.get_running_loop()
+        for lane, payload, error in finished:
+            ticket = lane.tag
+            wall = 0.0
+            if payload is None:
+                self._counter(ticket.job.tenant, "failures").inc()
+            else:
                 payload.pop("worker", None)   # pids are not deterministic
-                self._counter(tenant.name, "simulated").inc()
+                self._counter(ticket.job.tenant, "simulated").inc()
                 self.metrics.counter("service.simulated").inc()
                 wall = payload.get("wall_clock", 0.0)
                 self.metrics.histogram("service.sim_seconds").add(wall)
                 self._lane_metrics(payload, wall)
-                if self.cache is not None:
-                    await loop.run_in_executor(
-                        None, self.cache.put, lane.digest, payload,
-                        {"point": lane.point.name})
-                flight = flights.get(lane.digest)
-                if flight is not None and not flight.done():
-                    flight.set_result(payload)
-                await self._finish_point(tenant, lane, payload, "sim",
-                                         wall, None)
-        finally:
-            for digest, flight in flights.items():
-                if self._inflight_digests.get(digest) is flight:
-                    self._inflight_digests.pop(digest, None)
-                if not flight.done():
-                    # The cohort never produced this lane's payload (it
-                    # split); followers fail with the leader, exactly as
-                    # a failed scalar leader behaves.
-                    flight.cancel()
-
-    def _split_cohort(self, tenant: TenantState, lanes: list[PointTask],
-                      error: str) -> None:
-        """Requeue failed cohort lanes as scalar singletons (front of the
-        tenant's queue, fresh attempt budgets — the cohort's failure is
-        not any one lane's failure)."""
-        self.metrics.counter("service.cohort_splits").inc()
-        for lane in reversed(lanes):
-            lane.attempts = 0
-            tenant.queue.appendleft(lane)
-
-    async def _resolve(self, tenant: TenantState, task: PointTask):
-        """(payload, source, wall_clock, error) for one point, through
-        cache probe -> single-flight join -> pool simulation."""
-        loop = asyncio.get_running_loop()
-        if self.cache is not None:
-            probe_start = time.time()
-            payload = await loop.run_in_executor(None, self.cache.get,
-                                                 task.digest)
-            self._span(task, "cache-probe", probe_start)
-            if payload is not None:
-                self._counter(tenant.name, "cache_hits").inc()
-                return payload, "hit", 0.0, None
-
-        leader = self._inflight_digests.get(task.digest)
-        if leader is not None:
-            # Another tenant (or campaign) is already simulating this
-            # exact point: join it instead of burning a second slot.
-            self._counter(tenant.name, "deduped").inc()
-            self.metrics.counter("service.single_flight_dedup").inc()
-            join_start = time.time()
-            try:
-                payload = await asyncio.shield(leader)
-            except Exception as exc:  # noqa: BLE001 — leader failed
-                return None, "fail", 0.0, f"single-flight leader: {exc!r}"
-            self._span(task, "dedup-join", join_start)
-            return payload, "dedup", 0.0, None
-
-        flight: asyncio.Future = loop.create_future()
-        self._inflight_digests[task.digest] = flight
-        try:
-            sim_start = time.time()
-            payload, wall, error = await self._simulate(tenant, task)
-            if payload is not None:
-                self._span(task, "simulate", sim_start)
+                self._span(ticket, "simulate", ticket.since)
                 if self.cache is not None:
                     put_start = time.time()
-                    await loop.run_in_executor(
-                        None, self.cache.put, task.digest, payload,
-                        {"point": task.point.name})
-                    self._span(task, "cache-put", put_start)
-                flight.set_result(payload)
-                return payload, "sim", wall, None
-            flight.set_exception(RuntimeError(error or "failed"))
-            return None, "fail", wall, error
-        finally:
-            self._inflight_digests.pop(task.digest, None)
-            if not flight.done():
-                flight.cancel()               # cancelled mid-simulation
-            elif not flight.cancelled():
-                flight.exception()            # mark retrieved; no GC warning
+                    try:
+                        await loop.run_in_executor(
+                            None, self.cache.put, ticket.digest, payload,
+                            {"point": lane.point.name})
+                    except OSError:
+                        pass            # served all the same, just not cached
+                    self._span(ticket, "cache-put", put_start)
+            # The flight ends with its leader's final outcome, after the
+            # cache put: a later lane either joins it or hits the cache.
+            followers = self._flights.pop(ticket.digest, [])
+            await self._finish_point(ticket, payload,
+                                     "fail" if payload is None else "sim",
+                                     wall, error, lane.attempts)
+            for follower in followers:
+                self._span(follower, "dedup-join", follower.since)
+                await self._finish_point(
+                    follower, payload,
+                    "fail" if payload is None else "dedup", 0.0,
+                    None if payload is not None
+                    else f"single-flight leader: {error}")
 
-    async def _simulate(self, tenant: TenantState, task: PointTask):
-        """Run the point on the pool with deadline + bounded retries."""
-        loop = asyncio.get_running_loop()
-        trace_ctx = None
-        if self.trace_dir is not None:
-            # The worker stamps this context into its kernel trace as a
-            # `trace-context` instant; `repro.observe stitch` matches it
-            # against the scheduler manifest to merge both processes
-            # into one per-campaign Perfetto trace.
-            trace_ctx = {"trace_id": task.job.id,
-                         "span_id": f"{task.job.id}/{task.index}"}
-        while True:
-            task.attempts += 1
-            generation = self._pool_generation
-            start = time.perf_counter()
-            try:
-                payload = await asyncio.wait_for(
-                    loop.run_in_executor(self._pool, run_point_payload,
-                                         task.point, self.sanitize,
-                                         self.trace_dir, trace_ctx),
-                    timeout=self.timeout)
-            except asyncio.TimeoutError:
-                self.metrics.counter("service.timeouts").inc()
-                self._counter(tenant.name, "timeouts").inc()
-                if self._slog is not None:
-                    self._slog.emit("point.timeout", campaign=task.job.id,
-                                    tenant=tenant.name,
-                                    point=task.point.name,
-                                    timeout=self.timeout)
-                # The worker is wedged past its deadline: kill the fleet
-                # generation it runs in so the slot comes back.
-                await self._reset_pool(generation)
-                error = f"deadline exceeded ({self.timeout}s)"
-            except BrokenExecutor:
-                # Pool died underneath us (another point's kill, worker
-                # OOM). Not this point's fault: bounce, don't charge.
-                await self._reset_pool(generation)
-                task.attempts -= 1
-                task.bounces += 1
-                if task.bounces <= POOL_BOUNCE_BUDGET:
-                    continue
-                error = "worker fleet kept dying (pool bounce budget)"
-                task.attempts += 1
-            except asyncio.CancelledError:
-                # A pool reset cancels submissions still queued on the
-                # old executor; that surfaces here as CancelledError.
-                # Distinguish it from real task cancellation by the
-                # generation bump and bounce like a BrokenExecutor.
-                if self._closed or generation == self._pool_generation:
-                    raise
-                task.attempts -= 1
-                task.bounces += 1
-                if task.bounces <= POOL_BOUNCE_BUDGET:
-                    continue
-                error = "worker fleet kept dying (pool bounce budget)"
-                task.attempts += 1
-            except Exception as exc:  # noqa: BLE001 — worker raised
-                error = repr(exc)
-            else:
-                payload.pop("worker", None)   # pids are not deterministic
-                self._counter(tenant.name, "simulated").inc()
-                self.metrics.counter("service.simulated").inc()
-                wall = payload.get("wall_clock",
-                                   time.perf_counter() - start)
-                self.metrics.histogram("service.sim_seconds").add(wall)
-                self._lane_metrics(payload, wall)
-                return payload, wall, None
-            if task.attempts <= self.retries:
-                self._counter(tenant.name, "retries").inc()
-                continue
-            self._counter(tenant.name, "failures").inc()
-            return None, time.perf_counter() - start, error
-
-    async def _reset_pool(self, generation: int) -> None:
-        """Kill and replace the worker fleet (once per generation — many
-        tasks observing the same death reset it only once)."""
-        async with self._pool_lock:
-            if generation != self._pool_generation:
-                return                        # a sibling already reset it
-            pool = self._pool
-            for process in getattr(pool, "_processes", {}).values():
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover — already reaped
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._make_pool()
-            self._pool_generation += 1
-            self.metrics.counter("service.pool_resets").inc()
-            if self._slog is not None:
-                self._slog.emit("pool.reset",
-                                generation=self._pool_generation,
-                                workers=self.workers)
-
-    async def _finish_point(self, tenant: TenantState, task: PointTask,
+    async def _finish_point(self, ticket: Ticket,
                             payload: dict[str, Any] | None, source: str,
-                            wall: float, error: str | None) -> None:
-        job = task.job
+                            wall: float = 0.0, error: str | None = None,
+                            attempts: int = 0) -> None:
+        job = ticket.job
+        self.tenants[job.tenant].inflight -= 1
+        self._wakeup.set()
         outcome = {
-            "index": task.index,
-            "point": task.point.name,
+            "index": ticket.index,
+            "point": ticket.point.name,
             "ok": payload is not None,
             "source": source,                 # hit | sim | dedup | fail
             "wall_clock": wall,
-            "attempts": task.attempts,
+            "attempts": attempts,
             "error": error,
         }
         if payload is not None:
-            job.payloads[task.index] = payload
+            job.payloads[ticket.index] = payload
             outcome["cycles"] = payload.get("cycles", 0.0)
             outcome["instructions"] = payload.get("instructions", 0)
-        job.outcomes[task.index] = outcome
+        job.outcomes[ticket.index] = outcome
         self.metrics.histogram(
-            f"tenant.{tenant.name}.point_seconds").add(wall)
-        if task.spans is not None:
-            job.sched_spans[task.index] = task.spans
+            f"tenant.{job.tenant}.point_seconds").add(wall)
+        if ticket.spans is not None:
+            job.sched_spans[ticket.index] = ticket.spans
         if self._slog is not None:
             self._slog.emit("point.done", campaign=job.id,
-                            tenant=job.tenant, point=task.point.name,
-                            index=task.index, source=source, wall=wall,
-                            attempts=task.attempts, error=error)
+                            tenant=job.tenant, point=ticket.point.name,
+                            index=ticket.index, source=source, wall=wall,
+                            attempts=attempts, error=error)
         job.done += 1
         if source == "hit":
             job.hits += 1
@@ -798,7 +563,7 @@ class FleetScheduler:
             job.deduped += 1
         if payload is None:
             job.failures += 1
-        self._counter(tenant.name, "done_points").inc()
+        self._counter(job.tenant, "done_points").inc()
         if job.done == job.total:
             job.state = "failed" if job.failures else "done"
             job.finished_at = time.time()
@@ -937,7 +702,7 @@ class FleetScheduler:
         return {
             "uptime": time.time() - self.started_at,
             "workers": self.workers,
-            "pool_generation": self._pool_generation,
+            "pool_generation": self.executor.generation,
             "timeout": self.timeout,
             "retries": self.retries,
             "sanitize": self.sanitize,

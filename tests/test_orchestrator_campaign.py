@@ -181,7 +181,8 @@ class TestParallelCampaign:
         assert warm.telemetry.cache_hits == len(POINTS)
 
 
-def _sleepy_run_point(point, sanitize=False, trace_dir=None):
+def _sleepy_run_point(point, sanitize=False, trace_dir=None,
+                      trace_ctx=None):
     """Stand-in worker: sleeps for the duration encoded in the point's
     label, then delegates to the real worker. Module-level so the pool
     can unpickle it by name in forked workers."""
@@ -190,7 +191,7 @@ def _sleepy_run_point(point, sanitize=False, trace_dir=None):
     from repro.orchestrator.execute import run_point_payload
 
     _time.sleep(float(point.label.rsplit("=", 1)[1]))
-    return run_point_payload(point, sanitize, trace_dir)
+    return run_point_payload(point, sanitize, trace_dir, trace_ctx)
 
 
 def _timed_point(app: str, seconds: float, seed: int = 0):
@@ -205,9 +206,9 @@ class TestPoolDeadlines:
 
     @pytest.fixture(autouse=True)
     def _sleepy_workers(self, monkeypatch):
-        import repro.orchestrator.campaign as campaign_module
+        import repro.orchestrator.pool as pool_module
 
-        monkeypatch.setattr(campaign_module, "run_point_payload",
+        monkeypatch.setattr(pool_module, "run_point_payload",
                             _sleepy_run_point)
 
     def test_wedged_point_is_killed_and_slot_reclaimed(self):
@@ -441,3 +442,46 @@ class TestCliJson:
             main(["status", "--cache-dir", str(tmp_path), "--plan",
                   "fig16", "--apps", "nosuchapp"])
         assert excinfo.value.code == 2
+
+    def test_meaningless_limits_are_rejected_cleanly(self, capsys):
+        from repro.orchestrator.__main__ import main as orchestrator
+        from repro.service.__main__ import main as service
+
+        sweep = ["fig16", "--apps", "rb"]
+        for main, argv, flag in (
+            (orchestrator, ["run", *sweep, "--no-cache",
+                            "--timeout", "-1"], "--timeout"),
+            (orchestrator, ["run", *sweep, "--no-cache",
+                            "--timeout", "0"], "--timeout"),
+            (orchestrator, ["run", *sweep, "--no-cache",
+                            "--length", "0"], "--length"),
+            (service, ["serve", "--no-cache", "--timeout", "0"],
+             "--timeout"),
+            (service, ["submit", *sweep, "--tenant", "a", "--length",
+                       "0"], "--length"),
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(flag), argv
+            assert len(captured.err.strip().splitlines()) == 1, argv
+            assert captured.out == "", argv
+
+    def test_failed_sweep_points_exit_cleanly(self, monkeypatch, capsys):
+        import repro.orchestrator.pool as pool_module
+        from repro.orchestrator.__main__ import main
+
+        def broken_worker(*args):
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(pool_module, "run_point_payload",
+                            broken_worker)
+        monkeypatch.setattr(pool_module, "run_cohort_payloads",
+                            broken_worker)
+        assert main(["run", "fig16", "--apps", "rb", "--no-cache",
+                     "--length", "300", "--retries", "0"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 13                 # 12 points + telemetry
+        assert all("FAILED" in line and "injected worker failure" in line
+                   for line in lines[:12])
+        assert lines[12].startswith("[campaign] 12/12 points")
+        assert "12 failed" in lines[12]
