@@ -26,7 +26,13 @@ import io
 import struct
 from pathlib import Path
 
-from repro.isa.instructions import Instruction, Opcode, RegClass, Register
+from repro.isa.instructions import (
+    Instruction,
+    Opcode,
+    RegClass,
+    Register,
+    shared_register,
+)
 from repro.isa.trace import Trace
 
 MAGIC = b"PPATRACE"
@@ -48,7 +54,7 @@ def _encode_reg(reg: Register | None) -> int:
 def _decode_reg(value: int) -> Register | None:
     if value == _NO_REG:
         return None
-    return Register(RegClass(value >> 8), value & 0xFF)
+    return shared_register(RegClass(value >> 8), value & 0xFF)
 
 
 def dump_trace(trace: Trace, destination) -> None:

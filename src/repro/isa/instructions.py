@@ -31,14 +31,29 @@ class Register:
         return f"{prefix}{self.index}"
 
 
+# One shared Register per (class, index): a trace of thousands of
+# instructions then references a few dozen register objects instead of
+# allocating one per operand. Register is a frozen value type, so sharing
+# is invisible to every comparison and hash.
+_shared_registers: dict[tuple[RegClass, int], Register] = {}
+
+
+def shared_register(cls: RegClass, index: int) -> Register:
+    """The shared :class:`Register` for ``(cls, index)``."""
+    reg = _shared_registers.get((cls, index))
+    if reg is None:
+        reg = _shared_registers[cls, index] = Register(RegClass(cls), index)
+    return reg
+
+
 def int_reg(index: int) -> Register:
     """Shorthand for an integer architectural register."""
-    return Register(RegClass.INT, index)
+    return shared_register(RegClass.INT, index)
 
 
 def fp_reg(index: int) -> Register:
     """Shorthand for a floating-point architectural register."""
-    return Register(RegClass.FP, index)
+    return shared_register(RegClass.FP, index)
 
 
 class Opcode(Enum):

@@ -7,7 +7,6 @@ stream, while latency accounting lives in :mod:`repro.memory.hierarchy`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config import CacheConfig, DramCacheConfig
@@ -24,8 +23,16 @@ class Eviction:
 class Cache:
     """An LRU set-associative cache with dirty-bit tracking.
 
-    Sets are materialized lazily (a dict of ordered dicts) so multi-megabyte
-    caches cost memory proportional to the touched footprint only.
+    Each set is a plain ``dict`` mapping line address to dirty bit, kept in
+    LRU order (first key is the victim); a hit pops and re-inserts its line.
+    Sets are materialized lazily, so multi-megabyte caches cost memory
+    proportional to the touched footprint only. A dict holding only ints
+    and bools is not tracked by CPython's cycle collector, so resident
+    lines add nothing to GC passes.
+
+    A clone (:meth:`copy_state_from`) shares its template's set map and
+    copies one set into its own map on that set's first mutation; reads of
+    untouched sets go straight to the template, which is never written.
     """
 
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
@@ -33,7 +40,11 @@ class Cache:
             raise ValueError(f"{name}: config yields no sets")
         self.cfg = cfg
         self.name = name
-        self._sets: dict[int, OrderedDict[int, bool]] = {}
+        self._sets: dict[int, dict[int, bool]] = {}
+        # The template's set map, read through for sets this cache has not
+        # yet written; empty unless this cache is a clone.
+        self._base: dict[int, dict[int, bool]] = {}
+        self._is_clone = False
         # Geometry cached as plain ints: num_sets is a derived property on
         # the config and too slow to recompute per access.
         self._line_bytes = cfg.line_bytes
@@ -46,62 +57,69 @@ class Cache:
         return (line_addr // self._line_bytes) % self._num_sets
 
     def copy_state_from(self, other: "Cache") -> None:
-        """Adopt another (same-config) cache's resident lines and counters.
+        """Become a copy-on-write clone of a (same-config) template cache.
 
-        Used to clone prewarmed template state instead of re-running the
-        fill stream; per-set ordered dicts are copied so replacement state
-        is identical and the template stays untouched.
+        Nothing is copied up front: the template's set map is shared and a
+        set is copied on its first mutation, so the template must never be
+        written afterwards. Cloning a clone is refused, because a clone
+        writes its own sets.
         """
-        self._sets = {index: s.copy() for index, s in other._sets.items()}
+        if other._is_clone:
+            raise ValueError(f"{self.name}: cannot clone from a clone")
+        self._sets = {}
+        self._base = other._sets
+        self._is_clone = True
         self.hits = other.hits
         self.misses = other.misses
 
     def lookup(self, line_addr: int) -> bool:
         """Probe without modifying replacement state."""
-        s = self._sets.get(self._set_index(line_addr))
+        index = self._set_index(line_addr)
+        s = self._sets.get(index)
+        if s is None:
+            s = self._base.get(index)
         return s is not None and line_addr in s
 
     def access(self, line_addr: int, write: bool) -> bool:
         """Reference a line; returns True on hit. Does not allocate on miss."""
         index = self._set_index(line_addr)
         s = self._sets.get(index)
-        if s is not None and line_addr in s:
-            s.move_to_end(line_addr)
-            if write:
-                s[line_addr] = True
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        if s is None:
+            s = self._base.get(index)
+            if s is None or line_addr not in s:
+                self.misses += 1
+                return False
+            s = self._sets[index] = s.copy()
+        elif line_addr not in s:
+            self.misses += 1
+            return False
+        s[line_addr] = s.pop(line_addr) or write
+        self.hits += 1
+        return True
 
     def fill(self, line_addr: int, dirty: bool = False) -> Eviction | None:
         """Insert a line, evicting the LRU victim of the set if needed."""
         index = self._set_index(line_addr)
-        s = self._sets.setdefault(index, OrderedDict())
+        s = self._sets.get(index)
+        if s is None:
+            base = self._base.get(index)
+            s = self._sets[index] = {} if base is None else base.copy()
         if line_addr in s:
-            s.move_to_end(line_addr)
-            s[line_addr] = s[line_addr] or dirty
+            s[line_addr] = s.pop(line_addr) or dirty
             return None
         victim = None
         if len(s) >= self._assoc:
-            victim_addr, victim_dirty = s.popitem(last=False)
-            victim = Eviction(victim_addr, victim_dirty)
+            victim_addr = next(iter(s))
+            victim = Eviction(victim_addr, s.pop(victim_addr))
         s[line_addr] = dirty
         return victim
 
-    def clean(self, line_addr: int) -> None:
-        """Clear the dirty bit (used after an asynchronous persist)."""
-        s = self._sets.get(self._set_index(line_addr))
-        if s is not None and line_addr in s:
-            s[line_addr] = False
-
-    def invalidate(self, line_addr: int) -> bool:
-        """Drop a line; returns whether it was dirty."""
-        index = self._set_index(line_addr)
-        s = self._sets.get(index)
-        if s is None or line_addr not in s:
-            return False
-        return s.pop(line_addr)
+    def contents(self) -> dict[int, list[tuple[int, bool]]]:
+        """Every non-empty set's ``(line_addr, dirty)`` pairs, LRU first,
+        keyed by set index; a clone's view merges its template's sets."""
+        merged = {**self._base, **self._sets}
+        return {index: list(s.items())
+                for index, s in sorted(merged.items()) if s}
 
     @property
     def hit_rate(self) -> float:
@@ -109,7 +127,7 @@ class Cache:
         return self.hits / total if total else 0.0
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets.values())
+        return sum(map(len, self.contents().values()))
 
 
 class DirectMappedDramCache:

@@ -207,10 +207,11 @@ class MemorySystem:
         """Clone a prewarmed template's cache contents into this system.
 
         Equivalent to replaying the exact declare/prewarm sequence the
-        template went through, at the cost of dict copies instead of tens
-        of thousands of fill calls. Only cache-side state moves; this
-        system keeps its own NVM model and counters (prewarming generates
-        no NVM traffic, so the template's backend was never touched).
+        template went through. The SRAM levels become copy-on-write clones
+        (see :meth:`Cache.copy_state_from`), so the template must never be
+        written again. Only cache-side state moves; this system keeps its
+        own NVM model and counters (prewarming generates no NVM traffic, so
+        the template's backend was never touched).
         """
         self.l1d.copy_state_from(template.l1d)
         self.l2.copy_state_from(template.l2)

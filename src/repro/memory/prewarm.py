@@ -5,15 +5,17 @@
 point over the same profile repeats it on identical inputs. The sequence
 is deterministic (no RNG anywhere in declare/prewarm), so the resulting
 cache state is a pure function of ``(memory config, region extents)``.
-This module runs it once per process into a *template* system and clones
-the template's cache dicts into each fresh :class:`MemorySystem`.
+This module runs it once per process into a *template* system and makes
+each fresh :class:`MemorySystem` a copy-on-write clone of it.
 
-Bit-exactness: cloning copies the per-set ordered dicts (replacement
-order included), the DRAM-cache slots and resident ranges, and the
-hit/miss counters, so a cloned system is indistinguishable from one that
-replayed the fills itself. The template's own NVM model is never touched
-— prewarm fills generate no backend traffic — and clones always get
-their own backend.
+Bit-exactness: a clone's SRAM levels read the template's sets until
+they first write one, and then copy that set (replacement order and
+dirty bits included); the DRAM-cache slots, resident ranges and hit/miss
+counters are copied outright. A cloned system is therefore
+indistinguishable from one that replayed the fills itself. Templates are
+never written after they are built, and the template's own NVM model is
+never touched — prewarm fills generate no backend traffic — so clones
+always get their own backend.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from repro.config import MemoryConfig
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.nvm import NvmModel
 
-# Capped like the trace intern pool; a template is a few hundred KB.
+# Capped like the trace intern pool. A template holds the steady-state
+# lines of every SRAM level: 7-10 MB on CPython 3.11 for the shipped
+# profiles on the default hierarchy (rb: 99,872 L2 lines, 10.1 MB).
 _MAX_TEMPLATES = 32
 
 _templates: dict[tuple, MemorySystem] = {}

@@ -10,6 +10,7 @@ from repro.isa.instructions import (
     Opcode,
     RegClass,
     Register,
+    shared_register,
 )
 from repro.isa.trace import Trace
 from repro.workloads.profiles import MemRegion, WorkloadProfile
@@ -93,21 +94,21 @@ class TraceGenerator:
         else:
             index = self.rng.randrange(limit)
         self._recent[cls].append(index)
-        return Register(cls, index)
+        return shared_register(cls, index)
 
     def _pick_addr_src(self) -> Register:
         if self.rng.random() < 0.75:
-            return Register(RegClass.INT,
+            return shared_register(RegClass.INT,
                             self.rng.randrange(self._NUM_BASE_REGS))
         return self._pick_src(RegClass.INT)
 
     def _pick_src(self, cls: RegClass) -> Register:
         recent = self._recent[cls]
         if recent and self.rng.random() < 0.7:
-            return Register(cls, self.rng.choice(list(recent)))
+            return shared_register(cls, self.rng.choice(list(recent)))
         limit = (self.profile.int_workset if cls is RegClass.INT
                  else self.profile.fp_workset)
-        return Register(cls, self.rng.randrange(limit))
+        return shared_register(cls, self.rng.randrange(limit))
 
     def _pick_store_data(self, cls: RegClass) -> Register:
         """The store's data register; with probability ``turnover`` it is
@@ -115,7 +116,7 @@ class TraceGenerator:
         a MaskReg deferral)."""
         recent = self._recent[cls]
         if recent and self.rng.random() < self.profile.store_reg_turnover:
-            return Register(cls, recent[-1])
+            return shared_register(cls, recent[-1])
         return self._pick_src(cls)
 
     def _pick_addr(self, store: bool) -> int:

@@ -11,6 +11,12 @@ def small_cache(assoc=2, sets=4) -> Cache:
                              hit_latency=4), "test")
 
 
+def dirty(cache: Cache, line_addr: int) -> bool:
+    """The dirty bit of a resident line, read through ``contents()``."""
+    return dict(line for lines in cache.contents().values()
+                for line in lines)[line_addr]
+
+
 class TestCacheBasics:
     def test_cold_miss_then_hit_after_fill(self):
         cache = small_cache()
@@ -34,19 +40,13 @@ class TestCacheBasics:
         cache = small_cache()
         cache.fill(0)
         cache.access(0, write=True)
-        assert cache.invalidate(0) is True
+        assert dirty(cache, 0) is True
 
     def test_read_leaves_clean(self):
         cache = small_cache()
         cache.fill(0)
         cache.access(0, write=False)
-        assert cache.invalidate(0) is False
-
-    def test_clean_clears_dirty_bit(self):
-        cache = small_cache()
-        cache.fill(0, dirty=True)
-        cache.clean(0)
-        assert cache.invalidate(0) is False
+        assert dirty(cache, 0) is False
 
     def test_hit_rate(self):
         cache = small_cache()
@@ -87,7 +87,7 @@ class TestCacheReplacement:
         cache = small_cache()
         cache.fill(0, dirty=True)
         assert cache.fill(0, dirty=False) is None
-        assert cache.invalidate(0) is True
+        assert dirty(cache, 0) is True
 
     def test_different_sets_do_not_conflict(self):
         cache = small_cache(assoc=1, sets=4)
@@ -95,11 +95,60 @@ class TestCacheReplacement:
         assert cache.fill(64) is None     # next set
         assert cache.lookup(0)
 
+    def test_contents_lists_sets_in_lru_order(self):
+        cache = small_cache(assoc=2, sets=2)
+        cache.fill(0)
+        cache.fill(128, dirty=True)
+        cache.fill(64)
+        cache.access(0, write=True)       # 0 becomes MRU, and dirty
+        assert cache.contents() == {0: [(128, True), (0, True)],
+                                    1: [(64, False)]}
+
     def test_resident_lines_counts(self):
         cache = small_cache()
         cache.fill(0)
         cache.fill(64)
         assert cache.resident_lines() == 2
+
+
+class TestCopyOnWriteClone:
+    def _template(self) -> Cache:
+        template = small_cache(assoc=2, sets=2)
+        template.fill(0)
+        template.fill(128)
+        template.fill(64, dirty=True)
+        return template
+
+    def _clone(self, template: Cache) -> Cache:
+        clone = small_cache(assoc=2, sets=2)
+        clone.copy_state_from(template)
+        return clone
+
+    def test_clone_reads_through_to_template(self):
+        template = self._template()
+        clone = self._clone(template)
+        assert clone.contents() == template.contents()
+        assert clone.lookup(128) and not clone.lookup(192)
+        assert not clone.access(192, write=False)   # a miss copies nothing
+        assert clone.resident_lines() == 3
+
+    def test_writes_never_reach_the_template(self):
+        template = self._template()
+        pristine = template.contents()
+        clone = self._clone(template)
+        clone.access(0, write=True)                 # LRU update + dirty
+        victim = clone.fill(256)                    # evicts 128
+        assert (victim.line_addr, victim.dirty) == (128, False)
+        clone.fill(64)
+        assert clone.contents() == {0: [(0, True), (256, False)],
+                                    1: [(64, True)]}
+        assert template.contents() == pristine
+        assert self._clone(template).contents() == pristine
+
+    def test_cloning_a_clone_is_refused(self):
+        clone = self._clone(self._template())
+        with pytest.raises(ValueError, match="clone"):
+            self._clone(clone)
 
 
 class TestDramCache:

@@ -138,7 +138,7 @@ class TestStores:
         mem = make_system()
         mem.store_rfo(0, 0.0)
         mem.store_merge(0, 1.0)
-        assert mem.l1d.invalidate(0) is True
+        assert mem.l1d.contents()[0] == [(0, True)]
 
     def test_store_merge_without_rfo_refetches(self):
         mem = make_system()

@@ -1,17 +1,21 @@
 """Performance-model guards: the fast path must stay fast.
 
-Three contracts backstop the optimized simulation kernel:
+Four contracts backstop the optimized simulation kernel:
 
 * the untraced/unsanitized path performs **zero** allocations attributed
   to ``repro/telemetry`` or ``repro/sanitizer`` — observability is
   strictly pay-for-use (``tracemalloc``-enforced);
 * process-wide trace interning and warm-memory templates return state
   bit-identical to cold construction, so the speed-up can never leak
-  into model outputs;
+  into model outputs, and a clone never writes its template;
+* warm state stays out of the cycle collector's heap: template cache sets
+  are untracked, a clone adds only a handful of tracked objects, and
+  traces share one object per architectural register;
 * campaign pool workers import ``repro`` exactly once (the initializer
   pre-imports and pre-interns), surfaced through campaign telemetry.
 """
 
+import gc
 import os
 import tracemalloc
 
@@ -19,6 +23,7 @@ import pytest
 
 from repro import simulate
 from repro.config import skylake_default
+from repro.isa import dumps_trace, load_trace
 from repro.memory import prewarm
 from repro.memory.hierarchy import MemorySystem
 from repro.workloads import interning
@@ -28,8 +33,8 @@ from repro.workloads.synthetic import TraceGenerator
 _OBSERVED = os.environ.get("REPRO_TRACE") or os.environ.get(
     "REPRO_SANITIZE")
 
-# Generous per-instruction ceiling (calibrated ~4.5 KB on CPython 3.11,
-# dominated by the fixed-cost warm-template clone): catches an accidental
+# Generous per-instruction ceiling (calibrated ~180 B on CPython 3.11; a
+# warm clone copies only the sets it writes): catches an accidental
 # per-cycle event log or per-instruction object regression, not dict
 # sizing differences across CPython versions.
 _PEAK_BYTES_PER_INSTR = 16_384
@@ -138,13 +143,61 @@ class TestWarmMemoryTemplates:
             if theirs is None:
                 assert mine is None
                 continue
-            assert {idx: list(s) for idx, s in mine._sets.items()} \
-                == {idx: list(s) for idx, s in theirs._sets.items()}
+            assert mine.contents() == theirs.contents()
             assert (mine.hits, mine.misses) == (theirs.hits, theirs.misses)
         # The timing behaviour must match too, not just the snapshots.
         for line in (0x10_0000, 0x10_4000, 0x55_0000):
             assert warm.load(line, 10.0).latency \
                 == cold.load(line, 10.0).latency
+
+    @staticmethod
+    def _snapshot(memory):
+        return [(cache.contents(), cache.hits, cache.misses)
+                for cache in (memory.l1d, memory.l2, memory.l3)
+                if cache is not None]
+
+    @staticmethod
+    def _drive(memory):
+        """Loads, store RFO and merge, and dirty evictions that write back:
+        40 stores to one L1/L2 set, then 40 more whose lines alias the
+        first ones in the direct-mapped DRAM cache."""
+        time, trail = 0.0, []
+        for alias in (0, 4 << 30):
+            for k in range(40):
+                line = 0x10_0000 + alias + k * (1 << 20)
+                time = memory.store_rfo(line, time)
+                time = memory.store_merge(line, time)
+                trail.append(time)
+        for line in range(0x10_0000, 0x12_0000, 4096):
+            trail.append(memory.load(line, time).latency)
+        return (trail, memory.eviction_writebacks,
+                memory.nvm.stats.line_writes, memory.demand_loads)
+
+    def test_clones_are_isolated_from_each_other_and_the_template(self):
+        cfg = skylake_default().memory
+        extents = interning.region_extents(profile_by_name("rb"))
+        cold = self._cold(cfg, extents)
+        expected = self._drive(cold)
+        assert expected[1] > 0 and expected[2] > 0  # writebacks reach NVM
+        first = prewarm.warmed_memory(cfg, extents)
+        second = prewarm.warmed_memory(cfg, extents)
+        template = prewarm._templates[cfg, extents]
+        pristine = self._snapshot(template)
+        # Same stream on both clones: any state leaking from the first
+        # into the template or the second would change the second's trail.
+        for clone in (first, second):
+            assert self._drive(clone) == expected
+            assert self._snapshot(clone) == self._snapshot(cold)
+        assert self._snapshot(template) == pristine
+        simulate("rb", length=2000)
+        assert self._snapshot(template) == pristine
+        # A multicore run clones one template per thread (thread 0 shares
+        # rb's); every template must still equal a fresh cold build.
+        simulate("rb", core="multicore", threads=2, length=2000)
+        assert len(prewarm._templates) >= 2
+        for (key_cfg, key_extents), kept in prewarm._templates.items():
+            assert self._snapshot(kept) \
+                == self._snapshot(self._cold(key_cfg, key_extents))
 
     def test_template_reused_and_nvm_isolated(self):
         cfg = skylake_default().memory
@@ -156,6 +209,58 @@ class TestWarmMemoryTemplates:
         template = next(iter(prewarm._templates.values()))
         assert template.nvm.stats.line_writes == 0
         assert first.nvm.stats.line_writes == 0
+
+
+class TestGcFootprint:
+    """Long-lived warm state must stay out of the cycle collector's heap:
+    template sets are untracked int/bool dicts, a clone shares them, and
+    traces share one Register object per architectural register."""
+
+    def setup_method(self):
+        prewarm.clear()
+        interning.clear()
+
+    def teardown_method(self):
+        prewarm.clear()
+        interning.clear()
+
+    def test_no_template_set_is_gc_tracked(self):
+        for app in ("rb", "mcf"):
+            simulate(app, length=500)
+        assert prewarm._templates
+        for template in prewarm._templates.values():
+            for cache in (template.l1d, template.l2, template.l3):
+                if cache is not None:
+                    assert cache._sets
+                    assert not any(gc.is_tracked(s)
+                                   for s in cache._sets.values())
+
+    def test_clone_adds_few_gc_tracked_objects(self):
+        cfg = skylake_default().memory
+        extents = interning.region_extents(profile_by_name("rb"))
+        prewarm.warmed_memory(cfg, extents)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            memory = prewarm.warmed_memory(cfg, extents)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert memory.l2.resident_lines() > 10_000
+        assert added < 50, f"a warm clone added {added} tracked objects"
+
+    def test_trace_registers_are_shared(self):
+        trace = interning.interned_trace(profile_by_name("rb"), 2000)
+        registers = [reg for instr in trace
+                     for reg in (instr.dest, *instr.srcs) if reg is not None]
+        # 16 integer + 32 floating-point architectural registers.
+        assert len({id(reg) for reg in registers}) <= 48
+        reloaded = load_trace(dumps_trace(trace))
+        assert all(mine is theirs for mine, theirs in zip(
+            registers, (reg for instr in reloaded
+                        for reg in (instr.dest, *instr.srcs)
+                        if reg is not None)))
 
 
 class TestWorkerPreload:
