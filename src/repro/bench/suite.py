@@ -69,14 +69,13 @@ def _campaign_benchmark(name: str, description: str, sweep: str,
         cycles = 0.0
         instructions = 0
         for result in results:
-            if result.cache_hit or result.stats is None:
+            if result.cache_hit or not result.ok:
                 # Cache hits cost no simulation and must not inflate
                 # throughput; a failed point would understate it, so it
                 # is an error below instead.
                 continue
-            c, i = sim_volume(result.stats)
-            cycles += c
-            instructions += i
+            cycles += result.cycles
+            instructions += result.instructions
         if campaign.telemetry.failures:
             raise RuntimeError(
                 f"campaign benchmark {name}: "

@@ -17,7 +17,7 @@ from repro.analysis.stats import gmean
 from repro.config import skylake_default
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
-from repro.experiments.runner import run_points
+from repro.experiments.runner import run_point_results, run_points
 from repro.orchestrator.campaigns import (
     SWEEP_LENGTH,
     build_sweep,
@@ -300,7 +300,8 @@ def _sweep_figure(name: str, column: str, notes: str, apps,
     """Run the named sweep (:mod:`repro.orchestrator.campaigns`) as one
     campaign; summary keys are the config values (``gmean_80_80``)."""
     spec = sweep_spec(name, apps=apps, length=length)
-    rows = summarize_sweep(spec, run_points(build_sweep(spec)))
+    # Only cycles are read: the results stay undecoded.
+    rows = summarize_sweep(spec, run_point_results(build_sweep(spec)))
     return ExperimentResult(
         experiment_id=name, title=spec.title,
         columns=[column, "gmean_slowdown"],

@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 
 from repro.orchestrator.cache import ResultCache
-from repro.orchestrator.campaign import Campaign
+from repro.orchestrator.campaign import Campaign, PointResult
 from repro.orchestrator.points import SimPoint
 from repro.pipeline.stats import CoreStats
 
-__all__ = ["configure_disk_cache", "disk_cache", "run_points"]
+__all__ = ["configure_disk_cache", "disk_cache", "run_point_results",
+           "run_points"]
 
 _L2: ResultCache | None = None
 _L2_CONFIGURED = False
@@ -40,10 +41,15 @@ def disk_cache() -> ResultCache | None:
     return _L2
 
 
-def run_points(points: list[SimPoint]) -> list[CoreStats]:
-    """Run ``points`` as one campaign on the disk cache; stats come back in
-    submission order. A failed point raises
-    :class:`repro.orchestrator.CampaignError`."""
+def run_point_results(points: list[SimPoint]) -> list[PointResult]:
+    """Run ``points`` as one campaign on the disk cache; results come back
+    in submission order, their stats still undecoded. A failed point
+    raises :class:`repro.orchestrator.CampaignError`."""
     campaign = Campaign(cache=disk_cache(), fail_fast=True)
     campaign.extend(points)
-    return [result.stats for result in campaign.run()]
+    return campaign.run()
+
+
+def run_points(points: list[SimPoint]) -> list[CoreStats]:
+    """:func:`run_point_results`, decoded to each point's stats."""
+    return [result.stats for result in run_point_results(points)]

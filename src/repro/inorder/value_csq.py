@@ -32,8 +32,7 @@ class ValueCsqEntry:
 
     @classmethod
     def from_row(cls, row: list) -> "ValueCsqEntry":
-        return cls(seq=row[0], addr=row[1], value=row[2],
-                   commit_time=row[3])
+        return cls(row[0], row[1], row[2], row[3])
 
 
 class ValueCsq:

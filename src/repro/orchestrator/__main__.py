@@ -92,7 +92,7 @@ def _cmd_run(args) -> int:
         if not args.json:
             print(f"{'point':32s} {'cycles':>12s} {'ipc':>6s} {'src':>5s}")
             for result in results:
-                if result.stats is None:
+                if not result.ok:
                     print(f"{result.point.name:32s} FAILED: "
                           f"{result.error}")
                     continue
@@ -101,8 +101,8 @@ def _cmd_run(args) -> int:
                       f"{result.stats.ipc:6.2f} "
                       f"{'cache' if result.cache_hit else 'sim':>5s}")
     elif not failed:
-        summary_rows = summarize_sweep(
-            spec, [result.stats for result in results])
+        # PointResult.cycles reads the payload: nothing is decoded.
+        summary_rows = summarize_sweep(spec, results)
         if not args.json:
             print(f"== {spec.name}: {spec.title} ==")
             for label, mean in summary_rows:

@@ -6,6 +6,14 @@ The salt hashes every ``repro`` source file, so editing the simulator
 invalidates old results instead of silently serving them; ``gc`` reclaims
 entries written under a different salt.
 
+An entry is ``{"digest", "salt", "schema", "meta", "payload"}``, encoded
+in one ``json.dumps`` call. The payload is the worker's compact form
+(:func:`repro.orchestrator.serialize.payload_from_run`): its stats
+envelope is packed into one zlib-compressed column block, and ``cycles``
+/ ``instructions`` sit at its top level, so reading an entry parses a few
+KiB of JSON and decodes no stats. Nothing on disk is pickled: tenants of
+one service share the directory.
+
 Concurrency contract (many processes may share one cache directory):
 
 * ``put`` is atomic (temp file + ``os.replace``) — concurrent writers of
@@ -148,15 +156,14 @@ class ResultCache:
         file), counts as a miss and is removed."""
         path = self._path(digest)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry = json.loads(path.read_bytes())
             if entry.get("digest") != digest:
                 raise ValueError("digest/filename mismatch")
             payload = entry["payload"]
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, AttributeError):
             path.unlink(missing_ok=True)
             self.counters.misses += 1
             return None
@@ -180,15 +187,18 @@ class ResultCache:
             "meta": meta or {},
             "payload": payload,
         }
+        # One json.dumps call runs the C encoder; json.dump onto a handle
+        # would stream through the pure-Python one.
+        data = json.dumps(entry, allow_nan=False,
+                          separators=(",", ":")).encode("utf-8")
         for attempt in range(4):
             tmp_name = None
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                                 suffix=".tmp")
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, allow_nan=False,
-                              separators=(",", ":"))
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp_name, path)
                 return
             except FileNotFoundError:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from repro.config import sanitize_requested
@@ -28,6 +29,7 @@ from repro.orchestrator.cache import ResultCache, point_digest
 from repro.orchestrator.points import SimPoint
 from repro.orchestrator.pool import Lane, PoolExecutor
 from repro.orchestrator.serialize import (
+    check_payload_schema,
     persist_log_from_payload,
     stats_from_payload,
 )
@@ -35,12 +37,17 @@ from repro.orchestrator.serialize import (
 
 @dataclass
 class PointResult:
-    """Outcome of one campaign point (order matches submission order)."""
+    """Outcome of one campaign point (order matches submission order).
+
+    The result keeps its compact worker/cache payload and decodes
+    :attr:`stats` and :attr:`persist_log` only on first access, so a
+    consumer that needs cycles alone (:attr:`cycles`, :meth:`to_dict`,
+    sweep summaries) never unpacks the per-instruction columns."""
 
     index: int
     point: SimPoint
-    stats: CoreStats | None = None
-    persist_log: list[PersistOp] | None = None
+    # The payload (serialize.payload_from_run), None for a failed point.
+    payload: dict[str, Any] | None = field(default=None, repr=False)
     cache_hit: bool = False
     # Simulation time spent inside a worker *during this campaign*; a
     # cache hit costs no simulation, so it reports 0.0 here and carries
@@ -61,14 +68,38 @@ class PointResult:
 
     @property
     def ok(self) -> bool:
-        return self.stats is not None
+        return self.payload is not None
+
+    @cached_property
+    def stats(self) -> CoreStats | None:
+        """The decoded stats (first access decodes; later ones reuse)."""
+        if self.payload is None:
+            return None
+        try:
+            return stats_from_payload(self.payload)
+        except ValueError as error:
+            raise ValueError(
+                f"point {self.index} ({self.point.name}): {error}") \
+                from error
+
+    @cached_property
+    def persist_log(self) -> list[PersistOp] | None:
+        if self.payload is None:
+            return None
+        return persist_log_from_payload(self.payload)
+
+    @property
+    def cycles(self) -> float:
+        """Simulated cycles, read from the payload without decoding."""
+        return self.payload["cycles"] if self.payload is not None else 0.0
+
+    @property
+    def instructions(self) -> int:
+        return self.payload["instructions"] \
+            if self.payload is not None else 0
 
     def to_dict(self) -> dict[str, Any]:
         """Machine-readable digest of the result (no stats payload)."""
-        from repro.statsbase import sim_volume
-
-        cycles, instructions = (sim_volume(self.stats)
-                                if self.stats is not None else (0.0, 0))
         return {
             "index": self.index,
             "point": self.point.name,
@@ -79,8 +110,8 @@ class PointResult:
             "attempts": self.attempts,
             "engine": self.engine,
             "error": self.error,
-            "cycles": cycles,
-            "instructions": instructions,
+            "cycles": self.cycles,
+            "instructions": self.instructions,
         }
 
 
@@ -269,11 +300,9 @@ class Campaign:
         payload = self.cache.get(digest)
         if payload is None:
             return None
+        check_payload_schema(payload)
         return PointResult(
-            index=index, point=point,
-            stats=stats_from_payload(payload),
-            persist_log=persist_log_from_payload(payload),
-            cache_hit=True,
+            index=index, point=point, payload=payload, cache_hit=True,
             cached_wall_clock=payload.get("wall_clock", 0.0),
             engine=payload.get("engine", "scalar"),
         )
@@ -320,10 +349,9 @@ class Campaign:
         # cached payloads must stay deterministic, and a future cache hit
         # ran in no worker at all.
         worker = payload.pop("worker", None)
+        check_payload_schema(payload)
         result = PointResult(
-            index=index, point=point,
-            stats=stats_from_payload(payload),
-            persist_log=persist_log_from_payload(payload),
+            index=index, point=point, payload=payload,
             wall_clock=payload.get("wall_clock", 0.0),
             attempts=attempts,
             engine=payload.get("engine", "scalar"),

@@ -161,19 +161,29 @@ def summarize_sweep(spec: SweepSpec,
 
     ``stats`` holds one result per point of the list ``build_sweep``
     produced, in that order (``None`` for a failed point, which raises);
-    :meth:`Campaign.run` and ``run_points`` both keep submission order."""
+    :meth:`Campaign.run` and ``run_points`` both keep submission order.
+    Only each result's ``cycles`` is read, so a
+    :class:`~repro.orchestrator.campaign.PointResult` serves as well as
+    its decoded stats."""
+    return summarize_cycles(spec, [None if result is None else result.cycles
+                                   for result in stats])
+
+
+def summarize_cycles(spec: SweepSpec, cycles: Sequence[float | None]) \
+        -> list[tuple[str, float]]:
+    """:func:`summarize_sweep` over per-point cycle counts."""
     rows = []
-    cursor = iter(stats)
+    cursor = iter(cycles)
     for label, _config in spec.configs:
         ratios = []
         for app in spec.apps:
             per_scheme = {}
             for scheme in spec.schemes:
-                result = next(cursor)
-                if result is None:
+                value = next(cursor)
+                if value is None:
                     raise RuntimeError(f"point {spec.name}:{label}:{app}:"
                                        f"{scheme} has no result")
-                per_scheme[scheme] = result.cycles
+                per_scheme[scheme] = value
             ratios.append(per_scheme["ppa"] / per_scheme["baseline"])
         rows.append((label, gmean(ratios)))
     return rows

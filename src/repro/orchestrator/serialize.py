@@ -9,12 +9,28 @@ content-addressed cache hashes.
 Everything is strict JSON (``allow_nan=False``): non-finite floats are
 encoded as the strings ``"inf"``/``"-inf"``/``"nan"`` by
 :func:`repro.pipeline.stats.encode_float`.
+
+A worker payload carries its stats envelope *packed*
+(:func:`pack_envelope`): every long list whose values all share one exact
+type (``float``, or an ``int`` that fits in signed 64 bits) becomes a
+``{"@col": "d"|"q", "at": offset, "n": length}`` column of one shared
+zlib-compressed block of little-endian 8-byte items, and a long list of
+equal-width rows (``stores``, ``regions``) becomes ``{"@rows": [column,
+...]}``, one column per row field. Everything else (mixed types,
+``"inf"`` strings, store values of 2**63 and up) stays a plain JSON list,
+so :func:`unpack_envelope` restores the exact ``stats_to_dict`` envelope.
+A fig16 entry shrinks from about 125 KiB to about 19 KiB, and nothing is
+unpacked until someone reads the stats.
 """
 
 from __future__ import annotations
 
+import array
+import base64
 import dataclasses
 import json
+import sys
+import zlib
 from typing import Any
 
 from repro.config import (
@@ -147,6 +163,133 @@ def persist_log_from_list(data: list[dict[str, Any]]) -> list[PersistOp]:
 
 
 # ---------------------------------------------------------------------------
+# Packed stats envelopes
+# ---------------------------------------------------------------------------
+
+# Lists shorter than this stay plain JSON: packing them saves nothing.
+PACK_MIN_LENGTH = 16
+# Keys that mark a packed node; an original dict using one is escaped as
+# {"@obj": {...}} so unpacking can never mistake it for a packed node.
+_MARKERS = frozenset(("@z", "@col", "@rows", "@obj"))
+# Exact value type -> array typecode of a packed column (8-byte items).
+_TYPECODES = {float: "d", int: "q"}
+_CODES = frozenset(_TYPECODES.values())
+_CONTAINERS = frozenset((dict, list))
+_SWAP = sys.byteorder != "little"     # columns are stored little-endian
+
+
+def pack_envelope(envelope: Any) -> Any:
+    """Compact form of a ``stats_to_dict`` envelope (or any JSON value);
+    :func:`unpack_envelope` inverts it exactly.
+
+    Every packed column's bytes go into one zlib stream, ``"@z"``, and the
+    column itself becomes ``{"@col": typecode, "at": byte offset, "n":
+    length}`` in ``"tree"``: one compressor per envelope instead of one
+    per column, whose set-up cost would dominate the small ones. The
+    stream holds the 8-byte items byte-transposed (all first bytes, then
+    all second bytes, ...), which puts the near-constant high bytes of
+    cycle counts and addresses side by side: a fig16 block compresses 40%
+    smaller, and faster, than the plain bytes."""
+    chunks: list[bytes] = []
+    tree = _pack(envelope, chunks)
+    if not chunks:
+        return tree
+    data = b"".join(chunks)
+    data = b"".join([data[lane::8] for lane in range(8)])
+    return {"@z": base64.b64encode(zlib.compress(data, 1)).decode("ascii"),
+            "tree": tree}
+
+
+def _pack(node: Any, chunks: list[bytes]) -> Any:
+    kind = type(node)
+    if kind is dict:
+        packed = {key: _pack(value, chunks)
+                  if type(value) in _CONTAINERS else value
+                  for key, value in node.items()}
+        return packed if _MARKERS.isdisjoint(node) else {"@obj": packed}
+    if kind is not list:
+        return node
+    types = set(map(type, node))
+    if len(node) >= PACK_MIN_LENGTH and len(types) == 1:
+        (only,) = types
+        code = _TYPECODES.get(only)
+        if code is not None:
+            try:
+                column = array.array(code, node)
+            except OverflowError:     # an int outside the signed 64 bits
+                return node
+            if _SWAP:
+                column.byteswap()
+            at = sum(map(len, chunks))
+            chunks.append(column.tobytes())
+            return {"@col": code, "at": at, "n": len(node)}
+        if only is list:
+            widths = set(map(len, node))
+            if len(widths) == 1 and 0 not in widths:
+                return {"@rows": [_pack(list(field), chunks)
+                                  for field in zip(*node)]}
+    if _CONTAINERS.isdisjoint(types):
+        return node
+    return [_pack(item, chunks) for item in node]
+
+
+def unpack_envelope(node: Any) -> Any:
+    """Inverse of :func:`pack_envelope`; unpacked input passes through.
+    A packed column that fails to decode raises :class:`ValueError`."""
+    if type(node) is dict and "@z" in node:
+        try:
+            shuffled = zlib.decompress(
+                base64.b64decode(node["@z"], validate=True))
+            tree = node["tree"]
+        except (KeyError, TypeError, ValueError, zlib.error) as error:
+            raise ValueError(
+                f"corrupt packed stats: {error!r}") from error
+        items, odd = divmod(len(shuffled), 8)
+        if odd:
+            raise ValueError("corrupt packed stats: block of "
+                             f"{len(shuffled)} bytes is not 8-byte items")
+        data = bytearray(len(shuffled))
+        for lane in range(8):
+            data[lane::8] = shuffled[lane * items:(lane + 1) * items]
+        return _unpack(tree, memoryview(data))
+    return _unpack(node, memoryview(b""))
+
+
+def _unpack(node: Any, data: memoryview) -> Any:
+    kind = type(node)
+    if kind is dict:
+        if "@col" in node:
+            return _unpack_column(node, data)
+        if "@rows" in node:
+            return list(map(list, zip(*[_unpack(field, data)
+                                        for field in node["@rows"]])))
+        if "@obj" in node:
+            node = node["@obj"]
+        return {key: _unpack(value, data)
+                if type(value) in _CONTAINERS else value
+                for key, value in node.items()}
+    if kind is list and not _CONTAINERS.isdisjoint(map(type, node)):
+        return [_unpack(item, data) for item in node]
+    return node
+
+
+def _unpack_column(node: dict[str, Any], data: memoryview) -> list:
+    try:
+        code, at, length = node["@col"], node["at"], node["n"]
+        if code not in _CODES or at < 0 or at % 8:
+            raise ValueError(f"bad column {node!r}")
+        column = array.array(code)
+        column.frombytes(data[at:at + 8 * length])
+        if len(column) != length:
+            raise ValueError(f"column {node!r} overruns the packed data")
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"corrupt packed column: {error}") from error
+    if _SWAP:
+        column.byteswap()
+    return column.tolist()
+
+
+# ---------------------------------------------------------------------------
 # Worker payloads
 # ---------------------------------------------------------------------------
 
@@ -156,12 +299,13 @@ def payload_from_run(stats: StatsBase, persist_log: list[PersistOp] | None,
     """What a worker returns (and the disk cache stores) for one point.
 
     The stats travel as a :func:`repro.statsbase.stats_to_dict` tagged
-    envelope, so any :class:`~repro.statsbase.StatsBase` kind round-trips
-    through workers and the disk cache without this module knowing the
-    concrete class. Simulated cycles and retired instructions are also
-    lifted to the top level, so cache inventories and the bench harness
-    can derive campaign throughput (cycles/s, instrs/s) without decoding
-    the full stats envelope.
+    envelope, packed by :func:`pack_envelope`, so any
+    :class:`~repro.statsbase.StatsBase` kind round-trips through workers
+    and the disk cache without this module knowing the concrete class.
+    Simulated cycles (``float(stats.cycles)``, or a multicore makespan)
+    and retired instructions are also lifted to the top level, so sweep
+    summaries, cache inventories and the bench harness read them without
+    decoding the envelope.
 
     ``engine`` records which kernel actually produced the stats
     (``"scalar"`` or ``"batched"`` — a diverged lane that fell back
@@ -172,7 +316,7 @@ def payload_from_run(stats: StatsBase, persist_log: list[PersistOp] | None,
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "engine": engine,
-        "stats": stats_to_dict(stats),
+        "stats": pack_envelope(stats_to_dict(stats)),
         "persist_log": (persist_log_to_list(persist_log)
                         if persist_log is not None else None),
         "wall_clock": wall_clock,
@@ -181,16 +325,27 @@ def payload_from_run(stats: StatsBase, persist_log: list[PersistOp] | None,
     }
 
 
-def stats_from_payload(payload: dict[str, Any]) -> StatsBase:
-    """Decode a payload's stats; rejects payloads from other schema
-    versions (the cache key already embeds the schema, so this firing
-    means a corrupted or hand-fed payload)."""
+def check_payload_schema(payload: dict[str, Any]) -> None:
+    """Reject payloads from other schema versions (the cache key already
+    embeds the schema, so this firing means a corrupted or hand-fed
+    payload)."""
     schema = payload.get("schema")
     if schema != CACHE_SCHEMA_VERSION:
         raise ValueError(
             f"stale result payload: schema {schema!r}, expected "
             f"{CACHE_SCHEMA_VERSION}")
-    return stats_from_dict(payload["stats"])
+
+
+def stats_from_payload(payload: dict[str, Any]) -> StatsBase:
+    """Decode a payload's stats (packed or already unpacked envelope)."""
+    check_payload_schema(payload)
+    return stats_from_dict(unpack_envelope(payload["stats"]))
+
+
+def unpacked_payload(payload: dict[str, Any]) -> dict[str, Any]:
+    """A copy of ``payload`` whose stats are the full ``stats_to_dict``
+    envelope — the public wire form of a result."""
+    return {**payload, "stats": unpack_envelope(payload["stats"])}
 
 
 def persist_log_from_payload(payload: dict[str, Any]) \
@@ -215,7 +370,10 @@ def persist_log_from_payload(payload: dict[str, Any]) \
 # v4 payloads cannot attribute their results and must not alias — stale
 # v4 digests are orphaned (the key material embeds the schema) and
 # reported/reclaimed by the cache's inventory/gc.
-CACHE_SCHEMA_VERSION = 5
+# v6: the stats envelope is stored packed (pack_envelope: long numeric
+# lists and row columns as zlib-compressed little-endian arrays); a v5
+# reader would misparse the packed columns, so v5 entries must not alias.
+CACHE_SCHEMA_VERSION = 6
 
 
 def point_key_material(point: SimPoint, salt: str,

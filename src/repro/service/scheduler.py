@@ -653,26 +653,31 @@ class FleetScheduler:
                 and not job.failures:
             out["summary"] = self._summarize(job, sweep)
         if include_stats:
-            out["payloads"] = {str(index): payload for index, payload
+            # Payloads travel packed between workers, cache and
+            # scheduler; the HTTP document carries the full
+            # stats_to_dict envelope.
+            from repro.orchestrator.serialize import unpacked_payload
+
+            out["payloads"] = {str(index): unpacked_payload(payload)
+                               for index, payload
                                in sorted(job.payloads.items())}
         return out
 
     def _summarize(self, job: CampaignJob, sweep: str) \
             -> list[dict[str, Any]] | None:
         from repro.orchestrator.campaigns import (
-            summarize_sweep,
+            summarize_cycles,
             sweep_spec,
         )
-        from repro.orchestrator.serialize import stats_from_payload
 
         try:
             spec = sweep_spec(sweep,
                               apps=job.meta.get("apps") or None,
                               length=job.meta.get("length") or None)
-            stats = [stats_from_payload(job.payloads[index])
-                     for index in range(len(job.points))]
+            cycles = [job.payloads[index]["cycles"]
+                      for index in range(len(job.points))]
             return [{"label": label, "gmean_slowdown": mean}
-                    for label, mean in summarize_sweep(spec, stats)]
+                    for label, mean in summarize_cycles(spec, cycles)]
         except (ValueError, KeyError, RuntimeError):
             return None               # not a stock sweep shape; no summary
 

@@ -73,6 +73,15 @@ class TestResultCache:
         assert cache.get(digest) is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("data", [b"[]", b"\xff\xfe"])
+    def test_non_object_or_non_utf8_entry_is_a_miss(self, cache, data):
+        digest = "ce" + "0" * 62
+        cache.put(digest, {"x": 1})
+        path = cache._path(digest)
+        path.write_bytes(data)
+        assert cache.get(digest) is None
+        assert not path.exists()
+
     def test_inventory_and_gc(self, cache):
         cache.put("aa" + "0" * 62, {"x": 1})
         cache.put("bb" + "0" * 62, {"x": 2})

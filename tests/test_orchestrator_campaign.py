@@ -351,6 +351,60 @@ class TestCacheHitAccounting:
         assert 0.0 <= data["worker_utilization"] <= 1.0
 
 
+class TestLazyPayloads:
+    """Results keep the compact payload and decode it on first access;
+    bad payloads still fail loudly and name their point."""
+
+    def _cached_point(self, tmp_path):
+        from repro.orchestrator.cache import point_digest
+
+        cache = ResultCache(tmp_path)
+        cold = Campaign(cache=cache)
+        cold.add_run("rb", "ppa", length=LENGTH, warmup=0)
+        [result] = cold.run()
+        return cache, cold.points[0], point_digest(cold.points[0]), result
+
+    def test_stale_payload_fails_inside_run(self, tmp_path):
+        cache, point, digest, _ = self._cached_point(tmp_path)
+        payload = cache.get(digest)
+        payload["schema"] = 5
+        cache.put(digest, payload)
+        warm = Campaign(cache=cache)
+        warm.add(point)
+        with pytest.raises(ValueError, match="stale result payload"):
+            warm.run()
+
+    def test_corrupt_column_names_the_point(self, tmp_path):
+        cache, point, digest, cold_result = self._cached_point(tmp_path)
+        payload = cache.get(digest)
+        payload["stats"]["@z"] = payload["stats"]["@z"][:-12]
+        cache.put(digest, payload)
+        warm = Campaign(cache=cache)
+        warm.add(point)
+        [result] = warm.run()
+        assert result.ok and result.cycles == cold_result.cycles
+        with pytest.raises(ValueError,
+                           match=f"{point.name}.*corrupt packed") as info:
+            result.stats
+        assert type(info.value) is ValueError
+
+    def test_cycles_read_without_decoding(self, tmp_path, monkeypatch):
+        from repro.orchestrator import campaign as campaign_mod
+
+        cache, point, _, cold_result = self._cached_point(tmp_path)
+        expected = (cold_result.stats.cycles, cold_result.stats.instructions)
+
+        def no_decode(payload):
+            raise AssertionError("stats decoded")
+
+        monkeypatch.setattr(campaign_mod, "stats_from_payload", no_decode)
+        warm = Campaign(cache=cache)
+        warm.add(point)
+        [result] = warm.run()
+        data = result.to_dict()
+        assert (data["cycles"], data["instructions"]) == expected
+
+
 class TestCliJson:
     def test_run_json_emits_results_and_telemetry(self, tmp_path, capsys):
         import json

@@ -1,6 +1,9 @@
 """JSON round-tripping of stats, persist logs, configs, and profiles."""
 
+import base64
+import functools
 import json
+import zlib
 
 import pytest
 
@@ -8,8 +11,10 @@ from repro.config import skylake_default
 from repro.orchestrator.execute import simulate_point
 from repro.orchestrator.points import make_point
 from repro.orchestrator.serialize import (
+    PACK_MIN_LENGTH,
     config_from_dict,
     config_to_dict,
+    pack_envelope,
     payload_from_run,
     persist_log_from_payload,
     persist_log_from_list,
@@ -17,6 +22,8 @@ from repro.orchestrator.serialize import (
     profile_from_dict,
     profile_to_dict,
     stats_from_payload,
+    unpack_envelope,
+    unpacked_payload,
 )
 from repro.pipeline.stats import (
     CoreStats,
@@ -25,6 +32,7 @@ from repro.pipeline.stats import (
     decode_float,
     encode_float,
 )
+from repro.statsbase import stats_from_dict, stats_to_dict
 from repro.workloads.profiles import profile_by_name
 
 
@@ -150,6 +158,37 @@ class TestSchemaInvalidation:
         assert payload["schema"] == CACHE_SCHEMA_VERSION
         assert payload["stats"]["kind"] == "core"
 
+    def test_v5_entry_is_stale_and_never_served(self, tmp_path,
+                                                monkeypatch):
+        """A v5 entry (unpacked envelope, v5 key material) is reported by
+        ``inventory`` as ``stale_schema`` and never answers a v6 lookup."""
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import ResultCache, point_digest
+        from repro.orchestrator.campaign import Campaign
+
+        point = make_point("rb", "ppa", length=500, warmup=0)
+        stats, _ = simulate_point(point)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "CACHE_SCHEMA_VERSION", 5)
+            v5_digest = point_digest(point)
+        cache = ResultCache(tmp_path)
+        cache.put(v5_digest, {"schema": 5, "engine": "scalar",
+                              "stats": stats_to_dict(stats),
+                              "persist_log": None, "wall_clock": 0.1,
+                              "cycles": stats.cycles,
+                              "instructions": stats.instructions})
+        assert v5_digest != point_digest(point)
+        assert cache.inventory()["stale_schema"] == 1
+
+        campaign = Campaign(cache=cache)
+        campaign.add(point)
+        [result] = campaign.run()
+        assert not result.cache_hit
+        assert result.stats == stats
+        inventory = cache.inventory()
+        assert inventory["entries"] == 2
+        assert inventory["stale_schema"] == 1
+
     def test_schema_bump_orphans_cache_keys(self, monkeypatch):
         """The schema version is part of the key material, so a bump
         orphans every old disk-cache entry (digest never aliases)."""
@@ -161,6 +200,187 @@ class TestSchemaInvalidation:
         monkeypatch.setattr(serialize, "CACHE_SCHEMA_VERSION", 2)
         previous = point_digest(point, salt="fixed")
         assert current != previous
+
+
+def _canonical(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
+def _assert_lossless(envelope):
+    """Packing, a strict-JSON trip and unpacking restore the envelope
+    byte for byte — with and without the JSON trip in between."""
+    packed = pack_envelope(envelope)
+    assert _canonical(unpack_envelope(packed)) == _canonical(envelope)
+    if "NaN" not in _canonical(envelope):
+        tripped = _json_round_trip(packed)
+        assert _canonical(unpack_envelope(tripped)) == _canonical(envelope)
+    return packed
+
+
+@functools.cache
+def _every_stats_kind():
+    """One real (or, for the device counters, hand-filled) stats object of
+    every registered kind."""
+    from repro import simulate
+    from repro.core.iobuffer import IoBufferStats
+    from repro.memory.nvm import NvmStats
+
+    core, _ = simulate_point(make_point("rb", "ppa", length=1_500,
+                                        warmup=0, track_values=True))
+    inorder = simulate("gcc", core="inorder", scheme="ppa",
+                       length=1_500).stats
+    multicore = simulate("water-ns", core="multicore", scheme="ppa",
+                         length=1_500, threads=2).stats
+    return {
+        "core": core,
+        "inorder": inorder,
+        "multicore": multicore,
+        "nvm": NvmStats(line_writes=7, reads=3,
+                        write_backpressure_cycles=1.5,
+                        read_contention_cycles=-0.0, busy_cycles=1e300),
+        "iobuffer": IoBufferStats(writes=4, backpressure_cycles=2.25,
+                                  max_occupancy=2),
+    }
+
+
+class TestPackedEnvelope:
+    """pack_envelope/unpack_envelope are lossless by construction."""
+
+    def test_every_stats_kind_round_trips_byte_identically(self):
+        for kind, stats in _every_stats_kind().items():
+            envelope = stats_to_dict(stats)
+            assert envelope["kind"] == kind
+            packed = _assert_lossless(envelope)
+            assert stats_from_dict(unpack_envelope(packed)) == stats
+            payload = _json_round_trip(payload_from_run(stats, None, 0.1))
+            assert stats_from_payload(payload) == stats
+
+    def test_long_columns_are_packed(self):
+        stats = _every_stats_kind()["core"]
+        packed = pack_envelope(stats_to_dict(stats))
+        data = packed["tree"]["data"]
+        assert data["commit_times"]["@col"] == "d"
+        stores = data["stores"]["@rows"]
+        assert stores[0]["@col"] == "q"           # seq
+        assert stores[7]["@col"] == "d"           # commit_time
+        # track_values stores 64-bit values: those >= 2**63 do not fit
+        # the signed column, so that column stays a plain list.
+        values = stores[4]
+        assert isinstance(values, list)
+        assert any(value >= 2 ** 63 for value in values)
+
+    def test_edge_values(self):
+        n = PACK_MIN_LENGTH
+        store = [1, 2, 3, 4, 2 ** 63, 5, 6, 7.5, 8, "inf"]
+        envelope = {"kind": "core", "data": {
+            # Non-finite durable_at values are "inf"/"-inf"/"nan" strings
+            # among floats: the column stays plain.
+            "stores": [[i, 2, 3, 4, 2 ** 64 - 1 - i, 5, 6, 7.5, 8,
+                        ["inf", "-inf", "nan", 1.5][i % 4]]
+                       for i in range(n)],
+            "one_store": [store],
+            "negative_zero": [-0.0] * n,
+            "non_finite": [float("inf"), float("-inf"), float("nan")] * n,
+            "int_float_mixed": [1, 1.0] * n,
+            "bool_column": [True, False] * n,
+            "int64_bounds": [-2 ** 63, 2 ** 63 - 1] * n,
+            "beyond_int64": [2 ** 63] * n,
+            "empty": [],
+            "short": [1.5] * (n - 1),
+            "empty_rows": [[]] * n,
+            "ragged_rows": [[1], [1, 2]] * n,
+            "nested": [{"commit_times": [0.5] * n}, [[1.0] * n]],
+            "marker_keys": {"@col": "d", "@rows": [1] * n, "@z": "x",
+                            "@obj": {"@obj": 1}},
+        }}
+        packed = _assert_lossless(envelope)
+        data = packed["tree"]["data"]
+        assert data["negative_zero"]["@col"] == "d"
+        assert data["int64_bounds"]["@col"] == "q"
+        for plain in ("int_float_mixed", "bool_column", "beyond_int64",
+                      "empty", "short", "empty_rows", "ragged_rows",
+                      "one_store"):
+            assert isinstance(data[plain], list), plain
+        assert "@obj" in data["marker_keys"]
+        restored = unpack_envelope(packed)["data"]
+        assert str(restored["negative_zero"][0]) == "-0.0"
+        assert type(restored["int_float_mixed"][0]) is int
+        assert type(restored["int_float_mixed"][1]) is float
+
+    def test_edge_core_stats_round_trip_through_a_payload(self):
+        n = PACK_MIN_LENGTH
+        durable = [float("inf"), float("-inf"), float("nan"), -0.0, 2.5]
+        stats = CoreStats(
+            name="edge", scheme="ppa", instructions=2 * n, cycles=-0.0,
+            commit_times=[-0.0, 0.5, 1e308] * n,
+            stores=[StoreRecord(seq=i, pc=4 * i, addr=64 * i + 8,
+                                line_addr=64 * i, value=2 ** 64 - 1 - i,
+                                data_preg=i % 7, data_cls=i % 2,
+                                commit_time=float(i), region_id=i // 4,
+                                durable_at=durable[i % len(durable)])
+                    for i in range(2 * n)])
+        envelope = stats_to_dict(stats)
+        _assert_lossless(envelope)
+        payload = _json_round_trip(payload_from_run(stats, None, 0.0))
+        restored = stats_from_payload(payload)
+        assert _canonical(stats_to_dict(restored)) == _canonical(envelope)
+        assert str(restored.stores[3].durable_at) == "-0.0"
+
+    def test_envelope_without_long_lists_is_left_as_is(self):
+        envelope = {"kind": "nvm", "data": {"line_writes": 1}}
+        assert pack_envelope(envelope) == envelope
+        assert unpack_envelope(envelope) == envelope
+
+    def test_unpacked_envelopes_pass_through(self):
+        stats = _every_stats_kind()["core"]
+        payload = payload_from_run(stats, None, 0.1)
+        full = unpacked_payload(payload)
+        assert full["stats"] == stats_to_dict(stats)
+        assert stats_from_payload(full) == stats
+        assert {key: value for key, value in full.items()
+                if key != "stats"} == \
+            {key: value for key, value in payload.items() if key != "stats"}
+
+    def test_payload_is_a_fraction_of_the_plain_envelope(self):
+        stats = _every_stats_kind()["core"]
+        payload = payload_from_run(stats, None, 0.1)
+        plain = unpacked_payload(payload)
+        assert len(json.dumps(payload)) * 2 < len(json.dumps(plain))
+
+
+class TestCorruptPackedColumns:
+    """A column that fails to decode is a ValueError, never a raw
+    zlib.error or binascii.Error."""
+
+    def _packed(self):
+        stats = _every_stats_kind()["core"]
+        return payload_from_run(stats, None, 0.1)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda z: z[:-8],                                  # truncated
+        lambda z: "!" + z[1:],                             # not base64
+        lambda z: base64.b64encode(b"not zlib").decode(),  # not zlib
+        lambda z: base64.b64encode(zlib.compress(b"x" * 9)).decode(),
+    ])
+    def test_bad_block_raises_value_error(self, corrupt):
+        payload = self._packed()
+        payload["stats"]["@z"] = corrupt(payload["stats"]["@z"])
+        with pytest.raises(ValueError, match="corrupt packed"):
+            stats_from_payload(payload)
+
+    def test_bad_column_node_raises_value_error(self):
+        payload = self._packed()
+        data = payload["stats"]["tree"]["data"]
+        for bad in ({"@col": "b", "at": 0, "n": 1},
+                    {"@col": "Q", "at": 0, "n": 1},
+                    {"@col": "d", "at": -8, "n": 1},
+                    {"@col": "d", "at": 4, "n": 1},
+                    {"@col": "d", "at": 0, "n": 10 ** 9},
+                    {"@col": "d", "n": 3},
+                    {"@col": "d", "at": "0", "n": 3}):
+            data["commit_times"] = bad
+            with pytest.raises(ValueError, match="corrupt packed column"):
+                stats_from_payload(payload)
 
 
 class TestConfigAndProfileRoundTrip:

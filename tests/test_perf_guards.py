@@ -1,6 +1,7 @@
 """Performance-model guards: the fast path must stay fast.
 
-Four contracts backstop the optimized simulation kernel:
+Five contracts backstop the optimized simulation kernel and the result
+data plane:
 
 * the untraced/unsanitized path performs **zero** allocations attributed
   to ``repro/telemetry`` or ``repro/sanitizer`` — observability is
@@ -12,7 +13,10 @@ Four contracts backstop the optimized simulation kernel:
   are untracked, a clone adds only a handful of tracked objects, and
   traces share one object per architectural register;
 * campaign pool workers import ``repro`` exactly once (the initializer
-  pre-imports and pre-interns), surfaced through campaign telemetry.
+  pre-imports and pre-interns), surfaced through campaign telemetry;
+* cached results stay compact and lazy: a fig16 entry is at most a third
+  of its unpacked (schema v5) size, a warm campaign decodes no stats,
+  and a result decodes its stats once.
 """
 
 import gc
@@ -288,3 +292,61 @@ class TestWorkerPreload:
         results = campaign.run()
         assert results[0].ok
         assert not campaign.telemetry.worker_imports
+
+
+class TestCompactLazyResults:
+    @pytest.fixture(scope="class")
+    def fig16_cache(self, tmp_path_factory):
+        """One fig16-length ``rb`` point, simulated into a fresh cache."""
+        from repro.orchestrator.cache import ResultCache
+        from repro.orchestrator.campaign import Campaign
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        cache = ResultCache(tmp_path_factory.mktemp("fig16-cache"))
+        point = build_sweep(sweep_spec("fig16", apps=["rb"]))[0]
+        campaign = Campaign(cache=cache)
+        campaign.add(point)
+        [result] = campaign.run()
+        assert result.ok
+        return cache, point
+
+    def test_entry_is_a_third_of_its_v5_size(self, fig16_cache):
+        import json
+
+        from repro.orchestrator.serialize import unpacked_payload
+
+        cache, _ = fig16_cache
+        [path] = cache.entries()
+        entry = json.loads(path.read_bytes())
+        # The same entry as schema v5 stored it: the full stats envelope.
+        entry["payload"] = {**unpacked_payload(entry["payload"]),
+                            "schema": 5}
+        v5_size = len(json.dumps(entry, allow_nan=False,
+                                 separators=(",", ":")))
+        assert path.stat().st_size * 3 <= v5_size, (
+            f"{path.stat().st_size} B packed vs {v5_size} B unpacked")
+
+    def test_warm_campaign_decodes_nothing_and_stats_decode_once(
+            self, fig16_cache, monkeypatch):
+        from repro.orchestrator import campaign as campaign_mod
+
+        cache, point = fig16_cache
+        calls = []
+        decode = campaign_mod.stats_from_payload
+
+        def counting(payload):
+            calls.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(campaign_mod, "stats_from_payload", counting)
+        campaign = campaign_mod.Campaign(cache=cache)
+        campaign.extend([point] * 3)
+        results = campaign.run()
+        assert all(result.cache_hit for result in results)
+        assert [r.to_dict()["cycles"] for r in results] \
+            == [results[0].cycles] * 3
+        assert calls == []
+        stats = results[0].stats
+        assert len(calls) == 1
+        assert results[0].stats is stats
+        assert len(calls) == 1
