@@ -77,7 +77,7 @@ class PersistentProcessor:
         injector = self.injector
         csq = injector.csq_at(fail_time)
         last_seq = injector.last_committed_seq(fail_time)
-        lcpc = self._trace[last_seq].pc if last_seq >= 0 else 0
+        lcpc = self._trace.decoded().pcs[last_seq] if last_seq >= 0 else 0
         image = self.controller.checkpoint(
             fail_time=fail_time,
             lcpc=lcpc,

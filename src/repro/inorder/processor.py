@@ -97,7 +97,8 @@ class InOrderPersistentProcessor:
         stats = self._require_run()
         assert self._trace is not None
         last_seq = bisect_right(stats.commit_times, fail_time) - 1
-        resume_pc = self._trace[last_seq].pc + 1 if last_seq >= 0 else 0
+        resume_pc = (self._trace.decoded().pcs[last_seq] + 1
+                     if last_seq >= 0 else 0)
         return InOrderCrashState(
             fail_time=fail_time,
             nvm_image=self.nvm_image_at(fail_time),

@@ -1,25 +1,26 @@
-"""Predecoded traces: the flat, array-backed form the hot loops consume.
+"""Predecoded traces: the flat, array-backed form every consumer reads.
 
-The core models are O(n) scoreboards, so on long runs the per-instruction
-cost is dominated by Python attribute chasing: ``instr.opcode`` (an Enum),
-``instr.dest.cls``/``instr.dest.index`` (a frozen dataclass), and the
-``line_addr`` property recomputing ``addr & ~0x3F`` on every reference.
-:class:`DecodedTrace` pays that cost exactly once per trace — each
-:class:`~repro.isa.instructions.Instruction` is decoded into parallel flat
-lists of small ints — and is cached on the :class:`~repro.isa.trace.Trace`,
-so repetitions, campaign points, and benchmark passes over the same trace
-share one decode.
+:class:`DecodedTrace` holds one trace as parallel flat lists of small ints
+— opcode ids, ``(class, index)`` register pairs, precomputed
+``addr``/``line_addr`` values — so the core loops never chase
+``instr.opcode`` (an Enum), ``instr.dest.cls`` (a frozen dataclass) or the
+``line_addr`` property. The synthetic generator
+(:mod:`repro.workloads.synthetic`) writes these columns directly, so for
+generated traces they are the source of truth. Hand-built, litmus and
+loaded traces are decoded once from their instruction lists
+(:meth:`DecodedTrace.decode`). Either way the columns are cached on the
+:class:`~repro.isa.trace.Trace` and shared by repetitions, campaign
+points and benchmark passes.
 
-Decoding is pure representation: opcodes map to dense ints
-(:data:`OPCODE_ID`), registers to ``(class, index)`` int pairs, and memory
-operands to precomputed ``addr``/``line_addr`` values. No timing or
-functional semantics live here, which is what keeps the optimized loops
-bit-exact with the instruction-object loops they replaced.
+The columns are pure representation: opcodes map to dense ints
+(:data:`OPCODE_ID`), registers to ``(class, index)`` int pairs. No timing
+or functional semantics live here. :meth:`DecodedTrace.instruction`
+rebuilds the equivalent ``Instruction`` for readers that want objects.
 """
 
 from __future__ import annotations
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode, shared_register
 
 # Dense opcode ids, in declaration order of the Opcode enum. The core
 # loops compare against these module constants instead of enum members.
@@ -55,9 +56,25 @@ class DecodedTrace:
     __slots__ = ("length", "opcode_ids", "dest_cls", "dest_idx", "srcs",
                  "addrs", "line_addrs", "pcs", "mispredicted")
 
-    def __init__(self, instructions: list[Instruction]) -> None:
+    def __init__(self, opcode_ids: list[int], dest_cls: list[int],
+                 dest_idx: list[int],
+                 srcs: list[tuple[tuple[int, int], ...]],
+                 addrs: list[int], line_addrs: list[int], pcs: list[int],
+                 mispredicted: list[bool]) -> None:
+        self.length = len(opcode_ids)
+        self.opcode_ids = opcode_ids
+        self.dest_cls = dest_cls
+        self.dest_idx = dest_idx
+        self.srcs = srcs
+        self.addrs = addrs
+        self.line_addrs = line_addrs
+        self.pcs = pcs
+        self.mispredicted = mispredicted
+
+    @classmethod
+    def decode(cls, instructions: list[Instruction]) -> "DecodedTrace":
+        """The columns of an instruction list."""
         n = len(instructions)
-        self.length = n
         opcode_ids = [0] * n
         dest_cls = [-1] * n
         dest_idx = [-1] * n
@@ -82,14 +99,21 @@ class DecodedTrace:
             pcs[i] = instr.pc
             if instr.mispredicted:
                 mispredicted[i] = True
-        self.opcode_ids = opcode_ids
-        self.dest_cls = dest_cls
-        self.dest_idx = dest_idx
-        self.srcs = srcs
-        self.addrs = addrs
-        self.line_addrs = line_addrs
-        self.pcs = pcs
-        self.mispredicted = mispredicted
+        return cls(opcode_ids, dest_cls, dest_idx, srcs, addrs, line_addrs,
+                   pcs, mispredicted)
+
+    def instruction(self, i: int) -> Instruction:
+        """The :class:`Instruction` at position ``i``, rebuilt from the
+        columns (registers are the shared per-``(class, index)`` ones)."""
+        opcode = ID_TO_OPCODE[self.opcode_ids[i]]
+        dcls = self.dest_cls[i]
+        return Instruction(
+            pc=self.pcs[i], opcode=opcode,
+            dest=(shared_register(dcls, self.dest_idx[i])
+                  if dcls >= 0 else None),
+            srcs=tuple(shared_register(c, x) for c, x in self.srcs[i]),
+            addr=self.addrs[i] if opcode.is_mem else None,
+            mispredicted=self.mispredicted[i])
 
     def latency_table(self, by_opcode: dict[Opcode, float]) -> list[float]:
         """Re-key an ``{Opcode: latency}`` map as an id-indexed list."""

@@ -8,7 +8,7 @@ configuration (Table 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 
@@ -89,9 +89,9 @@ class Opcode(Enum):
 class Instruction:
     """One dynamic instruction in a trace.
 
-    ``value`` carries the functional payload of a store so crash-consistency
-    tests can compare recovered memory images against a reference execution.
     ``mispredicted`` marks branches whose resolution flushes the front end.
+    Store payloads are not carried here: the core model computes them
+    (``repro.pipeline.core.def_value``) and logs them on its store records.
     """
 
     pc: int
@@ -99,10 +99,7 @@ class Instruction:
     dest: Register | None = None
     srcs: tuple[Register, ...] = ()
     addr: int | None = None
-    value: int | None = None
     mispredicted: bool = False
-    # Populated by the rename stage during simulation (physical register ids).
-    _phys_dest: int = field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
         if self.opcode.is_mem and self.addr is None:

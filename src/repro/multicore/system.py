@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.config import SystemConfig
-from repro.isa.instructions import Opcode
+from repro.isa.decoded import OP_SYNC
 from repro.memory.nvm import NvmModel
 from repro.persistence.catalog import make_policy, scheme_backend
 from repro.pipeline.core import OoOCore
@@ -171,8 +171,8 @@ class MulticoreSystem:
 
     @staticmethod
     def _sync_points(trace) -> list[int]:
-        return [i for i, instr in enumerate(trace)
-                if instr.opcode is Opcode.SYNC]
+        return [i for i, op in enumerate(trace.decoded().opcode_ids)
+                if op == OP_SYNC]
 
     def run_profile(self, profile: WorkloadProfile, length: int = 20_000,
                     warmup: int = 1, seed: int = 0) -> MulticoreStats:

@@ -21,6 +21,7 @@ import os
 import time
 from typing import Any
 
+from repro.config import SANITIZE_ENV_VAR, sanitize_requested
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.prewarm import declare_resident_extents, warmed_memory
 from repro.memory.writebuffer import PersistOp
@@ -39,7 +40,8 @@ from repro.orchestrator.serialize import payload_from_run
 _WORKER_STATE = {"imports": 0, "preloaded": 0}
 
 
-def worker_init(preload_specs: tuple = (), engine: str | None = None) -> None:
+def worker_init(preload_specs: tuple = (), engine: str | None = None,
+                switches: dict[str, str | None] | None = None) -> None:
     """Process-pool initializer: one ``repro`` import per worker, plus
     up-front interning of the traces shared by the submitted points.
 
@@ -50,6 +52,11 @@ def worker_init(preload_specs: tuple = (), engine: str | None = None) -> None:
     ``engine`` pins the worker's default engine (``REPRO_ENGINE``), so a
     campaign's explicit ``engine=`` choice governs per-point execution in
     workers too — not just the parent's cohort planning.
+
+    ``switches`` pins ``REPRO_TRACE``/``REPRO_SANITIZE`` to the parent's
+    values at pool creation (``None``: unset), and the sanitizer's probes
+    with them. A forkserver worker otherwise inherits the environment the
+    forkserver started under, which can predate the parent's.
     """
     from repro.workloads.interning import preload
 
@@ -57,6 +64,20 @@ def worker_init(preload_specs: tuple = (), engine: str | None = None) -> None:
         from repro.engine import ENGINE_ENV_VAR
 
         os.environ[ENGINE_ENV_VAR] = engine
+    for name, value in (switches or {}).items():
+        if os.environ.get(name) == value:
+            continue
+        if value is None:
+            del os.environ[name]
+        else:
+            os.environ[name] = value
+        if name == SANITIZE_ENV_VAR:
+            from repro import sanitizer
+
+            if sanitize_requested():
+                sanitizer.install()
+            else:
+                sanitizer.uninstall()
     _WORKER_STATE["imports"] += 1
     _WORKER_STATE["preloaded"] += preload(preload_specs)
 

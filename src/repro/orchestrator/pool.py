@@ -22,6 +22,7 @@ against both front ends.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -34,6 +35,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from repro.config import SANITIZE_ENV_VAR, TRACE_ENV_VAR
 from repro.engine import engine_env
 from repro.orchestrator.execute import (
     run_cohort_payloads,
@@ -269,6 +271,12 @@ class PoolExecutor:
                                  else BrokenExecutor(repr(exc)))
         return future
 
+    @staticmethod
+    def _switches() -> dict[str, str | None]:
+        """This process's tracing/sanitizer switches, for worker_init."""
+        return {name: os.environ.get(name)
+                for name in (TRACE_ENV_VAR, SANITIZE_ENV_VAR)}
+
     def _make_pool(self) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(self.context)
         if self.context == "forkserver":
@@ -278,7 +286,8 @@ class PoolExecutor:
         pool = ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=context,
                                    initializer=worker_init,
-                                   initargs=(self.preload, self.engine))
+                                   initargs=(self.preload, self.engine,
+                                             self._switches()))
         # Start every worker with the first unit, not on demand: a worker
         # spawned while a crashed sibling's pool tears down hands the
         # forkserver closed fds, which kills the forkserver.

@@ -11,6 +11,11 @@ A policy plugs into :class:`repro.pipeline.core.OoOCore` at five points:
   synchronization primitive's commit cycle (CSQ-full boundaries, barriers).
 * ``store_committed`` — the store retired; schedule its persistence.
 * ``finish`` — the trace ended; close the open region.
+
+Hooks see an instruction as its position ``seq`` in the trace and, for a
+store, its byte ``addr`` — the core reads both from the trace's
+predecoded columns (:class:`repro.isa.decoded.DecodedTrace`) and builds
+no :class:`~repro.isa.instructions.Instruction` to call them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.isa.instructions import Instruction, RegClass
+from repro.isa.instructions import RegClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.core import OoOCore
@@ -59,11 +64,10 @@ class PersistencePolicy:
     # Hooks (default: behave like a conventional core)
     # ------------------------------------------------------------------
 
-    def pre_rename(self, seq: int, instr: Instruction,
-                   t: float) -> float:
-        """Given the candidate rename cycle ``t``, return the (possibly
-        delayed) cycle rename may proceed — compiler-formed schemes inject
-        their persist barriers here."""
+    def pre_rename(self, seq: int, t: float) -> float:
+        """Given instruction ``seq``'s candidate rename cycle ``t``,
+        return the (possibly delayed) cycle rename may proceed —
+        compiler-formed schemes inject their persist barriers here."""
         return t
 
     def rename_blocked(self, cls: RegClass, want_time: float,
@@ -81,17 +85,20 @@ class PersistencePolicy:
         """Adjust any instruction's commit cycle (retire-stage effects)."""
         return tentative
 
-    def store_commit_time(self, instr: Instruction, seq: int,
+    def store_commit_time(self, seq: int, addr: int,
                           tentative: float) -> float:
+        """Given the store's candidate commit cycle, return the (possibly
+        delayed) cycle it may commit; ``addr`` is its byte address."""
         return tentative
 
     def sync_commit_time(self, tentative: float, seq: int) -> float:
         return tentative
 
-    def store_queue_release(self, instr: Instruction, seq: int,
+    def store_queue_release(self, seq: int, addr: int,
                             merge_time: float) -> float:
-        """When the store's SQ entry frees. Conventionally that is the L1D
-        merge; schemes that gate stores hold the entry longer."""
+        """When the SQ entry of store ``seq`` (byte address ``addr``)
+        frees. Conventionally that is the L1D merge at ``merge_time``;
+        schemes that gate stores hold the entry longer."""
         return merge_time
 
     def store_committed(self, record: "StoreRecord",

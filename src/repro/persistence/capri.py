@@ -23,7 +23,6 @@ from dataclasses import replace
 
 from repro.config import NvmConfig
 from repro.core.region import RegionTracker
-from repro.isa.instructions import Instruction
 from repro.memory.nvm import NvmModel
 from repro.memory.writebuffer import WriteBuffer
 from repro.persistence.base import PersistencePolicy
@@ -89,7 +88,7 @@ class CapriPolicy(PersistencePolicy):
     # Hooks
     # ------------------------------------------------------------------
 
-    def pre_rename(self, seq: int, instr: Instruction, t: float) -> float:
+    def pre_rename(self, seq: int, t: float) -> float:
         if seq < self._next_boundary:
             return t
         assert self.core is not None and self.regions is not None
@@ -103,18 +102,16 @@ class CapriPolicy(PersistencePolicy):
     def adjust_commit(self, seq: int, tentative: float) -> float:
         return max(tentative, self._commit_floor)
 
-    def store_commit_time(self, instr: Instruction, seq: int,
+    def store_commit_time(self, seq: int, addr: int,
                           tentative: float) -> float:
         """A store commits into the redo buffer; if the buffer's drain to
         NVM has fallen behind, the commit waits for a free entry."""
         assert self.redo is not None
-        assert instr.addr is not None
         # Tentative commit times are monotone, and every future store
         # enters the redo buffer at its own tentative commit — a sound
         # eviction floor for closed coalescing windows.
         self.redo.advance_floor(tentative)
-        op = self.redo.persist_store(instr.line_addr, tentative,
-                                     instr.addr, instr.value or 0)
+        op = self.redo.persist_store(addr & ~0x3F, tentative, addr, 0)
         return max(tentative, op.durable_at)
 
     def store_committed(self, record: StoreRecord,

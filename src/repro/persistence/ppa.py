@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.core.csq import CommittedStoreQueue
 from repro.core.region import RegionTracker
-from repro.isa.instructions import Instruction, RegClass
+from repro.isa.instructions import RegClass
 from repro.persistence.base import PersistencePolicy
 from repro.pipeline.stats import StoreRecord
 
@@ -95,7 +95,7 @@ class PpaPolicy(PersistencePolicy):
         drain = self._close_region(seq, boundary, "prf")
         return drain + 1.0
 
-    def store_commit_time(self, instr: Instruction, seq: int,
+    def store_commit_time(self, seq: int, addr: int,
                           tentative: float) -> float:
         assert self.csq is not None
         if self.csq.is_full:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 
 from repro.core.region import RegionTracker
-from repro.isa.instructions import Instruction
 from repro.persistence.base import PersistencePolicy
 from repro.pipeline.stats import StoreRecord
 
@@ -70,7 +69,7 @@ class ReplayCachePolicy(PersistencePolicy):
     # Hooks
     # ------------------------------------------------------------------
 
-    def pre_rename(self, seq: int, instr: Instruction, t: float) -> float:
+    def pre_rename(self, seq: int, t: float) -> float:
         if seq < self._next_boundary:
             return t
         assert self.core is not None and self.regions is not None

@@ -16,7 +16,6 @@ SQ exhaustion stalls rename exactly as the paper predicts.
 from __future__ import annotations
 
 from repro.core.region import RegionTracker
-from repro.isa.instructions import Instruction
 from repro.persistence.base import PersistencePolicy
 from repro.pipeline.stats import StoreRecord
 
@@ -37,7 +36,7 @@ class SbGatePolicy(PersistencePolicy):
                                      tracer=core.tracer)
         self._last_durable = 0.0
 
-    def store_queue_release(self, instr: Instruction, seq: int,
+    def store_queue_release(self, seq: int, addr: int,
                             merge_time: float) -> float:
         """THE cost: the SQ entry is occupied until durability, so the SQ
         backs up whenever stores outpace the NVM write path."""
@@ -47,7 +46,7 @@ class SbGatePolicy(PersistencePolicy):
         # the write leaves when it reaches the SB head).
         submit = max(merge_time, self._last_durable)
         ticket = core.nvm.write_line(
-            submit + core.nvm.cfg.persist_path_latency, instr.line_addr)
+            submit + core.nvm.cfg.persist_path_latency, addr & ~0x3F)
         self._last_durable = ticket.accepted_at
         return ticket.accepted_at
 

@@ -26,7 +26,6 @@ for the persistent-object-level sections a programmer would write.
 from __future__ import annotations
 
 from repro.core.region import RegionTracker
-from repro.isa.instructions import Instruction
 from repro.persistence.base import PersistencePolicy
 from repro.pipeline.stats import StoreRecord
 
@@ -93,10 +92,10 @@ class UndoLogPolicy(_SoftwareLogPolicy):
 
     name = "psp-undolog"
 
-    def store_commit_time(self, instr: Instruction, seq: int,
+    def store_commit_time(self, seq: int, addr: int,
                           tentative: float) -> float:
         # The undo entry (old value + address) must persist first.
-        log_durable = self._log_write(tentative, instr.line_addr ^ 0x40)
+        log_durable = self._log_write(tentative, (addr & ~0x3F) ^ 0x40)
         return max(tentative, log_durable, self._commit_floor)
 
     def store_committed(self, record: StoreRecord,

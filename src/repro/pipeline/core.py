@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.config import SystemConfig
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
-from repro.isa.instructions import Instruction, Opcode, RegClass
+from repro.isa.instructions import Opcode, RegClass
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.nvm import NvmModel
@@ -121,9 +121,6 @@ class OoOCore:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _src_pregs(self, instr: Instruction) -> list[tuple[RegClass, int]]:
-        return [(s.cls, self.rf[s.cls].rat[s.index]) for s in instr.srcs]
-
     def _sample_free_regs(self, time: float, weight: float) -> None:
         if weight <= 0:
             return
@@ -165,7 +162,6 @@ class OoOCore:
         line_addrs = dec.line_addrs
         pcs = dec.pcs
         mispredicted = dec.mispredicted
-        instructions = trace.instructions
         latencies = dec.latency_table(self._latency)
 
         rf_int = self.rf[RegClass.INT]
@@ -213,7 +209,7 @@ class OoOCore:
             elif opcode == OP_STORE:
                 t = sq_earliest(t)
             if pre_rename is not None:
-                t = pre_rename(seq, instructions[seq], t)
+                t = pre_rename(seq, t)
 
             preg = -1
             dcls = dest_cls[seq]
@@ -293,7 +289,7 @@ class OoOCore:
                 tentative = adjust_commit(seq, tentative)
             if opcode == OP_STORE:
                 if store_commit_time is not None:
-                    tentative = store_commit_time(instructions[seq], seq,
+                    tentative = store_commit_time(seq, addrs[seq],
                                                   tentative)
             elif opcode == OP_SYNC:
                 if sync_commit_time is not None:
@@ -312,8 +308,8 @@ class OoOCore:
                 merge_time = store_merge(
                     line_addrs[seq], max(commit, rfo_done))
                 if store_queue_release is not None:
-                    sq_allocate(store_queue_release(instructions[seq],
-                                                    seq, merge_time))
+                    sq_allocate(store_queue_release(seq, addrs[seq],
+                                                    merge_time))
                 else:
                     sq_allocate(merge_time)
                 if track_values:

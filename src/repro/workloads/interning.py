@@ -4,13 +4,13 @@ Trace generation is deterministic: :class:`TraceGenerator` seeds its RNG
 from ``(profile.name, seed)`` and neither the constructor nor
 ``region_extents()`` draws from it, so the trace produced for a given
 ``(profile, length, seed, addr_base, sync_interval)`` tuple is a pure
-function of that key. Generating ~12k instructions costs ~0.3 s — about as
-much as simulating them — and the bench harness, campaign sweeps, and
-repeated ``simulate()`` calls all replay identical traces. Interning
-builds each trace once per process and hands out the shared (immutable)
-:class:`~repro.isa.trace.Trace`, whose predecoded flat-array form
-(:meth:`Trace.decoded`) is memoized on the object and therefore also
-shared.
+function of that key. The generator writes the predecoded columns
+directly: 12k instructions take 15-25 ms, against ~130 ms for a warm
+``ppa`` ``simulate()`` of them (2-vCPU x86-64 host). The bench harness,
+campaign sweeps, and repeated ``simulate()`` calls all replay identical
+traces, so interning builds each trace once per process and hands out
+the shared (immutable) :class:`~repro.isa.trace.Trace` with its columns
+(:meth:`Trace.decoded`).
 
 Pool workers call :func:`preload` from their initializer so the traces a
 campaign is about to sweep are interned once per worker instead of once

@@ -27,6 +27,26 @@ def _isolated_run_cache():
 
 
 @pytest.fixture
+def untraced_unsanitized(monkeypatch):
+    """Tracing and the sanitizer off for one test, whatever the job's
+    ``REPRO_TRACE``/``REPRO_SANITIZE`` ask for. Tests that assert batched
+    routing or default labels use it: either switch rightly sends runs to
+    the scalar kernel. ``REPRO_SANITIZE=1`` installs the probes when
+    ``repro`` is imported, so they are lifted for the test and put back
+    after it."""
+    from repro import sanitizer
+    from repro.config import SANITIZE_ENV_VAR, TRACE_ENV_VAR
+
+    monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+    monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
+    was_installed = sanitizer.installed()
+    sanitizer.uninstall()
+    yield
+    if was_installed:
+        sanitizer.install()
+
+
+@pytest.fixture
 def gcc_profile():
     return profile_by_name("gcc")
 

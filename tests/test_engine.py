@@ -135,6 +135,7 @@ class TestPlanner:
             run_cohort([_pt("rb", "psp-undolog")])
 
 
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestGoldenParity:
     """Golden pins must hold bit-exactly under ``engine="batched"`` for
     every scheme — kernel schemes through the lockstep kernel, the rest
@@ -200,6 +201,7 @@ class TestDivergence:
                 assert lane.diverged_at == diverge_at[i]
 
 
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestCampaignEngine:
     def _run_campaign(self, engine, points):
         campaign = Campaign(cache=None, jobs=1, sanitize=False,
@@ -346,6 +348,7 @@ class TestBatchedBenchSuite:
         assert "campaign:fig16:rb:batched" in names
 
 
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestLaneErrorTransport:
     """Lane failures must cross the process pool as picklable records,
     whatever exotic exception the kernel (or its scalar fallback)
@@ -446,6 +449,7 @@ class TestInOrderBatching:
             scalar.extra["capri_path_writes"]
 
 
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestCampaignScalarReasons:
     """Campaign telemetry carries the planner's per-reason histogram of
     why points stayed on the scalar kernel."""

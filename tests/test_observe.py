@@ -191,6 +191,7 @@ class TestPrometheusFormat:
         assert parsed.value("repro_test_seconds_p50") == 0.04
         assert parsed.value("repro_test_seconds_p99") == 400.0
 
+    @pytest.mark.usefixtures("untraced_unsanitized")
     def test_render_is_deterministic_given_state(self):
         scheduler = FleetScheduler(cache=None, workers=2)
         scheduler.metrics.counter("service.simulated").inc(3)
@@ -353,6 +354,7 @@ def _prf_points(n):
                        length=LENGTH) for i, f in sizes[:n]]
 
 
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestDaemonMetrics:
     def test_scrape_is_valid_and_carries_the_acceptance_series(
             self, daemon):

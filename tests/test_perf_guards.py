@@ -27,9 +27,10 @@ import pytest
 
 from repro import simulate
 from repro.config import skylake_default
-from repro.isa import dumps_trace, load_trace
+from repro.isa import Instruction, dumps_trace, load_trace
 from repro.memory import prewarm
 from repro.memory.hierarchy import MemorySystem
+from repro.persistence.catalog import scheme_names
 from repro.workloads import interning
 from repro.workloads.profiles import profile_by_name
 from repro.workloads.synthetic import TraceGenerator
@@ -254,6 +255,19 @@ class TestGcFootprint:
         assert memory.l2.resident_lines() > 10_000
         assert added < 50, f"a warm clone added {added} tracked objects"
 
+    def test_interned_trace_adds_few_gc_tracked_objects(self):
+        profile = profile_by_name("rb")
+        interning.interned_trace(profile, 500)     # warm imports/caches
+        gc.collect()
+        before = len(gc.get_objects())
+        trace = interning.interned_trace(profile, 2000)
+        trace.decoded()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 64, (
+            f"an interned 2,000-instruction trace added {added} tracked "
+            "objects")
+
     def test_trace_registers_are_shared(self):
         trace = interning.interned_trace(profile_by_name("rb"), 2000)
         registers = [reg for instr in trace
@@ -265,6 +279,56 @@ class TestGcFootprint:
             registers, (reg for instr in reloaded
                         for reg in (instr.dest, *instr.srcs)
                         if reg is not None)))
+
+
+class TestNoInstructionObjects:
+    """Generated traces are columns: simulating a profile builds no
+    :class:`Instruction` (materializing one raises)."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_instructions(self, monkeypatch):
+        def refuse(instr):
+            raise AssertionError(
+                f"built an Instruction during simulate: {instr.opcode}")
+
+        interning.clear()
+        monkeypatch.setattr(Instruction, "__post_init__", refuse)
+        yield
+        interning.clear()
+
+    def test_materializing_raises(self):
+        trace = interning.interned_trace(profile_by_name("rb"), 100)
+        with pytest.raises(AssertionError):
+            trace.instructions
+
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_ooo_schemes(self, scheme):
+        simulate("rb", scheme=scheme, core="ooo", length=600)
+
+    @pytest.mark.parametrize("scheme", ["ppa", "baseline"])
+    def test_inorder_schemes(self, scheme):
+        simulate("rb", scheme=scheme, core="inorder", length=600)
+
+    def test_multicore(self):
+        simulate("water-ns", core="multicore", threads=2, length=600)
+
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_ppa_crash_api(self, core):
+        result = simulate("rb", scheme="ppa", core=core, length=600)
+        api = result.crash_api
+        crash = api.crash_at(result.stats.cycles / 2)
+        assert crash.last_committed_seq >= 0
+        api.recover(crash)
+
+    def test_fig16_campaign(self):
+        from repro.orchestrator.campaign import Campaign
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        campaign = Campaign(cache=None)
+        for point in build_sweep(sweep_spec("fig16", apps=["rb"],
+                                            length=600)):
+            campaign.add(point)
+        assert all(r.ok for r in campaign.run())
 
 
 class TestWorkerPreload:
@@ -283,6 +347,32 @@ class TestWorkerPreload:
         assert all(count == 1 for count in imports.values()), (
             f"workers re-imported repro: {imports}")
         assert all(r.worker["imports"] == 1 for r in results)
+
+    def test_worker_init_pins_trace_and_sanitizer_switches(
+            self, monkeypatch):
+        """A forkserver worker inherits the environment the forkserver
+        started under; worker_init pins the parent's switches instead."""
+        from repro import sanitizer
+        from repro.orchestrator import execute
+
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        monkeypatch.setitem(execute._WORKER_STATE, "imports", 0)
+        was_installed = sanitizer.installed()
+        try:
+            execute.worker_init((), None, {"REPRO_TRACE": None,
+                                           "REPRO_SANITIZE": "1"})
+            assert "REPRO_TRACE" not in os.environ
+            assert sanitizer.installed()
+            execute.worker_init((), None, {"REPRO_TRACE": "1",
+                                           "REPRO_SANITIZE": None})
+            assert os.environ["REPRO_TRACE"] == "1"
+            assert not sanitizer.installed()
+        finally:
+            if was_installed:
+                sanitizer.install()
+            else:
+                sanitizer.uninstall()
 
     def test_serial_runs_carry_no_worker_accounting(self):
         from repro.orchestrator.campaign import Campaign

@@ -1,8 +1,12 @@
 """Workload profiles and the synthetic trace generator."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.isa.instructions import Opcode, RegClass
+from repro.isa.trace import Trace
 from repro.workloads.multithreaded import generate_thread_traces
 from repro.workloads.profiles import (
     ALL_PROFILES,
@@ -13,7 +17,11 @@ from repro.workloads.profiles import (
     profile_by_name,
     profiles_in_suite,
 )
-from repro.workloads.synthetic import TraceGenerator, generate_trace
+from repro.workloads.synthetic import (
+    TraceGenerator,
+    generate_trace,
+    randbelow,
+)
 
 
 class TestProfiles:
@@ -137,18 +145,6 @@ class TestGenerator:
                  if ins.opcode is Opcode.SYNC]
         assert syncs == [500, 1000, 1500, 2000, 2500]
 
-    def test_memory_stream_matches_profile_rate(self):
-        generator = TraceGenerator(profile_by_name("gcc"), seed=0)
-        profile = profile_by_name("gcc")
-        accesses = list(generator.memory_stream(10_000))
-        expected = 10_000 * (profile.load_frac + profile.store_frac)
-        assert len(accesses) == pytest.approx(expected, rel=0.15)
-
-    def test_memory_stream_yields_line_addresses(self):
-        generator = TraceGenerator(profile_by_name("gcc"), seed=0)
-        for line, __ in generator.memory_stream(500):
-            assert line % 64 == 0
-
     def test_base_registers_never_redefined(self):
         trace = generate_trace(profile_by_name("gcc"), length=5_000)
         for instr in trace:
@@ -205,3 +201,123 @@ class TestMultithreaded:
     def test_zero_threads_rejected(self):
         with pytest.raises(ValueError):
             generate_thread_traces(profile_by_name("rb"), 100, threads=0)
+
+
+_COLUMNS = ("opcode_ids", "dest_cls", "dest_idx", "srcs", "addrs",
+            "line_addrs", "pcs", "mispredicted")
+
+
+def _columns(trace):
+    dec = trace.decoded()
+    return tuple(getattr(dec, name) for name in _COLUMNS)
+
+
+def _profile_digest(profile):
+    """Digest of the columns of a 2,000-instruction trace and a 50-
+    instruction continuation from the same generator, plus the RNG state
+    after both, over seeds {0, 7, 99991} x {profile default, sync every
+    97}. ``repr`` keeps value types in the digest (``int`` vs ``bool``,
+    tuple vs list)."""
+    digest = hashlib.sha256()
+    for seed in (0, 7, 99991):
+        for interval in (None, 97):
+            generator = TraceGenerator(profile, seed=seed)
+            first = generator.generate(2000, sync_interval=interval)
+            tail = generator.generate(50, sync_interval=interval)
+            digest.update(repr((_columns(first), _columns(tail),
+                                generator.rng.getstate())).encode())
+    return digest.hexdigest()[:16]
+
+
+# Pinned from the instruction-object generator the columnar one replaced:
+# every seeded trace the repository ever produced is unchanged.
+_PINNED_DIGESTS = {
+    "perlbench": "0ca82c6733381964",
+    "bzip2": "1653188578acaef5",
+    "gcc": "545c2873fdd678d8",
+    "mcf": "caba3ffefc8d09ff",
+    "milc": "70bf4941e3301416",
+    "namd": "a4f244e92eb2d476",
+    "gobmk": "bc3f3d40f6be408d",
+    "hmmer": "75b95e5eef032a96",
+    "sjeng": "9c9385db1c58bd49",
+    "libquantum": "5bc081741b3a84ca",
+    "lbm": "9597ded2eabee2aa",
+    "sphinx3": "658dfac406b0a096",
+    "soplex": "eb68f005459af181",
+    "h264ref": "75e51bc8c8bb49b9",
+    "perlbench_r": "397ca0e4c3bc600b",
+    "gcc_r": "46ebd5e8fa472ec8",
+    "mcf_r": "6a1f876d788b064a",
+    "omnetpp_r": "4eb4e00bdada8c05",
+    "xalancbmk_r": "6180801e1822d33e",
+    "x264_r": "2b1ac5111267d5e5",
+    "deepsjeng_r": "ca2bf8977a259586",
+    "nab_r": "cce340da25e6bee9",
+    "barnes": "41b0948ef74b569e",
+    "fmm": "def6c50b8dc343f7",
+    "ocean": "31a1692b5dd50ca8",
+    "radiosity": "577ea0377336fca9",
+    "water-ns": "d9ddcd25aa804478",
+    "water-sp": "90b722ea654c17e9",
+    "genome": "a55c9d259af0baf9",
+    "intruder": "bca0b47ac65f3687",
+    "kmeans": "ca5596f6eee44118",
+    "vacation": "a3b904351d9f86ed",
+    "pc": "4b9fe57dd2de920e",
+    "rb": "e96c50a3ccc6503d",
+    "sps": "c6610926eb880941",
+    "tatp": "dcb3b53e93dfeef6",
+    "tpcc": "3d1d66339fe609c3",
+    "r20w80": "31b93835b8849838",
+    "r50w50": "106c2596c0a85fb5",
+    "lulesh": "9b9e7ec46714c13d",
+    "xsbench": "8569f01d1b171c5d",
+}
+
+
+class TestGeneratedColumnsPinned:
+    def test_every_profile_is_pinned(self):
+        assert set(_PINNED_DIGESTS) == {p.name for p in ALL_PROFILES}
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+    def test_columns_match_pin(self, name):
+        assert _profile_digest(profile_by_name(name)) \
+            == _PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1023, 1024, 1025,
+              (1 << 23) - 1, 1 << 23, (1 << 23) + 1])
+    def test_randbelow_draws_like_randrange(self, n):
+        ours, theirs = random.Random(n), random.Random(n)
+        for __ in range(200):
+            assert randbelow(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_randbelow_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0).getrandbits, 0)
+
+    def test_instruction_view_round_trips_to_the_columns(self):
+        trace = TraceGenerator(profile_by_name("water-ns"), seed=3).generate(
+            3000)
+        rebuilt = Trace(trace.instructions)
+        assert rebuilt.decoded() is not trace.decoded()
+        assert _columns(rebuilt) == _columns(trace)
+        assert len(rebuilt) == len(trace) == 3000
+
+    def test_instruction_view_is_built_once(self):
+        trace = generate_trace(profile_by_name("rb"), length=200)
+        assert trace.instructions is trace.instructions
+        assert trace[5] is trace.instructions[5]
+
+    def test_stats_and_stores_materialize_nothing(self):
+        trace = generate_trace(profile_by_name("gcc"), length=2000)
+        stats = trace.stats()
+        stores = trace.stores()
+        assert trace._instructions is None
+        assert len(stores) == stats.opcode_counts[Opcode.STORE]
+        assert all(s.opcode is Opcode.STORE for s in stores)
+        assert [s.addr for s in stores] == [
+            i.addr for i in trace if i.opcode is Opcode.STORE]
+        assert stats == Trace(trace.instructions).stats()
