@@ -34,9 +34,14 @@ class Benchmark:
 
 def _simulate_benchmark(name: str, description: str,
                         **kwargs: Any) -> Benchmark:
+    """One ``simulate()`` call. The engine is pinned to the scalar kernel
+    (never left to ``REPRO_ENGINE``), like a campaign benchmark's: the
+    committed trajectory measures the scalar reference model, which a
+    default call no longer runs for kernel schemes."""
     from repro.facade import simulate
 
     kwargs.setdefault("seed", 0)
+    kwargs.setdefault("engine", "scalar")
 
     def run() -> tuple[float, int]:
         return sim_volume(simulate(**kwargs).stats)

@@ -9,9 +9,9 @@ cohorts.
 Engine selection is uniform across the stack — ``repro.simulate(...,
 engine=...)``, ``Campaign(engine=...)``, the orchestrator/service CLIs —
 and defaults to the ``REPRO_ENGINE`` environment variable (``auto`` when
-unset): ``auto`` batches whenever a cohort of >= 2 compatible points
-exists, ``batched`` forces every batchable point through the kernel, and
-``scalar`` disables batching entirely.
+unset). ``auto`` and ``batched`` are two spellings of one mode: every
+batchable point runs on the kernel, a lone point as a one-lane cohort.
+``scalar`` runs everything on the scalar kernel, the reference model.
 """
 
 from __future__ import annotations

@@ -16,12 +16,14 @@ backend read, optional DRAM-cache victim write, fill-eviction writebacks).
 The batched kernel then replays only the NVM terms per lane — in the same
 float-operation order as the scalar model, so results stay bit-exact.
 
-Scripts are cached process-wide (FIFO-capped, like trace interning) keyed
-on trace identity plus the cache-geometry slice of the memory config.
+Scripts are cached per trace object (weakly keyed), under the
+cache-geometry slice of the memory config: a script lives exactly as long
+as its trace, however many traces interning keeps.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -36,8 +38,6 @@ MODE_CONST = 0        # no backend read; latency = base (+ fill backpressure)
 MODE_APP_DIRECT = 1   # latency = (base + R) + B
 MODE_DRAM_MISS = 2    # latency = (base + (probe + R)) + B
 MODE_DRAM_VICTIM = 3  # MODE_DRAM_MISS plus a dirty DRAM-cache victim write
-
-_SCRIPT_CAP = 32
 
 
 class _RecordingNvm:
@@ -181,25 +181,21 @@ def build_script(trace, cfg: MemoryConfig, warm: bool,
                      eviction_writebacks=memory.eviction_writebacks)
 
 
-# Process-wide script cache. Values hold the trace object so the identity
-# key (``id`` can be recycled by the allocator) is verified on every hit.
-_scripts: dict[tuple, tuple[object, MemScript]] = {}
+# trace -> {(geometry, warm, core): script}; an entry goes with its trace.
+_scripts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def memory_script(trace, cfg: MemoryConfig, warm: bool,
                   extents=None, core: str = "ooo") -> MemScript:
     """The (cached) memory script for one trace + cache geometry."""
-    key = (id(trace), geometry_key(cfg), warm, core)
-    hit = _scripts.get(key)
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    script = build_script(trace, cfg, warm, extents, core)
-    if len(_scripts) >= _SCRIPT_CAP:
-        _scripts.pop(next(iter(_scripts)))
-    _scripts[key] = (trace, script)
+    scripts = _scripts.setdefault(trace, {})
+    key = (geometry_key(cfg), warm, core)
+    script = scripts.get(key)
+    if script is None:
+        script = scripts[key] = build_script(trace, cfg, warm, extents, core)
     return script
 
 
 def clear_scripts() -> None:
-    """Drop every cached script (tests)."""
+    """Drop every cached script (tests, benchmarks)."""
     _scripts.clear()

@@ -12,11 +12,9 @@ sweeps, where fig16's 96 points differ only in PRF sizes.
 ``plan_points`` implements the ``engine`` contract:
 
 * ``"scalar"`` — everything runs on the scalar kernel.
-* ``"auto"`` — batch whenever a cohort of >= 2 compatible points exists;
-  singletons and unbatchable points stay scalar.
-* ``"batched"`` — every batchable point runs the batched kernel, even as
-  a single-lane cohort (this is what ``REPRO_ENGINE=batched`` test runs
-  use to drive the whole suite through the kernel).
+* ``"auto"`` and ``"batched"`` (one plan, two spellings) — every batchable
+  point runs the batched kernel, a lone point as a one-lane cohort; only
+  unbatchable points stay scalar.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.engine.batched import INORDER_KERNEL_SCHEMES, KERNEL_SCHEMES
 from repro.engine.memscript import geometry_key
-
-MIN_AUTO_COHORT = 2
 
 
 def unbatchable_reason(point) -> str | None:
@@ -69,8 +65,8 @@ class Plan:
     engine: str
     cohorts: list[Cohort] = field(default_factory=list)
     scalar_indices: list[int] = field(default_factory=list)
-    # index -> why that point stayed scalar (engine choice, incompatibility,
-    # or a cohort too small for "auto").
+    # index -> why that point stayed scalar (engine choice or
+    # incompatibility).
     reasons: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -122,17 +118,7 @@ def plan_points(points, engine: str) -> Plan:
             groups[key] = cohort = Cohort(indices=[], points=[])
         cohort.indices.append(index)
         cohort.points.append(point)
-
-    minimum = MIN_AUTO_COHORT if engine == "auto" else 1
-    for cohort in groups.values():
-        if len(cohort) >= minimum:
-            plan.cohorts.append(cohort)
-        else:
-            for index in cohort.indices:
-                plan.scalar_indices.append(index)
-                plan.reasons[index] = (
-                    f"cohort of 1 (auto batches >= {MIN_AUTO_COHORT})")
-    plan.scalar_indices.sort()
+    plan.cohorts = list(groups.values())
     return plan
 
 
@@ -141,9 +127,9 @@ def plan_units(points, engine: str, sanitize: bool = False,
     """The plan both front ends run (``Campaign``, ``FleetScheduler``).
 
     Sanitized or traced runs need the scalar kernel's hooks, so all their
-    points stay scalar. A width-1 cohort (``engine="batched"`` only) is
-    demoted, with no reason recorded, to a singleton: per-point execution
-    resolves the pinned engine itself, so it still runs batched."""
+    points stay scalar. A width-1 cohort is demoted, with no reason
+    recorded, to a singleton: per-point execution resolves the pinned
+    engine itself, so it still runs on the kernel."""
     if engine != "scalar" and (sanitize or traced):
         reason = ("sanitizer needs scalar instrumentation" if sanitize
                   else "tracing needs scalar instrumentation")

@@ -4,10 +4,11 @@ It wraps the per-model classes (``PersistentProcessor``,
 ``InOrderPersistentProcessor``, ``MulticoreSystem``, ...) and the engine
 layer, so callers need not pick one themselves:
 
->>> result = repro.simulate("gcc", scheme="ppa", trace=True)
+>>> result = repro.simulate("gcc", scheme="ppa")   # runs on the kernel
 >>> result.stats.ipc
->>> result.write_chrome_trace("gcc-ppa.json")      # open in Perfetto
->>> crash = result.crash_api.crash_at(result.stats.cycles / 2)
+>>> crash = result.crash_api.crash_at(result.stats.cycles / 2)  # replays
+>>> traced = repro.simulate("gcc", scheme="ppa", trace=True)    # scalar
+>>> traced.write_chrome_trace("gcc-ppa.json")      # open in Perfetto
 
 ``trace=True`` attaches a fresh :class:`repro.telemetry.Tracer` for this
 run only (``REPRO_TRACE=1`` and an ambient ``tracing()`` context also
@@ -16,10 +17,11 @@ work); ``trace=False`` leaves the zero-overhead fast path untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable
 
-from repro.config import SystemConfig, skylake_default
+from repro.config import SystemConfig
 from repro.isa.trace import Trace
 from repro.statsbase import StatsBase
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
@@ -36,12 +38,21 @@ class SimResult:
     :class:`MulticoreStats`); ``telemetry`` is the run's tracer (or
     ``None`` when tracing was off); ``crash_api`` exposes the
     crash/recover life cycle when the core/scheme combination supports
-    power-failure injection (``None`` otherwise).
+    power-failure injection (``None`` otherwise). It is built on first
+    read by ``make_crash_api``: a run on the kernel replays itself on the
+    scalar processor only when a caller asks for it.
     """
 
     stats: StatsBase
     telemetry: Any = None
-    crash_api: Any = None
+    make_crash_api: Callable[[], Any] | None = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def crash_api(self) -> Any:
+        if self.make_crash_api is None:
+            return None
+        return self.make_crash_api()
 
     def write_chrome_trace(self, path) -> None:
         """Export the run's events as a Perfetto-loadable Chrome trace."""
@@ -77,44 +88,41 @@ def _resolve_profile(spec) -> tuple[WorkloadProfile | None, Trace | None]:
         f"got {type(spec).__name__}")
 
 
-def _scheme_config(config: SystemConfig | None, scheme: str) -> SystemConfig:
-    from dataclasses import replace
+def _run_kernel(profile, scheme, core, config, length, warmup,
+                seed, engine) -> SimResult | None:
+    """Run a profile point on the one-lane kernel (bit-exact with the
+    scalar kernel); None when the scheme has no kernel or an active
+    tracer or sanitizer needs the scalar kernel's hooks."""
+    from repro.engine import runtime_scalar_reason
+    from repro.engine.plan import unbatchable_reason
+    from repro.orchestrator.execute import simulate_point
+    from repro.orchestrator.points import make_point
 
-    from repro.persistence.catalog import scheme_backend
-
-    if config is None:
-        config = skylake_default()
-    backend = scheme_backend(scheme)
-    if config.memory.backend != backend:
-        config = replace(config, memory=replace(config.memory,
-                                                backend=backend))
-    return config
+    # track_values=True matches the scalar OoOCore default, so the stats
+    # (store values included) do not depend on the engine. The in-order
+    # model always runs cold.
+    point = make_point(profile=profile, scheme=scheme, config=config,
+                       length=length,
+                       warmup=warmup if core == "ooo" else 0, seed=seed,
+                       track_values=True, core=core)
+    if unbatchable_reason(point) or runtime_scalar_reason():
+        return None
+    stats, _ = simulate_point(point, engine=engine)
+    if scheme != "ppa":
+        return SimResult(stats=stats)
+    # The crash API is the value-tracking processor, built on first read
+    # by a scalar replay of the same trace, config and warm-up.
+    return SimResult(stats=stats, make_crash_api=lambda: _dispatch(
+        profile, None, scheme, core, config, length, warmup, seed,
+        threads=0, engine="scalar").crash_api)
 
 
 def _run_ooo(profile, run_trace, scheme, config, length, warmup,
-             seed, engine) -> SimResult:
+             seed) -> SimResult:
     from repro.memory.hierarchy import MemorySystem
     from repro.persistence.catalog import make_policy
     from repro.pipeline.core import OoOCore
 
-    if engine == "batched" and run_trace is None and scheme != "ppa":
-        # A profile run with no crash API can go through the batched
-        # kernel; ``ppa`` stays scalar here because ``result.crash_api``
-        # needs the value-tracking PersistentProcessor. (The kernel
-        # double-checks scheme compatibility and runtime guards itself.)
-        from repro.engine import runtime_scalar_reason
-        from repro.orchestrator.execute import simulate_point
-        from repro.orchestrator.points import make_point
-
-        if runtime_scalar_reason() is None:
-            # track_values=True matches the facade's scalar path, which
-            # runs OoOCore with its value-tracking default — the stats
-            # (store values included) must not depend on the engine.
-            point = make_point(profile=profile, scheme=scheme,
-                               config=config, length=length, warmup=warmup,
-                               seed=seed, track_values=True)
-            stats, _ = simulate_point(point, engine="batched")
-            return SimResult(stats=stats, telemetry=None, crash_api=None)
     if run_trace is None:
         # Profile runs intern the generated trace and clone prewarmed
         # cache state from a shared template — both deterministic, so
@@ -137,30 +145,16 @@ def _run_ooo(profile, run_trace, scheme, config, length, warmup,
         proc = PersistentProcessor(config, memory=memory)
         stats = proc.run(run_trace)
         return SimResult(stats=stats, telemetry=proc.tracer,
-                         crash_api=proc)
+                         make_crash_api=lambda: proc)
     core = OoOCore(config, make_policy(scheme), memory=memory)
     stats = core.run(run_trace)
-    return SimResult(stats=stats, telemetry=core.tracer, crash_api=None)
+    return SimResult(stats=stats, telemetry=core.tracer)
 
 
 def _run_inorder(profile, run_trace, scheme, config, length,
-                 seed, engine) -> SimResult:
+                 seed) -> SimResult:
     from repro.workloads.interning import interned_trace
 
-    if engine == "batched" and run_trace is None and scheme == "baseline":
-        # A profile run can go through the batched in-order lane kernel;
-        # ``ppa`` stays scalar here because ``result.crash_api`` needs
-        # the value-CSQ processor.
-        from repro.engine import runtime_scalar_reason
-        from repro.orchestrator.execute import simulate_point
-        from repro.orchestrator.points import make_point
-
-        if runtime_scalar_reason() is None:
-            point = make_point(profile=profile, scheme=scheme,
-                               config=config, length=length, warmup=0,
-                               seed=seed, core="inorder")
-            stats, _ = simulate_point(point, engine="batched")
-            return SimResult(stats=stats, telemetry=None, crash_api=None)
     if run_trace is None:
         run_trace = interned_trace(profile, length, seed=seed)
     if scheme == "ppa":
@@ -169,14 +163,13 @@ def _run_inorder(profile, run_trace, scheme, config, length,
         proc = InOrderPersistentProcessor(config)
         stats = proc.run(run_trace)
         return SimResult(stats=stats, telemetry=proc.core.tracer,
-                         crash_api=proc)
+                         make_crash_api=lambda: proc)
     if scheme == "baseline":
         from repro.inorder.core import InOrderCore
 
         core = InOrderCore(config, persistent=False)
         stats = core.run(run_trace)
-        return SimResult(stats=stats, telemetry=core.tracer,
-                         crash_api=None)
+        return SimResult(stats=stats, telemetry=core.tracer)
     raise ValueError(
         f"the in-order core supports scheme 'ppa' or 'baseline', "
         f"not {scheme!r}")
@@ -189,7 +182,7 @@ def _run_multicore(profile, scheme, config, length, warmup, seed,
     system = MulticoreSystem(config, scheme, threads=threads)
     stats = system.run_profile(profile, length=length, warmup=warmup,
                                seed=seed)
-    return SimResult(stats=stats, telemetry=system.tracer, crash_api=None)
+    return SimResult(stats=stats, telemetry=system.tracer)
 
 
 def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
@@ -207,19 +200,20 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
     ``result.telemetry`` without touching the configured environment.
 
     ``engine`` follows the :mod:`repro.engine` contract (``None`` resolves
-    ``REPRO_ENGINE``, default ``"auto"``): a single facade call batches
-    only under ``engine="batched"`` — ``"auto"`` batches cohorts of >= 2
-    points, which exist on the campaign paths. Batched runs return stats
-    only (no telemetry, no crash API), bit-exact with the scalar kernel.
-    That covers ``baseline``/``eadr``/``dram-only``/``capri`` on the
-    out-of-order core and ``baseline`` on the in-order core; combinations
-    that need the value-tracking processors for ``result.crash_api``
-    (``ppa`` on either core), the multicore model, and raw ``Trace``
-    input run scalar regardless.
+    ``REPRO_ENGINE``, default ``"auto"``): under ``"auto"`` or
+    ``"batched"`` a profile run of a scheme with a kernel —
+    ``ppa``/``baseline``/``eadr``/``dram-only``/``capri`` on the
+    out-of-order core, ``ppa``/``baseline`` on the in-order core — runs
+    on the one-lane kernel, bit-exact with the scalar kernel. For ``ppa``
+    the first read of ``result.crash_api`` replays the run on the
+    value-tracking processor. Raw ``Trace`` input, the multicore model,
+    ``engine="scalar"`` and runs under an active tracer or sanitizer use
+    the scalar kernel.
     """
     if core not in CORES:
         raise ValueError(f"unknown core {core!r}; options: {list(CORES)}")
     from repro.engine import resolve_engine
+    from repro.orchestrator.points import config_for
 
     engine = resolve_engine(engine)
     profile, run_trace = _resolve_profile(trace_or_profile)
@@ -227,7 +221,7 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
         raise ValueError(
             "the multicore system generates per-thread traces itself; "
             "pass a profile (or profile name), not a Trace")
-    config = _scheme_config(config, scheme)
+    config = config_for(scheme, config)
 
     if trace:
         from repro.telemetry import Tracer, tracing
@@ -241,11 +235,15 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
 
 def _dispatch(profile, run_trace, scheme, core, config, length, warmup,
               seed, threads, engine) -> SimResult:
+    if core == "multicore":
+        return _run_multicore(profile, scheme, config, length, warmup, seed,
+                              threads)
+    if engine != "scalar" and run_trace is None:
+        result = _run_kernel(profile, scheme, core, config, length, warmup,
+                             seed, engine)
+        if result is not None:
+            return result
     if core == "ooo":
         return _run_ooo(profile, run_trace, scheme, config, length,
-                        warmup, seed, engine)
-    if core == "inorder":
-        return _run_inorder(profile, run_trace, scheme, config, length,
-                            seed, engine)
-    return _run_multicore(profile, scheme, config, length, warmup, seed,
-                          threads)
+                        warmup, seed)
+    return _run_inorder(profile, run_trace, scheme, config, length, seed)

@@ -26,6 +26,7 @@ import io
 import struct
 from pathlib import Path
 
+from repro.isa.decoded import OP_LOAD, OP_STORE
 from repro.isa.instructions import (
     Instruction,
     Opcode,
@@ -41,14 +42,7 @@ _NO_REG = 0xFFFF
 _NO_ADDR = (1 << 48) - 1
 _RECORD = struct.Struct("<QBBHHH6s")
 
-_OPCODE_IDS = {opcode: index for index, opcode in enumerate(Opcode)}
 _OPCODES = list(Opcode)
-
-
-def _encode_reg(reg: Register | None) -> int:
-    if reg is None:
-        return _NO_REG
-    return (int(reg.cls) << 8) | reg.index
 
 
 def _decode_reg(value: int) -> Register | None:
@@ -58,7 +52,10 @@ def _decode_reg(value: int) -> Register | None:
 
 
 def dump_trace(trace: Trace, destination) -> None:
-    """Serialize a trace to a binary file path or file object."""
+    """Serialize a trace to a binary file path or file object.
+
+    The records are written from the trace's columns
+    (:meth:`Trace.decoded`), so no :class:`Instruction` is built."""
     if isinstance(destination, (str, Path)):
         with open(destination, "wb") as handle:
             dump_trace(trace, handle)
@@ -68,14 +65,19 @@ def dump_trace(trace: Trace, destination) -> None:
     destination.write(struct.pack("<HH", VERSION, len(name)))
     destination.write(name)
     destination.write(struct.pack("<I", len(trace)))
-    for instr in trace:
-        flags = 1 if instr.mispredicted else 0
-        srcs = list(instr.srcs[:2]) + [None, None]
-        addr = instr.addr if instr.addr is not None else _NO_ADDR
-        destination.write(_RECORD.pack(
-            instr.pc, _OPCODE_IDS[instr.opcode], flags,
-            _encode_reg(instr.dest), _encode_reg(srcs[0]),
-            _encode_reg(srcs[1]), addr.to_bytes(6, "little")))
+    dec = trace.decoded()
+    records = []
+    for i in range(dec.length):
+        opcode_id = dec.opcode_ids[i]
+        dest_cls = dec.dest_cls[i]
+        dest = _NO_REG if dest_cls < 0 else (dest_cls << 8) | dec.dest_idx[i]
+        srcs = [(cls << 8) | index for cls, index in dec.srcs[i][:2]]
+        srcs += [_NO_REG] * (2 - len(srcs))
+        addr = dec.addrs[i] if opcode_id in (OP_LOAD, OP_STORE) else _NO_ADDR
+        records.append(_RECORD.pack(
+            dec.pcs[i], opcode_id, 1 if dec.mispredicted[i] else 0, dest,
+            *srcs, addr.to_bytes(6, "little")))
+    destination.write(b"".join(records))
 
 
 def load_trace(source) -> Trace:

@@ -131,9 +131,10 @@ class CampaignTelemetry:
     cohorts: int = 0                # lockstep cohorts planned (>= 2 lanes)
     batched_points: int = 0         # points whose result ran batched
     # unbatchable_reason -> count: why planned points stayed on the scalar
-    # kernel (engine choice, scheme with no batched kernel, cohort of 1,
-    # campaign-wide sanitize/trace instrumentation, ...). Only simulated
-    # (cache-missed) points are planned, so hits never show up here.
+    # kernel (engine choice, scheme with no batched kernel, persist-log
+    # capture, campaign-wide sanitize/trace instrumentation). Only
+    # simulated (cache-missed) points are planned, so hits never show up
+    # here.
     scalar_reasons: dict[str, int] = field(default_factory=dict)
     jobs: int = 1
     busy_seconds: float = 0.0       # summed worker simulation time

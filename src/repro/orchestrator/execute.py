@@ -3,7 +3,7 @@
 This is the single place that turns a :class:`SimPoint` into a finished
 :class:`CoreStats`; the pool executor (:mod:`repro.orchestrator.pool`,
 in-process or in its workers, under every campaign, experiment and the
-service) and the :func:`repro.simulate` facade's batched path all
+service) and the :func:`repro.simulate` facade's kernel path all
 delegate here, so the serial and parallel paths cannot drift apart.
 
 Traces are interned (:mod:`repro.workloads.interning`) and steady-state
@@ -103,9 +103,9 @@ def simulate_point(point: SimPoint, engine: str | None = None) \
     asks for it, the write buffer's persist-op log.
 
     ``engine`` follows the :mod:`repro.engine` contract (None resolves
-    ``REPRO_ENGINE``, default ``auto``). A single point only runs batched
-    under ``engine="batched"`` — ``auto`` batches cohorts of >= 2, which
-    exist only on the campaign paths (:func:`run_cohort_payloads`)."""
+    ``REPRO_ENGINE``, default ``auto``): under ``auto`` or ``batched`` a
+    batchable point runs on the kernel as a one-lane cohort, unless an
+    active tracer or sanitizer needs the scalar kernel."""
     stats, log, _ = _simulate_engine(point, engine)
     return stats, log
 
@@ -118,7 +118,7 @@ def _simulate_engine(point: SimPoint, engine: str | None) \
     from repro.engine import resolve_engine, runtime_scalar_reason
 
     engine = resolve_engine(engine)
-    if engine == "batched" and runtime_scalar_reason() is None:
+    if engine != "scalar" and runtime_scalar_reason() is None:
         from repro.engine.batched import run_cohort
         from repro.engine.plan import unbatchable_reason
 

@@ -11,8 +11,8 @@ module decides *how*. It is the only code that builds or kills worker
 processes, reaches the worker entry points, or charges attempts.
 
 A unit is a lockstep cohort (two or more lanes through
-:func:`run_cohort_payloads`) or a scalar singleton (one lane through
-:func:`run_point_payload`). At most ``workers`` units hold a worker slot;
+:func:`run_cohort_payloads`) or a singleton (one lane through
+:func:`run_point_payload`, which picks the kernel itself). At most ``workers`` units hold a worker slot;
 the rest wait, and a unit's deadline (``timeout`` per lane) starts when it
 gets a slot. The retry, split and bounce rules are the table in
 ``docs/modeling.md`` (§6), which ``tests/test_executor_semantics.py`` runs

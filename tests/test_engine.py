@@ -27,7 +27,7 @@ from repro.engine import (
     resolve_engine,
 )
 from repro.engine.batched import KERNEL_SCHEMES, run_cohort
-from repro.engine.plan import MIN_AUTO_COHORT, cohort_key, plan_points
+from repro.engine.plan import cohort_key, plan_points, plan_units
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.execute import _simulate_engine, simulate_point
 from repro.orchestrator.points import make_point
@@ -90,12 +90,19 @@ class TestPlanner:
         assert plan.batched_points == 4
         assert plan.scalar_indices == []
 
-    def test_auto_leaves_singletons_scalar(self):
+    def test_auto_batches_singletons(self):
         points = [_pt("rb", "ppa"), _pt("gcc", "ppa")]
         plan = plan_points(points, "auto")
-        assert plan.cohorts == []
-        assert sorted(plan.scalar_indices) == [0, 1]
-        assert MIN_AUTO_COHORT == 2
+        assert [c.indices for c in plan.cohorts] == [[0], [1]]
+        assert plan.scalar_indices == []
+        assert plan.reasons == {}
+        assert plan.summary() == {**plan_points(points, "batched").summary(),
+                                  "engine": "auto"}
+        # The executors run width-1 cohorts as singletons, with no reason:
+        # per-point execution puts them on the kernel itself.
+        units = plan_units(points, "auto")
+        assert units.cohorts == [] and units.reasons == {}
+        assert units.units() == [[0], [1]]
 
     def test_batched_engine_batches_singletons(self):
         plan = plan_points([_pt("rb", "ppa")], "batched")
@@ -286,6 +293,64 @@ class TestFacadeEngine:
                            engine="batched").stats
         assert batched.to_dict() == scalar.to_dict()
 
+    @pytest.mark.usefixtures("untraced_unsanitized")
+    @pytest.mark.parametrize("scheme,core", [
+        ("ppa", "ooo"), ("baseline", "ooo"), ("eadr", "ooo"),
+        ("dram-only", "ooo"), ("capri", "ooo"), ("ppa", "inorder"),
+        ("baseline", "inorder")])
+    def test_default_single_point_runs_on_the_kernel(self, scheme, core,
+                                                      monkeypatch):
+        from repro import simulate
+        from repro.engine import batched
+        from repro.orchestrator.serialize import stats_to_dict
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        widths = []
+        run = batched.run_cohort
+
+        def recording(points, **kwargs):
+            widths.append(len(points))
+            return run(points, **kwargs)
+
+        monkeypatch.setattr(batched, "run_cohort", recording)
+        result = simulate("mcf", scheme=scheme, core=core, length=1_500)
+        assert widths == [1]
+        scalar = simulate("mcf", scheme=scheme, core=core, length=1_500,
+                          engine="scalar")
+        assert widths == [1]
+        assert stats_to_dict(result.stats) == stats_to_dict(scalar.stats)
+        assert result.telemetry is None
+        assert (result.crash_api is None) == (scheme != "ppa")
+
+    @pytest.mark.usefixtures("untraced_unsanitized")
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_lazy_crash_api_matches_scalar_life_cycle(self, core,
+                                                      monkeypatch):
+        from repro import simulate
+        from repro.orchestrator.serialize import stats_to_dict
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        result = simulate("rb", scheme="ppa", core=core, length=1_500)
+        scalar = simulate("rb", scheme="ppa", core=core, length=1_500,
+                          engine="scalar")
+        api = result.crash_api
+        assert api is result.crash_api            # built once, then kept
+        assert type(api) is type(scalar.crash_api)
+        assert stats_to_dict(api.stats) == stats_to_dict(result.stats)
+        half = result.stats.cycles / 2
+        crash = api.crash_at(half)
+        reference = scalar.crash_api.crash_at(half)
+        assert crash.last_committed_seq >= 0
+        assert crash == reference
+        assert api.recover(crash) == scalar.crash_api.recover(reference)
+
+    @pytest.mark.usefixtures("untraced_unsanitized")
+    def test_auto_singleton_point_reports_the_kernel(self):
+        # The honest producer of a width-1 unit under ``auto``.
+        point = _pt("rb", "baseline")
+        assert _simulate_engine(point, "auto")[2] == "batched"
+        assert _simulate_engine(point, "scalar")[2] == "scalar"
+
     def test_facade_rejects_unknown_engine(self):
         from repro import simulate
 
@@ -473,11 +538,10 @@ class TestCampaignScalarReasons:
              _pt("gcc", "ppa", length=600)]
         telemetry = self._campaign("auto", points)
         reasons = telemetry.to_dict()["scalar_reasons"]
-        assert reasons == {
-            "scheme 'psp-undolog' has no batched kernel": 1,
-            "cohort of 1 (auto batches >= 2)": 1,
-        }
-        assert telemetry.batched_points == 3
+        assert reasons == {"scheme 'psp-undolog' has no batched kernel": 1}
+        # The lone gcc point runs as a singleton on the one-lane kernel.
+        assert telemetry.batched_points == 4
+        assert telemetry.cohorts == 1
 
     def test_traced_campaign_reason(self, tmp_path):
         campaign = Campaign(cache=None, jobs=1, sanitize=False,

@@ -93,3 +93,13 @@ class TestFormat:
         dump_trace(trace, buffer)
         buffer.seek(0)
         assert len(load_trace(buffer)) == len(trace)
+
+    def test_generated_trace_dumps_from_its_columns(self):
+        from repro.isa.trace import Trace
+
+        generated = generate_trace(profile_by_name("rb"), length=1_000,
+                                   seed=3)
+        blob = dumps_trace(generated)
+        assert generated._instructions is None
+        assert blob == dumps_trace(Trace(generated.instructions,
+                                         name=generated.name))

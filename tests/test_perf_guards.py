@@ -1,6 +1,6 @@
 """Performance-model guards: the fast path must stay fast.
 
-Five contracts backstop the optimized simulation kernel and the result
+Six contracts backstop the optimized simulation kernel and the result
 data plane:
 
 * the untraced/unsanitized path performs **zero** allocations attributed
@@ -16,7 +16,10 @@ data plane:
   pre-imports and pre-interns), surfaced through campaign telemetry;
 * cached results stay compact and lazy: a fig16 entry is at most a third
   of its unpacked (schema v5) size, a warm campaign decodes no stats,
-  and a result decodes its stats once.
+  and a result decodes its stats once;
+* single points run on the one-lane kernel: an unread ``crash_api``
+  builds no processor, and a memory script is built once per trace and
+  freed with it.
 """
 
 import gc
@@ -440,3 +443,90 @@ class TestCompactLazyResults:
         assert len(calls) == 1
         assert results[0].stats is stats
         assert len(calls) == 1
+
+
+@pytest.mark.usefixtures("untraced_unsanitized")
+class TestSinglePointsOnTheKernel:
+    """Default single runs of kernel schemes go through the one-lane
+    kernel: a ``ppa`` run builds its processor only when ``crash_api`` is
+    read, and each trace's memory script is built once and lives exactly
+    as long as the trace."""
+
+    KINDS = (("ppa", "ooo"), ("baseline", "ooo"), ("capri", "ooo"),
+             ("eadr", "ooo"), ("ppa", "inorder"), ("baseline", "inorder"))
+    APPS = ("mcf", "lbm", "libquantum", "rb", "pc", "water-ns", "lulesh",
+            "xsbench")
+
+    @pytest.fixture(autouse=True)
+    def default_engine(self, monkeypatch):
+        from repro.engine import ENGINE_ENV_VAR
+        from repro.engine.memscript import clear_scripts
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        interning.clear()
+        clear_scripts()
+        yield
+        interning.clear()
+        clear_scripts()
+
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_unread_crash_api_builds_no_processor(self, core, monkeypatch):
+        from repro.core.processor import PersistentProcessor
+        from repro.inorder.processor import InOrderPersistentProcessor
+
+        built = []
+
+        def counting(init):
+            def wrapper(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            return wrapper
+
+        for cls in (PersistentProcessor, InOrderPersistentProcessor):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        result = simulate("rb", scheme="ppa", core=core, length=600)
+        assert result.stats.instructions == 600
+        assert built == []
+        api = result.crash_api
+        assert built == [api]
+        assert result.crash_api is api
+        assert len(built) == 1
+
+    def test_memory_scripts_live_as_long_as_their_traces(self, monkeypatch):
+        from repro.engine import memscript
+
+        builds = []
+        build = memscript.build_script
+
+        def counting(trace, *args, **kwargs):
+            builds.append(trace)
+            return build(trace, *args, **kwargs)
+
+        monkeypatch.setattr(memscript, "build_script", counting)
+        calls = [(app, scheme, core, seed)
+                 for seed, (scheme, core) in enumerate(self.KINDS, 1)
+                 for app in self.APPS]
+        assert len(calls) == 48
+        for _ in range(2):                  # fresh, then replayed
+            for app, scheme, core, seed in calls:
+                simulate(app, scheme=scheme, core=core, length=300,
+                         seed=seed)
+        assert len(builds) == 48
+        assert len({id(trace) for trace in builds}) == 48
+
+    def test_dropping_a_trace_frees_its_script(self):
+        import weakref
+
+        from repro.engine import memscript
+
+        simulate("rb", scheme="baseline", length=300, seed=5)
+        [trace] = interning._traces.values()
+        ref = weakref.ref(trace)
+        assert len(memscript._scripts[trace]) == 1
+        del trace
+        interning.clear()
+        gc.collect()
+        assert ref() is None
+        assert len(memscript._scripts) == 0
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) is memscript.MemScript]
