@@ -5,8 +5,8 @@ Reproduces the paper's headline comparison — PPA's ~2 % overhead against
 Capri's ~26 % and ReplayCache's ~5x — on a representative subset of the 41
 applications (pass --all for the full set; expect a few minutes).
 
-All (app x scheme) points run as one campaign, so compatible points batch
-through the lockstep kernel; set $REPRO_CACHE_DIR to keep the results in
+All (app x scheme) points run as one campaign, so compatible points share
+a cohort of the batched kernel; set $REPRO_CACHE_DIR to keep the results in
 the disk cache the experiments and the orchestrator share.
 
 Run:  python examples/overhead_study.py [--all] [--length N]

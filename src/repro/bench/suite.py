@@ -57,7 +57,7 @@ def _campaign_benchmark(name: str, description: str, sweep: str,
 
     ``engine`` is pinned (never left to ``REPRO_ENGINE``) so each
     campaign benchmark measures one engine: the scalar kernel is the
-    reference trajectory, ``engine="batched"`` measures the lockstep
+    reference trajectory, ``engine="batched"`` measures the batched
     cohort kernel on the identical point set — counts must match the
     scalar run bit-exactly, so the determinism/drift gates apply to the
     batched engine too."""

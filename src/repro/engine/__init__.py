@@ -1,8 +1,9 @@
 """Execution engines for the simulation kernel.
 
 The scalar kernel (:mod:`repro.pipeline.core`) runs one point at a time;
-the batched kernel (:mod:`repro.engine.batched`) advances a *cohort* of
-compatible points in lockstep over structure-of-arrays state, bit-exact
+the batched kernel (:mod:`repro.engine.batched`) runs a *cohort* of
+compatible points: it loads their shared trace and memory script once,
+then walks each lane to the end with its state in locals, bit-exact
 with the scalar model. :mod:`repro.engine.plan` decides which points form
 cohorts.
 

@@ -16,6 +16,11 @@ backend read, optional DRAM-cache victim write, fill-eviction writebacks).
 The batched kernel then replays only the NVM terms per lane — in the same
 float-operation order as the scalar model, so results stay bit-exact.
 
+An in-order script also carries the trace's functional store values
+(:func:`_functional_values`): architectural values depend only on program
+order, never on timing, so they are computed with the script and shared
+by every in-order lane of that trace.
+
 Scripts are cached per trace object (weakly keyed), under the
 cache-geometry slice of the memory config: a script lives exactly as long
 as its trace, however many traces interning keeps.
@@ -28,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.config import MemoryConfig
-from repro.isa.decoded import OP_LOAD, OP_STORE
+from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.nvm import WriteTicket
 from repro.memory.prewarm import warmed_memory
@@ -38,6 +43,8 @@ MODE_CONST = 0        # no backend read; latency = base (+ fill backpressure)
 MODE_APP_DIRECT = 1   # latency = (base + R) + B
 MODE_DRAM_MISS = 2    # latency = (base + (probe + R)) + B
 MODE_DRAM_VICTIM = 3  # MODE_DRAM_MISS plus a dirty DRAM-cache victim write
+
+_VALUE_MASK = (1 << 64) - 1
 
 
 class _RecordingNvm:
@@ -76,6 +83,9 @@ class MemScript:
     level_counts: Counter
     l2_miss_rate: float
     eviction_writebacks: int
+    # In-order scripts only: the value each store writes, zero at every
+    # other seq (see :func:`_functional_values`).
+    values: list | None = None
 
 
 def geometry_key(cfg: MemoryConfig) -> tuple:
@@ -106,6 +116,56 @@ def _load_entry(events: list, level: str, backend: str, c_sram: float,
     return (mode, c_sram, probe, victim, tuple(fills))
 
 
+def _functional_values(dec) -> list[int]:
+    """The lane-invariant in-order value stream: the value each store
+    writes, as ``InOrderCore.run`` computes it, and zero at every other
+    seq. Only stores carry a value into the CSQ, so the stream keeps no
+    other value alive while its script is cached."""
+    length = dec.length
+    opcode_ids = dec.opcode_ids
+    dest_cls = dec.dest_cls
+    dest_idx = dec.dest_idx
+    all_srcs = dec.srcs
+    addrs = dec.addrs
+    pcs = dec.pcs
+
+    max_regs = [0, 0]
+    for seq in range(length):
+        dcls = dest_cls[seq]
+        if dcls >= 0 and dest_idx[seq] >= max_regs[dcls]:
+            max_regs[dcls] = dest_idx[seq] + 1
+        for cls, index in all_srcs[seq]:
+            if index >= max_regs[cls]:
+                max_regs[cls] = index + 1
+    values = ([0] * max_regs[0], [0] * max_regs[1])
+    fmem: dict[int, int] = {}
+    out = [0] * length
+
+    for seq in range(length):
+        opcode = opcode_ids[seq]
+        srcs = all_srcs[seq]
+        dcls = dest_cls[seq]
+        if opcode == OP_LOAD:
+            value = fmem.get(addrs[seq], 0)
+        elif opcode == OP_STORE:
+            cls, index = srcs[0]
+            value = out[seq] = values[cls][index]
+            fmem[addrs[seq]] = value
+        elif opcode == OP_SYNC:
+            value = 0
+        else:
+            value = 0
+            if dcls >= 0:
+                acc = (pcs[seq] * 0x9E3779B97F4A7C15) & _VALUE_MASK
+                for cls, index in srcs:
+                    acc = (acc ^ values[cls][index]) \
+                        * 0x100000001B3 & _VALUE_MASK
+                value = acc
+        if dcls >= 0:
+            values[dcls][dest_idx[seq]] = value
+    return out
+
+
 def build_script(trace, cfg: MemoryConfig, warm: bool,
                  extents=None, core: str = "ooo") -> MemScript:
     """Replay ``trace`` through a recording memory system and compile the
@@ -114,7 +174,8 @@ def build_script(trace, cfg: MemoryConfig, warm: bool,
     ``core`` selects whose store behaviour is compiled: the out-of-order
     core issues an RFO at execute and merges at commit (two probes per
     store), while the in-order core merges only (no RFO), so the two
-    evolve the caches differently and need distinct scripts.
+    evolve the caches differently and need distinct scripts. An in-order
+    script also carries the trace's value stream.
     """
     recorder = _RecordingNvm()
     if warm:
@@ -178,7 +239,9 @@ def build_script(trace, cfg: MemoryConfig, warm: bool,
 
     return MemScript(entries=entries, level_counts=level_counts,
                      l2_miss_rate=memory.l2_miss_rate(),
-                     eviction_writebacks=memory.eviction_writebacks)
+                     eviction_writebacks=memory.eviction_writebacks,
+                     values=(_functional_values(dec) if core == "inorder"
+                             else None))
 
 
 # trace -> {(geometry, warm, core): script}; an entry goes with its trace.

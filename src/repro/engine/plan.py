@@ -1,7 +1,8 @@
-"""The batch planner: partition a point list into lockstep cohorts.
+"""The batch planner: partition a point list into kernel cohorts.
 
-Two points can share a batched-kernel walk when everything *outside* the
-per-lane state is identical: the interned trace (profile, length, seed),
+Two points can share a cohort — one prologue that loads the trace, its
+memory script and its columns, then one walk per lane — when everything
+*outside* the per-lane state is identical: the interned trace (profile, length, seed),
 the persistence scheme, whether the caches start warm, and the cache
 geometry (the memory config minus the NVM device parameters — the only
 part of the hierarchy whose behaviour is timing-dependent). Everything
@@ -40,7 +41,8 @@ def unbatchable_reason(point) -> str | None:
 
 
 def cohort_key(point) -> tuple:
-    """Grouping key: points with equal keys may share a lockstep walk."""
+    """Grouping key: points with equal keys may share a cohort prologue
+    (trace, memory script, columns)."""
     return (point.profile, point.length, point.seed, point.warmup > 0,
             point.scheme, point.track_values,
             geometry_key(point.config.memory),
@@ -49,7 +51,7 @@ def cohort_key(point) -> tuple:
 
 @dataclass
 class Cohort:
-    """One lockstep unit: original indices plus their points, in order."""
+    """One kernel unit: original indices plus their points, in order."""
 
     indices: list[int]
     points: list
@@ -96,7 +98,7 @@ class Plan:
 
 
 def plan_points(points, engine: str) -> Plan:
-    """Partition ``points`` (any SimPoint-shaped sequence) into lockstep
+    """Partition ``points`` (any SimPoint-shaped sequence) into kernel
     cohorts and scalar leftovers under the given engine mode."""
     plan = Plan(engine=engine)
     if engine == "scalar":

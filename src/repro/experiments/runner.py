@@ -2,7 +2,7 @@
 
 Every figure builds its full point list first and hands it to
 :func:`run_points`, which runs one :class:`repro.orchestrator.Campaign`
-over it: cache misses are batched into lockstep cohorts, and results are
+over it: cache misses are batched into kernel cohorts, and results are
 read from (and written to) the content-addressed disk cache configured
 here.
 """

@@ -260,8 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--engine", type=str, default=None,
                      choices=("auto", "scalar", "batched"),
                      help="simulation engine (default: $REPRO_ENGINE or "
-                          "'auto'; 'auto' batches compatible points into "
-                          "lockstep cohorts)")
+                          "'auto'; 'auto' runs compatible points as "
+                          "cohorts of the batched kernel, which share "
+                          "one trace and memory script)")
     run.add_argument("--verbose", action="store_true",
                      help="print per-point progress lines")
     add_json_flag(run)

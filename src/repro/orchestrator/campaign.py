@@ -2,7 +2,8 @@
 
 A :class:`Campaign` collects :class:`SimPoint`\\ s, resolves as many as it
 can from the content-addressed :class:`ResultCache`, plans the misses into
-lockstep cohorts and scalar singletons (:func:`repro.engine.plan.plan_units`),
+batched-kernel cohorts and scalar singletons
+(:func:`repro.engine.plan.plan_units`),
 and runs them through the pool executor core
 (:mod:`repro.orchestrator.pool`), which owns retries, per-point deadlines,
 cohort splits and pool rebuilds. Results come back in submission order
@@ -128,7 +129,7 @@ class CampaignTelemetry:
     retries: int = 0                # extra attempts after a failure
     timeouts: int = 0               # attempts that blew their deadline
     engine: str = "scalar"          # resolved engine mode for this run
-    cohorts: int = 0                # lockstep cohorts planned (>= 2 lanes)
+    cohorts: int = 0                # kernel cohorts planned (>= 2 lanes)
     batched_points: int = 0         # points whose result ran batched
     # unbatchable_reason -> count: why planned points stayed on the scalar
     # kernel (engine choice, scheme with no batched kernel, persist-log

@@ -84,7 +84,7 @@ def _bandwidth_spec() -> SweepSpec:
 
 def _capri_spec() -> SweepSpec:
     # Fig8-shaped comparator sweep widened over the fig16 PRF grid so
-    # every (app, scheme) column forms a lockstep cohort. With capri in
+    # every (app, scheme) column forms a cohort. With capri in
     # KERNEL_SCHEMES all three scheme columns batch.
     base = skylake_default()
     return SweepSpec(

@@ -258,11 +258,7 @@ def run_cohort_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
         return [run_point_payload(point) for point in points]
     from repro.engine.batched import run_cohort
 
-    start = time.perf_counter()
     lanes = run_cohort(points)
-    # The cohort advanced in lockstep, so per-lane wall clock is the
-    # kernel's elapsed time split evenly across lanes.
-    share = (time.perf_counter() - start) / max(1, len(lanes))
     payloads = []
     for point, lane in zip(points, lanes):
         if lane.error is not None:
@@ -271,7 +267,7 @@ def run_cohort_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
             raise CohortLaneError(
                 f"lane {point.name} failed under the batched kernel and "
                 f"its scalar fallback: {lane.error}")
-        payload = payload_from_run(lane.stats, None, share,
+        payload = payload_from_run(lane.stats, None, lane.wall_clock,
                                    engine=lane.engine)
         if lane.diverged_at is not None:
             # Deterministic (the divergence point is a property of the

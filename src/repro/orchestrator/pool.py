@@ -10,10 +10,11 @@ single-flight, quotas, order — and hand the rest over as units; this
 module decides *how*. It is the only code that builds or kills worker
 processes, reaches the worker entry points, or charges attempts.
 
-A unit is a lockstep cohort (two or more lanes through
-:func:`run_cohort_payloads`) or a singleton (one lane through
-:func:`run_point_payload`, which picks the kernel itself). At most ``workers`` units hold a worker slot;
-the rest wait, and a unit's deadline (``timeout`` per lane) starts when it
+A unit is a cohort (two or more lanes of one trace, walked one after
+another by the batched kernel through :func:`run_cohort_payloads`) or a
+singleton (one lane through :func:`run_point_payload`, which picks the
+kernel itself). At most ``workers`` units hold a worker slot; the rest
+wait, and a unit's deadline (``timeout`` per lane) starts when it
 gets a slot. The retry, split and bounce rules are the table in
 ``docs/modeling.md`` (§6), which ``tests/test_executor_semantics.py`` runs
 against both front ends.

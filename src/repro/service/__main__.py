@@ -196,8 +196,10 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--engine", type=str, default=None,
                        choices=("auto", "scalar", "batched"),
                        help="simulation engine (default: $REPRO_ENGINE "
-                            "or 'auto'; 'auto' batches compatible "
-                            "submissions into lockstep cohorts)")
+                            "or 'auto'; 'auto' runs compatible "
+                            "submissions as cohorts of the batched "
+                            "kernel, which share one trace and memory "
+                            "script)")
     serve.add_argument("--trace-dir", type=str, default=None,
                        help="capture per-point kernel traces plus "
                             "scheduler stitch manifests under this "

@@ -312,7 +312,7 @@ class FleetScheduler:
 
     def _lane_metrics(self, payload: dict[str, Any], wall: float) -> None:
         """Engine introspection counters from one simulated payload:
-        which kernel actually ran, lockstep divergence, and retired
+        which kernel actually ran, lane divergence, and retired
         instruction throughput split batched-vs-scalar."""
         engine = payload.get("engine", "scalar")
         self.metrics.counter(f"service.lanes_{engine}").inc()

@@ -12,7 +12,9 @@ mid-flight.
 """
 
 import os
+import time
 import warnings
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -26,11 +28,16 @@ from repro.engine import (
     engine_env,
     resolve_engine,
 )
-from repro.engine.batched import KERNEL_SCHEMES, run_cohort
+from repro.engine.batched import (
+    INORDER_KERNEL_SCHEMES,
+    KERNEL_SCHEMES,
+    run_cohort,
+)
 from repro.engine.plan import cohort_key, plan_points, plan_units
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.execute import _simulate_engine, simulate_point
 from repro.orchestrator.points import make_point
+from repro.workloads.interning import interned_trace
 
 BASE = skylake_default()
 ALL_SCHEMES = ("baseline", "ppa", "replaycache", "capri", "eadr",
@@ -47,6 +54,29 @@ def _prf_sweep(n, profile="rb", scheme="ppa", length=1_500):
              (150, 140), (200, 190), (110, 100)]
     return [_pt(profile, scheme, BASE.with_prf(i, f), length=length)
             for i, f in sizes[:n]]
+
+
+def _store_seqs(point):
+    """The seq of every store in ``point``'s trace, in program order."""
+    from repro.isa.decoded import OP_STORE
+
+    dec = interned_trace(point.profile, point.length,
+                         seed=point.seed).decoded()
+    return [seq for seq, op in enumerate(dec.opcode_ids) if op == OP_STORE]
+
+
+def _raise_on_call(monkeypatch, module, name, target):
+    """Make ``module.name`` raise on its ``target``-th call (1-based)."""
+    real = getattr(module, name)
+    calls = [0]
+
+    def flaky(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == target:
+            raise RuntimeError(f"injected into call {target} of {name}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, flaky)
 
 
 class TestEngineResolution:
@@ -206,6 +236,65 @@ class TestDivergence:
             if i in diverge_at:
                 assert lane.engine == "scalar"
                 assert lane.diverged_at == diverge_at[i]
+
+    def test_stop_index_outside_the_trace_never_fires(self):
+        points = _prf_sweep(4, length=1_200)
+        lanes = run_cohort(points, diverge_at={0: -1, 1: 1_200, 2: 5_000,
+                                               3: 0})
+        assert [lane.engine for lane in lanes] == ["batched"] * 3 + ["scalar"]
+        assert [lane.diverged_at for lane in lanes] == [None] * 3 + [0]
+        for lane, point in zip(lanes, points):
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.stats.to_dict() == want.to_dict()
+
+    def test_raise_mid_walk_diverges_only_that_lane(self, monkeypatch):
+        # Lanes walk one after another, so the StoreRecord call number
+        # picks the lane and the store; the scalar re-run builds its own
+        # records and never sees the injected binding.
+        from repro.engine import batched
+
+        points = _prf_sweep(3, length=1_200)
+        want = [simulate_point(p, engine="scalar")[0].to_dict()
+                for p in points]
+        stores = _store_seqs(points[0])
+        _raise_on_call(monkeypatch, batched, "StoreRecord",
+                       len(stores) + 5)
+        lanes = run_cohort(points)
+        assert lanes[1].engine == "scalar"
+        assert lanes[1].diverged_at == stores[4]
+        assert lanes[0].engine == lanes[2].engine == "batched"
+        assert lanes[0].diverged_at is lanes[2].diverged_at is None
+        for lane, expected in zip(lanes, want):
+            assert lane.error is None
+            assert lane.stats.to_dict() == expected
+
+
+@pytest.mark.usefixtures("untraced_unsanitized")
+class TestLaneWallClock:
+    """Each lane reports its own cost: its walk, its scalar re-run and
+    an even share of the cohort prologue."""
+
+    def test_lane_wall_clocks_fit_the_call(self):
+        points = _prf_sweep(4)
+        start = time.perf_counter()
+        lanes = run_cohort(points, diverge_at={2: 300})
+        elapsed = time.perf_counter() - start
+        assert lanes[2].engine == "scalar"
+        assert all(lane.wall_clock > 0 for lane in lanes)
+        assert sum(lane.wall_clock for lane in lanes) <= elapsed
+
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_cohort_payloads_carry_lane_wall_clocks(self, core):
+        from repro.orchestrator.execute import run_cohort_payloads
+
+        points = [_pt("rb", "ppa", BASE.with_wpq(w), length=800,
+                      warmup=0, core=core) for w in (8, 16, 24)]
+        start = time.perf_counter()
+        payloads = run_cohort_payloads(points)
+        elapsed = time.perf_counter() - start
+        clocks = [payload["wall_clock"] for payload in payloads]
+        assert all(clock > 0 for clock in clocks)
+        assert sum(clocks) <= elapsed
 
 
 @pytest.mark.usefixtures("untraced_unsanitized")
@@ -512,6 +601,59 @@ class TestInOrderBatching:
         assert batched.to_dict() == scalar.to_dict()
         assert batched.extra["capri_path_writes"] == \
             scalar.extra["capri_path_writes"]
+
+    def test_raise_mid_walk_diverges_only_that_lane(self, monkeypatch):
+        from repro.engine import inorder_lanes
+
+        points = [_pt("rb", "ppa", BASE.with_wpq(w), length=800,
+                      warmup=0, core="inorder") for w in (8, 16, 24)]
+        want = [simulate_point(p, engine="scalar")[0].to_dict()
+                for p in points]
+        stores = _store_seqs(points[0])
+        _raise_on_call(monkeypatch, inorder_lanes, "ValueCsqEntry",
+                       2 * len(stores) + 3)
+        lanes = run_cohort(points)
+        assert lanes[2].engine == "scalar"
+        assert lanes[2].diverged_at == stores[2]
+        assert lanes[0].engine == lanes[1].engine == "batched"
+        for lane, expected in zip(lanes, want):
+            assert lane.error is None
+            assert lane.stats.to_dict() == expected
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_perturbed_inorder_cohorts_bit_exact(self, data):
+        length = 1_200
+        n = data.draw(st.integers(2, 6), label="lanes")
+        scheme = data.draw(st.sampled_from(sorted(INORDER_KERNEL_SCHEMES)),
+                           label="scheme")
+        points = []
+        for lane in range(n):
+            wpq = data.draw(st.sampled_from([4, 16, 64]), label=f"w{lane}")
+            csq = data.draw(st.sampled_from([4, 16, 40]), label=f"c{lane}")
+            wb = data.draw(st.sampled_from([2, 8, 16]), label=f"b{lane}")
+            config = BASE.with_wpq(wpq).with_csq(csq)
+            config = replace(config, ppa=replace(config.ppa,
+                                                 writebuffer_entries=wb))
+            points.append(_pt("rb", scheme, config, length=length,
+                              warmup=0, core="inorder"))
+        # A stop index outside the trace never fires.
+        diverge_at = {
+            lane: data.draw(st.integers(-2, length + 2), label=f"d{lane}")
+            for lane in range(n)
+            if data.draw(st.booleans(), label=f"div{lane}")}
+        lanes = run_cohort(points, diverge_at=diverge_at)
+        for i, (lane, point) in enumerate(zip(lanes, points)):
+            assert lane.error is None
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.stats.to_dict() == want.to_dict(), f"lane {i}"
+            if 0 <= diverge_at.get(i, -1) < length:
+                assert lane.engine == "scalar"
+                assert lane.diverged_at == diverge_at[i]
+            else:
+                assert lane.engine == "batched"
+                assert lane.diverged_at is None
 
 
 @pytest.mark.usefixtures("untraced_unsanitized")

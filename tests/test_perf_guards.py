@@ -449,8 +449,9 @@ class TestCompactLazyResults:
 class TestSinglePointsOnTheKernel:
     """Default single runs of kernel schemes go through the one-lane
     kernel: a ``ppa`` run builds its processor only when ``crash_api`` is
-    read, and each trace's memory script is built once and lives exactly
-    as long as the trace."""
+    read, and each trace's memory script (with, for the in-order core,
+    its value stream) is built once and lives exactly as long as the
+    trace."""
 
     KINDS = (("ppa", "ooo"), ("baseline", "ooo"), ("capri", "ooo"),
              ("eadr", "ooo"), ("ppa", "inorder"), ("baseline", "inorder"))
@@ -530,3 +531,36 @@ class TestSinglePointsOnTheKernel:
         assert len(memscript._scripts) == 0
         assert not [obj for obj in gc.get_objects()
                     if type(obj) is memscript.MemScript]
+
+    def test_inorder_value_stream_lives_with_its_trace(self, monkeypatch):
+        import weakref
+
+        from repro.engine import memscript
+
+        class Stream(list):                 # a list that takes weakrefs
+            pass
+
+        streams = []
+        stream_of = memscript._functional_values
+
+        def counting(dec):
+            streams.append(weakref.ref(stream := Stream(stream_of(dec))))
+            return stream
+
+        monkeypatch.setattr(memscript, "_functional_values", counting)
+        for _ in range(3):                  # fresh, then replayed
+            for scheme in ("ppa", "baseline"):
+                simulate("rb", scheme=scheme, core="inorder", length=300,
+                         seed=5)
+        assert len(streams) == 1
+        [trace] = interning._traces.values()
+        del trace
+        interning.clear()
+        gc.collect()
+        assert streams[0]() is None
+        # clear_scripts() drops a stream whose trace is still interned.
+        simulate("rb", scheme="ppa", core="inorder", length=300, seed=5)
+        assert len(streams) == 2 and streams[1]() is not None
+        memscript.clear_scripts()
+        gc.collect()
+        assert streams[1]() is None
