@@ -12,13 +12,16 @@ of two kernels:
 
 Each kernel is a cohort prologue plus a lane walk. The prologue does the
 lane-invariant work once: it loads the interned trace, its memory script
-(:mod:`repro.engine.memscript`) and its decoded columns, and for capri
-the compiler-region bounds. The walk then runs one lane from the first
-instruction to the last, with all of its state — free lists, CSQ
-occupancy, write-buffer slots, WPQ rings, register ready times — in
-locals of one function, and its NVM device and write buffer
-(:func:`nvm_device`, :func:`write_buffer`) as closures over that state.
-:func:`run_lanes` walks the lanes one after another.
+(:mod:`repro.engine.memscript`) and its decoded columns, for capri the
+compiler-region bounds, and, when a lane tracks values, the trace's
+store-value stream (:func:`repro.engine.memscript.value_stream`). The
+walk then runs one lane from the first instruction to the last, with all
+of its state — free lists, CSQ occupancy, write-buffer slots, WPQ rings,
+register ready times — in locals of one function, and its NVM device and
+write buffer (:func:`nvm_device`, :func:`write_buffer`) as closures over
+that state. It keeps no register values: a lane that tracks values takes
+its stores' values from the stream in turn. :func:`run_lanes` walks the
+lanes one after another.
 
 The arithmetic is a faithful transliteration of the scalar models
 (:mod:`repro.pipeline.core` + the persistence policies + WB/NVM device
@@ -46,9 +49,15 @@ from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
+from itertools import repeat
 from time import perf_counter
 
-from repro.engine.memscript import MODE_APP_DIRECT, MODE_CONST, memory_script
+from repro.engine.memscript import (
+    MODE_APP_DIRECT,
+    MODE_CONST,
+    memory_script,
+    value_stream,
+)
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
 from repro.isa.instructions import Opcode
 from repro.persistence.capri import (
@@ -57,7 +66,7 @@ from repro.persistence.capri import (
     REDO_BUFFER_BYTES,
     SEAL_STALL_CYCLES,
 )
-from repro.pipeline.core import _SYNC_LATENCY, def_value
+from repro.pipeline.core import _SYNC_LATENCY
 from repro.pipeline.stats import CoreStats, RegionRecord, StoreRecord
 from repro.workloads.interning import interned_trace, region_extents
 
@@ -205,7 +214,11 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
     columns = (dec.opcode_ids, dec.dest_cls, dec.dest_idx, dec.srcs,
                script.entries, dec.pcs, dec.addrs, dec.line_addrs,
                dec.mispredicted)
-    tv = p0.track_values
+    # Store values depend only on program order (see
+    # :func:`~repro.engine.memscript.value_stream`): each lane takes them
+    # in turn, or zeros if it does not track values, as the scalar core.
+    stream = (value_stream(trace) if any(p.track_values for p in points)
+              else None)
     l1_hit = p0.config.memory.l1d.hit_latency
     SYNC_LAT = _SYNC_LATENCY
 
@@ -276,20 +289,8 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         sched_int, sched_fp = sched_pair
         free_int, free_fp = free_pair
         defer_int, defer_fp = defer_pair
-        if tv:
-            vt_pair = tuple([[float("-inf")] if preg < archs[cls] else []
-                             for preg in range(sizes[cls])] for cls in (0, 1))
-            vh_pair = tuple([[0] if preg < archs[cls] else []
-                             for preg in range(sizes[cls])] for cls in (0, 1))
-            fmem = {}
-
-            def value_at(cls, preg, time):
-                """RenamedRegisterFile.value_at."""
-                index = bisect_right(vt_pair[cls][preg], time) - 1
-                if index < 0:
-                    return 0
-                return vh_pair[cls][preg][index]
-
+        next_value = (iter(stream) if point.track_values
+                      else repeat(0)).__next__
         hist_int = {}
         hist_fp = {}
         commit_times = []
@@ -449,8 +450,6 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                     src_ready = ready_pair[cls][rat_pair[cls][index]]
                     if src_ready > ready:
                         ready = src_ready
-                if tv:
-                    sp = [(cls, rat_pair[cls][index]) for cls, index in srcs]
                 if opcode == OP_STORE:
                     data_cls, data_idx = srcs[0]
                     data_preg = rat_pair[data_cls][data_idx]
@@ -485,22 +484,8 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                 else:
                     complete = ready + lat_tab[opcode]
 
-                value = 0
-                if tv:
-                    src_values = tuple(value_at(cls, src, complete)
-                                       for cls, src in sp)
-                    if opcode == OP_LOAD:
-                        value = fmem.get(addr, 0)
-                    elif opcode == OP_STORE:
-                        value = src_values[0]
-                    else:
-                        value = def_value(pc, src_values)
-
                 if dcls >= 0:
                     ready_pair[dcls][preg] = complete
-                    if tv:
-                        vt_pair[dcls][preg].append(complete)
-                        vh_pair[dcls][preg].append(value)
 
                 # ---------------- commit ----------------
                 tentative = complete + 1.0
@@ -589,11 +574,9 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                                                          merge_from, line)
                     sq_rel[sq_cnt % sq_sz] = merge_time
                     sq_cnt += 1
-                    if tv:
-                        fmem[addr] = value
                     record = StoreRecord(
                         seq=seq, pc=pc, addr=addr, line_addr=line,
-                        value=value, data_preg=data_preg,
+                        value=next_value(), data_preg=data_preg,
                         data_cls=data_cls, commit_time=commit,
                         region_id=-1)
                     stores.append(record)

@@ -6,16 +6,17 @@ of ``core="inorder"`` points sharing one interned trace and cache
 geometry runs as a prologue plus one walk per lane, bit-exact with
 ``InOrderCore.run``.
 
-The prologue loads two cohort-invariant computations, both cached on the
-trace's in-order memory script (:mod:`repro.engine.memscript`):
+The prologue loads two cohort-invariant computations, both cached per
+trace by :mod:`repro.engine.memscript`:
 
-* the memory entries, compiled with ``core="inorder"`` — the in-order
-  core never issues RFOs, so its stores evolve the caches differently
-  from the out-of-order core's;
-* the functional value stream: architectural values depend only on
-  program order (PC hash chained through register values and functional
-  memory), never on timing, so one pass per trace gives every lane's
-  store values and CSQ payloads.
+* the memory entries of the trace's in-order memory script, compiled
+  with ``core="inorder"`` — the in-order core never issues RFOs, so its
+  stores evolve the caches differently from the out-of-order core's;
+* for ``"ppa"``, the trace's store-value stream
+  (:func:`repro.engine.memscript.value_stream`), shared with the
+  out-of-order kernel: architectural values depend only on program
+  order, never on timing, so one pass per trace gives every lane's CSQ
+  payloads.
 
 The in-order facade always runs cold (no warmup), and both supported
 schemes (:data:`repro.engine.batched.INORDER_KERNEL_SCHEMES`) share the
@@ -33,7 +34,7 @@ from repro.engine.batched import (
     run_lanes,
     write_buffer,
 )
-from repro.engine.memscript import MODE_CONST, memory_script
+from repro.engine.memscript import MODE_CONST, memory_script, value_stream
 from repro.inorder.core import InOrderStats
 from repro.inorder.value_csq import ValueCsqEntry
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
@@ -56,8 +57,8 @@ def run_inorder_cohort(points, *, diverge_at=None):
     dec = trace.decoded()
     length = dec.length
     columns = (dec.opcode_ids, dec.dest_cls, dec.dest_idx, dec.srcs,
-               script.entries, dec.addrs, dec.line_addrs, dec.mispredicted,
-               script.values)
+               script.entries, dec.addrs, dec.line_addrs, dec.mispredicted)
+    stream = value_stream(trace) if persistent else ()
     l1_hit = p0.config.memory.l1d.hit_latency
     SYNC_LAT = _SYNC_LATENCY
 
@@ -83,6 +84,7 @@ def run_inorder_cohort(points, *, diverge_at=None):
         csq_cnt = 0
         csq_entries = ppa.csq_entries
         region_id = region_start = region_stores = 0
+        next_value = iter(stream).__next__
 
         def close_region(end_seq, boundary, cause):
             """InOrderCore._close_region; returns the drain cycle."""
@@ -101,8 +103,8 @@ def run_inorder_cohort(points, *, diverge_at=None):
 
         seq = 0
         try:
-            for seq, (opcode, dcls, didx, srcs, mem_entry, addr, line, mis,
-                      val) in enumerate(zip(columns[0][:end], *columns[1:])):
+            for seq, (opcode, dcls, didx, srcs, mem_entry, addr, line,
+                      mis) in enumerate(zip(columns[0][:end], *columns[1:])):
                 ready = time_
                 for cls, index in srcs:
                     src_ready = ready_pair[cls][index]
@@ -152,7 +154,7 @@ def run_inorder_cohort(points, *, diverge_at=None):
                             if drain > commit:
                                 commit = drain
                         csq_log.append(ValueCsqEntry(
-                            seq=seq, addr=addr, value=val,
+                            seq=seq, addr=addr, value=next_value(),
                             commit_time=commit))
                         csq_cnt += 1
                         region_stores += 1

@@ -16,19 +16,22 @@ backend read, optional DRAM-cache victim write, fill-eviction writebacks).
 The batched kernel then replays only the NVM terms per lane — in the same
 float-operation order as the scalar model, so results stay bit-exact.
 
-An in-order script also carries the trace's functional store values
-(:func:`_functional_values`): architectural values depend only on program
-order, never on timing, so they are computed with the script and shared
-by every in-order lane of that trace.
+Store values need no per-lane model either: architectural values depend
+only on program order (a PC hash chained through register values and
+functional memory), never on timing, so :func:`value_stream` computes a
+trace's store values once, in program order, and every lane of either
+kernel reads them.
 
 Scripts are cached per trace object (weakly keyed), under the
-cache-geometry slice of the memory config: a script lives exactly as long
-as its trace, however many traces interning keeps.
+cache-geometry slice of the memory config, and a value stream per trace
+object: each lives exactly as long as its trace, however many traces
+interning keeps, and :func:`clear_scripts` drops both.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -83,9 +86,6 @@ class MemScript:
     level_counts: Counter
     l2_miss_rate: float
     eviction_writebacks: int
-    # In-order scripts only: the value each store writes, zero at every
-    # other seq (see :func:`_functional_values`).
-    values: list | None = None
 
 
 def geometry_key(cfg: MemoryConfig) -> tuple:
@@ -116,11 +116,12 @@ def _load_entry(events: list, level: str, backend: str, c_sram: float,
     return (mode, c_sram, probe, victim, tuple(fills))
 
 
-def _functional_values(dec) -> list[int]:
-    """The lane-invariant in-order value stream: the value each store
-    writes, as ``InOrderCore.run`` computes it, and zero at every other
-    seq. Only stores carry a value into the CSQ, so the stream keeps no
-    other value alive while its script is cached."""
+def _functional_values(dec) -> array:
+    """The lane-invariant store-value stream: the value each store writes,
+    in program order, as ``InOrderCore.run`` and a value-tracking
+    ``OoOCore.run`` compute it. Only stores' values leave the walk (on
+    store records and CSQ entries), so the stream keeps no other value
+    alive while it is cached."""
     length = dec.length
     opcode_ids = dec.opcode_ids
     dest_cls = dec.dest_cls
@@ -139,7 +140,7 @@ def _functional_values(dec) -> list[int]:
                 max_regs[cls] = index + 1
     values = ([0] * max_regs[0], [0] * max_regs[1])
     fmem: dict[int, int] = {}
-    out = [0] * length
+    out = array("Q")
 
     for seq in range(length):
         opcode = opcode_ids[seq]
@@ -149,7 +150,8 @@ def _functional_values(dec) -> list[int]:
             value = fmem.get(addrs[seq], 0)
         elif opcode == OP_STORE:
             cls, index = srcs[0]
-            value = out[seq] = values[cls][index]
+            value = values[cls][index]
+            out.append(value)
             fmem[addrs[seq]] = value
         elif opcode == OP_SYNC:
             value = 0
@@ -174,8 +176,7 @@ def build_script(trace, cfg: MemoryConfig, warm: bool,
     ``core`` selects whose store behaviour is compiled: the out-of-order
     core issues an RFO at execute and merges at commit (two probes per
     store), while the in-order core merges only (no RFO), so the two
-    evolve the caches differently and need distinct scripts. An in-order
-    script also carries the trace's value stream.
+    evolve the caches differently and need distinct scripts.
     """
     recorder = _RecordingNvm()
     if warm:
@@ -239,13 +240,13 @@ def build_script(trace, cfg: MemoryConfig, warm: bool,
 
     return MemScript(entries=entries, level_counts=level_counts,
                      l2_miss_rate=memory.l2_miss_rate(),
-                     eviction_writebacks=memory.eviction_writebacks,
-                     values=(_functional_values(dec) if core == "inorder"
-                             else None))
+                     eviction_writebacks=memory.eviction_writebacks)
 
 
 # trace -> {(geometry, warm, core): script}; an entry goes with its trace.
 _scripts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# trace -> its store-value stream; an entry goes with its trace.
+_streams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def memory_script(trace, cfg: MemoryConfig, warm: bool,
@@ -259,6 +260,18 @@ def memory_script(trace, cfg: MemoryConfig, warm: bool,
     return script
 
 
+def value_stream(trace) -> array:
+    """The (cached) store-value stream of one trace: ``stream[k]`` is the
+    value the trace's ``k``-th store writes. It depends only on the
+    trace, so one stream serves every lane of both kernels, whatever
+    their core, scheme or cache geometry."""
+    stream = _streams.get(trace)
+    if stream is None:
+        stream = _streams[trace] = _functional_values(trace.decoded())
+    return stream
+
+
 def clear_scripts() -> None:
-    """Drop every cached script (tests, benchmarks)."""
+    """Drop every cached script and value stream (tests, benchmarks)."""
     _scripts.clear()
+    _streams.clear()

@@ -6,8 +6,8 @@ memory script and its columns, then one walk per lane — when everything
 the persistence scheme, whether the caches start warm, and the cache
 geometry (the memory config minus the NVM device parameters — the only
 part of the hierarchy whose behaviour is timing-dependent). Everything
-else — the full core config, the PPA knobs, and the NVM device config —
-may differ per lane; that is exactly the shape of the paper's design-space
+else — the full core config, the PPA knobs, the NVM device config and
+whether store values are tracked — may differ per lane; that is exactly the shape of the paper's design-space
 sweeps, where fig16's 96 points differ only in PRF sizes.
 
 ``plan_points`` implements the ``engine`` contract:
@@ -44,8 +44,7 @@ def cohort_key(point) -> tuple:
     """Grouping key: points with equal keys may share a cohort prologue
     (trace, memory script, columns)."""
     return (point.profile, point.length, point.seed, point.warmup > 0,
-            point.scheme, point.track_values,
-            geometry_key(point.config.memory),
+            point.scheme, geometry_key(point.config.memory),
             getattr(point, "core", "ooo"))
 
 

@@ -99,8 +99,10 @@ def _run_kernel(profile, scheme, core, config, length, warmup,
     from repro.orchestrator.points import make_point
 
     # track_values=True matches the scalar OoOCore default, so the stats
-    # (store values included) do not depend on the engine. The in-order
-    # model always runs cold.
+    # (store values included) do not depend on the engine. On the kernel
+    # it adds nothing to the walk: store values come from the trace's
+    # value stream, built once per trace. The in-order model always runs
+    # cold.
     point = make_point(profile=profile, scheme=scheme, config=config,
                        length=length,
                        warmup=warmup if core == "ooo" else 0, seed=seed,

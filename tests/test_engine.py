@@ -165,6 +165,28 @@ class TestPlanner:
         assert cohort_key(a) == cohort_key(
             _pt("rb", "ppa", BASE.with_prf(120, 112)))
 
+    @pytest.mark.usefixtures("untraced_unsanitized")
+    def test_track_values_lanes_share_one_cohort(self):
+        # The store-value stream is lane-invariant: each lane reads it or
+        # zeros, so points differing only in track_values share a prologue.
+        points = [_pt("rb", "ppa", config, track_values=tv)
+                  for config, tv in ((BASE, True),
+                                     (BASE.with_prf(120, 112), False),
+                                     (BASE.with_prf(90, 90), True),
+                                     (BASE, False))]
+        assert len({cohort_key(p) for p in points}) == 1
+        plan = plan_units(points, "auto")
+        assert [c.indices for c in plan.cohorts] == [[0, 1, 2, 3]]
+        assert plan.scalar_indices == []
+        lanes = run_cohort(points)
+        for lane, point in zip(lanes, points):
+            assert lane.engine == "batched" and lane.error is None
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.stats.to_dict() == want.to_dict()
+        values = [[s.value for s in lane.stats.stores] for lane in lanes]
+        assert values[0] == values[2] and any(values[0])
+        assert not any(values[1]) and not any(values[3])
+
     def test_run_cohort_rejects_mixed_cohorts(self):
         with pytest.raises(ValueError, match="incompatible"):
             run_cohort([_pt("rb", "ppa"), _pt("gcc", "ppa")])
@@ -175,8 +197,8 @@ class TestPlanner:
 @pytest.mark.usefixtures("untraced_unsanitized")
 class TestGoldenParity:
     """Golden pins must hold bit-exactly under ``engine="batched"`` for
-    every scheme — kernel schemes through the lockstep kernel, the rest
-    through the documented scalar fallback."""
+    every scheme — kernel schemes through the lane-major kernels, the
+    rest through the documented scalar fallback."""
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_gcc_3000_pins_under_batched(self, scheme):
@@ -187,13 +209,26 @@ class TestGoldenParity:
         assert engine_used == expected
         assert stats.to_dict() == scalar.to_dict()
 
-    def test_track_values_parity(self):
-        point = _pt("rb", "ppa", track_values=True)
+    @pytest.mark.parametrize("scheme,core,prf", [
+        *((scheme, "ooo", None) for scheme in sorted(KERNEL_SCHEMES)),
+        ("ppa", "inorder", None),
+        # Undersized: masked registers are reclaimed at region drains.
+        ("ppa", "ooo", (48, 48)),
+    ], ids=[*sorted(KERNEL_SCHEMES), "ppa-inorder", "ppa-prf48"])
+    def test_track_values_parity(self, scheme, core, prf):
+        config = BASE.with_prf(*prf) if prf else BASE
+        point = _pt("rb", scheme, config, track_values=True, core=core,
+                    **({"warmup": 0} if core == "inorder" else {}))
         scalar = simulate_point(point, engine="scalar")[0]
         batched, _, engine_used = _simulate_engine(point, "batched")
         assert engine_used == "batched"
-        assert [s.value for s in batched.stores] == \
-               [s.value for s in scalar.stores]
+        records = "entries" if core == "inorder" else "stores"
+        values = [s.value for s in getattr(batched, records)]
+        assert values == [s.value for s in getattr(scalar, records)]
+        assert any(values)
+        assert batched.to_dict() == scalar.to_dict()
+        if prf:
+            assert any(r.cause == "prf" for r in batched.regions)
 
 
 class TestDivergence:
@@ -221,9 +256,10 @@ class TestDivergence:
             prf_int = data.draw(st.integers(70, 300), label=f"prf{lane}")
             prf_fp = data.draw(st.integers(70, prf_int), label=f"fp{lane}")
             wpq = data.draw(st.sampled_from([4, 16, 64]), label=f"w{lane}")
+            tv = data.draw(st.booleans(), label=f"tv{lane}")
             points.append(_pt("rb", scheme,
                               BASE.with_prf(prf_int, prf_fp).with_wpq(wpq),
-                              length=1_200))
+                              length=1_200, track_values=tv))
         diverge_at = {
             lane: data.draw(st.integers(1, 1_199), label=f"d{lane}")
             for lane in range(n)
@@ -636,8 +672,9 @@ class TestInOrderBatching:
             config = BASE.with_wpq(wpq).with_csq(csq)
             config = replace(config, ppa=replace(config.ppa,
                                                  writebuffer_entries=wb))
+            tv = data.draw(st.booleans(), label=f"tv{lane}")
             points.append(_pt("rb", scheme, config, length=length,
-                              warmup=0, core="inorder"))
+                              warmup=0, core="inorder", track_values=tv))
         # A stop index outside the trace never fires.
         diverge_at = {
             lane: data.draw(st.integers(-2, length + 2), label=f"d{lane}")

@@ -449,9 +449,8 @@ class TestCompactLazyResults:
 class TestSinglePointsOnTheKernel:
     """Default single runs of kernel schemes go through the one-lane
     kernel: a ``ppa`` run builds its processor only when ``crash_api`` is
-    read, and each trace's memory script (with, for the in-order core,
-    its value stream) is built once and lives exactly as long as the
-    trace."""
+    read, and each trace's memory script and store-value stream are built
+    once and live exactly as long as the trace."""
 
     KINDS = (("ppa", "ooo"), ("baseline", "ooo"), ("capri", "ooo"),
              ("eadr", "ooo"), ("ppa", "inorder"), ("baseline", "inorder"))
@@ -532,25 +531,27 @@ class TestSinglePointsOnTheKernel:
         assert not [obj for obj in gc.get_objects()
                     if type(obj) is memscript.MemScript]
 
-    def test_inorder_value_stream_lives_with_its_trace(self, monkeypatch):
+    def test_value_stream_lives_with_its_trace(self, monkeypatch):
         import weakref
 
         from repro.engine import memscript
-
-        class Stream(list):                 # a list that takes weakrefs
-            pass
+        from repro.orchestrator.campaign import Campaign
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
 
         streams = []
         stream_of = memscript._functional_values
 
         def counting(dec):
-            streams.append(weakref.ref(stream := Stream(stream_of(dec))))
+            stream = stream_of(dec)
+            streams.append(weakref.ref(stream))
             return stream
 
         monkeypatch.setattr(memscript, "_functional_values", counting)
+        # Both kernels read one stream per trace, whatever the scheme.
         for _ in range(3):                  # fresh, then replayed
-            for scheme in ("ppa", "baseline"):
-                simulate("rb", scheme=scheme, core="inorder", length=300,
+            for scheme, core in (("ppa", "ooo"), ("capri", "ooo"),
+                                 ("ppa", "inorder")):
+                simulate("rb", scheme=scheme, core=core, length=300,
                          seed=5)
         assert len(streams) == 1
         [trace] = interning._traces.values()
@@ -564,3 +565,11 @@ class TestSinglePointsOnTheKernel:
         memscript.clear_scripts()
         gc.collect()
         assert streams[1]() is None
+        # fig16 points track no values: its cohorts build no stream.
+        campaign = Campaign(cache=None)
+        for point in build_sweep(sweep_spec("fig16", apps=["rb"],
+                                            length=300)):
+            campaign.add(point)
+        results = campaign.run()
+        assert all(r.ok and r.engine == "batched" for r in results)
+        assert len(streams) == 2
