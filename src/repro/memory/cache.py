@@ -8,6 +8,7 @@ stream, while latency accounting lives in :mod:`repro.memory.hierarchy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from repro.config import CacheConfig, DramCacheConfig
 
@@ -20,19 +21,67 @@ class Eviction:
     dirty: bool
 
 
+class _SetMap(dict):
+    """Set index -> set, never written; derives and keeps a set on first
+    lookup (every set is empty while ``derive`` is None)."""
+
+    derive = None
+
+    def __missing__(self, index: int) -> dict[int, bool]:
+        derive = self.derive
+        return {} if derive is None else self.setdefault(index, derive(index))
+
+
+_COLD = _SetMap()
+
+
+def _stride_fill(ranges, step: int, line_bytes: int, num_sets: int,
+                 assoc: int):
+    """``derive(index)``: the set at ``index`` after filling ``range(base,
+    base + count * step, step)`` of each ``(base, count)`` range, in order,
+    into an empty LRU cache, which keeps the last ``assoc`` distinct lines.
+    In a range, the lines of one set form at most ``p`` arithmetic
+    progressions, each solved in closed form for its last ``assoc``."""
+    p = line_bytes // gcd(step, line_bytes)  # period of the line offset
+    stride = p * step                   # bytes between progression terms
+    g = gcd(stride // line_bytes, num_sets)
+    period = num_sets // g
+    inverse = pow(stride // line_bytes // g, -1, period) if period > 1 else 0
+    spans = sorted((base, base + count * step) for base, count in ranges)
+    disjoint = all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    progressions = [[(base + r * step, len(range(r, count, p)))
+                     for r in range(min(p, count))] for base, count in ranges]
+
+    def derive(index: int) -> dict[int, bool]:
+        found = []                      # in fill order
+        for terms in progressions:
+            size = len(found)
+            for first, count in terms:
+                q = index - first // line_bytes
+                if q % g == 0 and (q := q // g * inverse % period) < count:
+                    found += range(first + q * stride, first + count * stride,
+                                   period * stride)[-assoc:]
+            if len(terms) > 1:
+                found[size:] = sorted(found[size:])
+        if not disjoint:                # a refilled line counts once, last
+            found = list(dict.fromkeys(reversed(found)))[assoc - 1::-1]
+        return dict.fromkeys(found[-assoc:], False)
+
+    return derive
+
+
 class Cache:
     """An LRU set-associative cache with dirty-bit tracking.
 
     Each set is a plain ``dict`` mapping line address to dirty bit, kept in
     LRU order (first key is the victim); a hit pops and re-inserts its line.
-    Sets are materialized lazily, so multi-megabyte caches cost memory
-    proportional to the touched footprint only. A dict holding only ints
-    and bools is not tracked by CPython's cycle collector, so resident
-    lines add nothing to GC passes.
+    A dict holding only ints and bools is not tracked by CPython's cycle
+    collector, so resident lines add nothing to GC passes.
 
-    A clone (:meth:`copy_state_from`) shares its template's set map and
-    copies one set into its own map on that set's first mutation; reads of
-    untouched sets go straight to the template, which is never written.
+    Until its first write, a set is read from a base map that is never
+    written: empty for a cold cache, derived on first lookup for a
+    prewarmed one (:meth:`prewarm_ranges`), a template's for a clone
+    (:meth:`copy_state_from`). The first write copies the set in.
     """
 
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
@@ -41,9 +90,7 @@ class Cache:
         self.cfg = cfg
         self.name = name
         self._sets: dict[int, dict[int, bool]] = {}
-        # The template's set map, read through for sets this cache has not
-        # yet written; empty unless this cache is a clone.
-        self._base: dict[int, dict[int, bool]] = {}
+        self._base = _COLD
         self._is_clone = False
         # Geometry cached as plain ints: num_sets is a derived property on
         # the config and too slow to recompute per access.
@@ -56,18 +103,33 @@ class Cache:
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // self._line_bytes) % self._num_sets
 
+    def holds_lines(self) -> bool:
+        """Whether a line was ever filled, prewarmed or cloned in."""
+        return bool(self._sets) or self._base is not _COLD
+
+    def prewarm_ranges(self, ranges, step: int) -> None:
+        """Become what an empty cache is after filling ``range(base, base +
+        count * step, step)`` of each ``(base, count)`` range in order."""
+        self._base = _SetMap()
+        self._base.derive = _stride_fill(
+            ranges, step, self._line_bytes, self._num_sets, self._assoc)
+
     def copy_state_from(self, other: "Cache") -> None:
         """Become a copy-on-write clone of a (same-config) template cache.
 
-        Nothing is copied up front: the template's set map is shared and a
-        set is copied on its first mutation, so the template must never be
-        written afterwards. Cloning a clone is refused, because a clone
-        writes its own sets.
+        Nothing is copied up front: the clone reads the template's base
+        map, into which the template's own sets are moved first, and
+        copies a set into its own map on that set's first mutation.
+        Cloning a clone is refused, because a clone writes its own sets.
         """
         if other._is_clone:
             raise ValueError(f"{self.name}: cannot clone from a clone")
+        if other._sets:
+            base = other._base
+            other._base = _SetMap({**base, **other._sets})
+            other._base.derive, other._sets = base.derive, {}
         self._sets = {}
-        self._base = other._sets
+        self._base = other._base
         self._is_clone = True
         self.hits = other.hits
         self.misses = other.misses
@@ -77,16 +139,16 @@ class Cache:
         index = self._set_index(line_addr)
         s = self._sets.get(index)
         if s is None:
-            s = self._base.get(index)
-        return s is not None and line_addr in s
+            s = self._base[index]
+        return line_addr in s
 
     def access(self, line_addr: int, write: bool) -> bool:
         """Reference a line; returns True on hit. Does not allocate on miss."""
         index = self._set_index(line_addr)
         s = self._sets.get(index)
         if s is None:
-            s = self._base.get(index)
-            if s is None or line_addr not in s:
+            s = self._base[index]
+            if line_addr not in s:
                 self.misses += 1
                 return False
             s = self._sets[index] = s.copy()
@@ -102,8 +164,7 @@ class Cache:
         index = self._set_index(line_addr)
         s = self._sets.get(index)
         if s is None:
-            base = self._base.get(index)
-            s = self._sets[index] = {} if base is None else base.copy()
+            s = self._sets[index] = self._base[index].copy()
         if line_addr in s:
             s[line_addr] = s.pop(line_addr) or dirty
             return None
@@ -116,10 +177,10 @@ class Cache:
 
     def contents(self) -> dict[int, list[tuple[int, bool]]]:
         """Every non-empty set's ``(line_addr, dirty)`` pairs, LRU first,
-        keyed by set index; a clone's view merges its template's sets."""
-        merged = {**self._base, **self._sets}
-        return {index: list(s.items())
-                for index, s in sorted(merged.items()) if s}
+        keyed by set index; derives every set of a prewarmed base."""
+        own, base = self._sets, self._base
+        return {index: list(s.items()) for index in range(self._num_sets)
+                if (s := own[index] if index in own else base[index])}
 
     @property
     def hit_rate(self) -> float:

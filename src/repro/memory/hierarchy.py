@@ -183,25 +183,25 @@ class MemorySystem:
         into L2/L3. Ranges larger than a level are stride-sampled so the
         level holds a uniform subset at ~85 % occupancy — the emergent hit
         rate is then capacity-proportional, as for a random-access set.
+        No line is filled: a level derives a set on its first lookup.
         """
-        def fill_level(cache: Cache, ranges: list[tuple[int, int]]) -> None:
-            budget = int(cache.cfg.num_sets * cache.cfg.assoc * 0.85)
-            total_lines = sum(size // 64 for __, size in ranges)
-            if total_lines == 0:
-                return
-            stride = max(1, -(-total_lines // budget))  # ceil division
-            for base, size in ranges:
-                for index in range(0, size // 64, stride):
-                    cache.fill(base + index * 64)
-
+        levels = self._sram_levels()
+        if taken := [level.name for level in levels if level.holds_lines()]:
+            raise ValueError(f"prewarm_extents: {taken} already hold lines")
         hot = [(base, size) for name, base, size in extents
                if name in ("stack", "hot")]
         warm = [(base, size) for name, base, size in extents
                 if name in ("stack", "hot", "warm")]
-        if self.l3 is not None:
-            fill_level(self.l3, warm)
-        fill_level(self.l2, warm)
-        fill_level(self.l1d, hot)
+        for level in levels:
+            ranges = hot if level is self.l1d else warm
+            budget = int(level.cfg.num_sets * level.cfg.assoc * 0.85)
+            total_lines = sum(size // 64 for __, size in ranges)
+            if total_lines == 0:
+                continue
+            stride = max(1, -(-total_lines // budget))  # ceil division
+            level.prewarm_ranges(
+                [(base, len(range(0, size // 64, stride)))
+                 for base, size in ranges], stride * 64)
 
     def copy_warm_state_from(self, template: "MemorySystem") -> None:
         """Clone a prewarmed template's cache contents into this system.

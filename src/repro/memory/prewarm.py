@@ -1,21 +1,20 @@
 """Warm-memory templates: prewarm each (config, extents) pair once.
 
-``MemorySystem.prewarm_extents`` stride-fills every SRAM level — ~70k
-``Cache.fill`` calls for the default hierarchy — and every simulation
-point over the same profile repeats it on identical inputs. The sequence
-is deterministic (no RNG anywhere in declare/prewarm), so the resulting
-cache state is a pure function of ``(memory config, region extents)``.
-This module runs it once per process into a *template* system and makes
-each fresh :class:`MemorySystem` a copy-on-write clone of it.
+``MemorySystem.prewarm_extents`` stands for stride-filling every SRAM
+level (33k-198k ``Cache.fill`` calls per shipped profile on the default
+hierarchy) but fills nothing: a level derives a set in closed form on
+its first lookup and keeps it. The state is deterministic (no RNG in
+declare/prewarm), a pure function of ``(memory config, region
+extents)``. This module builds one *template* per key and makes each
+fresh :class:`MemorySystem` a copy-on-write clone of it.
 
-Bit-exactness: a clone's SRAM levels read the template's sets until
-they first write one, and then copy that set (replacement order and
+Bit-exactness: a clone's SRAM levels read the template's set maps until
+they first write a set, and then copy that set (replacement order and
 dirty bits included); the DRAM-cache slots, resident ranges and hit/miss
 counters are copied outright. A cloned system is therefore
-indistinguishable from one that replayed the fills itself. Templates are
-never written after they are built, and the template's own NVM model is
-never touched — prewarm fills generate no backend traffic — so clones
-always get their own backend.
+indistinguishable from one that replayed the fills itself. A template
+only gains pristine derived sets, and its own NVM model is never
+touched, so clones always get their own backend.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from repro.config import MemoryConfig
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.nvm import NvmModel
 
-# Capped like the trace intern pool. A template holds the steady-state
-# lines of every SRAM level: 7-10 MB on CPython 3.11 for the shipped
-# profiles on the default hierarchy (rb: 99,872 L2 lines, 10.1 MB).
+# Capped like the trace intern pool. A template holds the sets its runs
+# have read (a 12,000-instruction fig16 script: 500-2,800 of L2's 16,384);
+# fully derived, 7-10 MB on CPython 3.11 (rb: 99,872 L2 lines, 10.1 MB).
 _MAX_TEMPLATES = 32
 
 _templates: dict[tuple, MemorySystem] = {}
@@ -57,8 +56,8 @@ def warmed_memory(cfg: MemoryConfig, extents,
     """A fresh MemorySystem carrying declared+prewarmed steady state.
 
     Equivalent to ``declare_resident_extents(m, extents);
-    m.prewarm_extents(extents)`` on a new system, but the fill stream runs
-    only on the first call per ``(cfg, extents)`` key.
+    m.prewarm_extents(extents)`` on a new system, but a set derived by
+    one call serves every later call on the same ``(cfg, extents)`` key.
     """
     extents = tuple(extents)
     key = (cfg, extents)

@@ -376,13 +376,37 @@ def persist_log_from_payload(payload: dict[str, Any]) \
 CACHE_SCHEMA_VERSION = 6
 
 
+_canonical_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   allow_nan=False).encode
+
+# Canonical JSON of profile and config objects, keyed by repr: both are
+# frozen, a campaign digests each point more than once, and the service
+# rebuilds equal objects for every request. A dataclass repr names every
+# field's value in a form that keeps 2 and 2.0 (or 1 and True) apart,
+# which equality does not, so equal reprs mean equal JSON.
+_MAX_CANONICAL = 256
+_canonical: dict[str, str] = {}
+
+
+def _canonical_json(obj) -> str:
+    key = repr(obj)
+    text = _canonical.get(key)
+    if text is None:
+        if len(_canonical) >= _MAX_CANONICAL:
+            _canonical.pop(next(iter(_canonical)))
+        text = _canonical[key] = _canonical_dump(dataclasses.asdict(obj))
+    return text
+
+
 def point_key_material(point: SimPoint, salt: str,
                        engine: str | None = None) -> str:
     """Canonical JSON string hashed into the point's cache key.
 
     Covers every run parameter (full profile and config, not just names)
     plus a code-version salt, so results from a different simulator version
-    never alias.
+    never alias. The string is ``json.dumps(material, sort_keys=True,
+    separators=(",", ":"))``, put together from per-key parts so the
+    profile's and config's JSON is computed once per distinct value.
 
     ``engine`` is normally None — both kernels are bit-exact, so a point's
     result is engine-neutral and either producer may serve it. An
@@ -393,9 +417,7 @@ def point_key_material(point: SimPoint, salt: str,
         "schema": CACHE_SCHEMA_VERSION,
         "salt": salt,
         "kind": "app",
-        "profile": profile_to_dict(point.profile),
         "scheme": point.scheme,
-        "config": config_to_dict(point.config),
         "length": point.length,
         "warmup": point.warmup,
         "seed": point.seed,
@@ -409,5 +431,8 @@ def point_key_material(point: SimPoint, salt: str,
         material["core"] = point.core
     if engine is not None:
         material["engine"] = engine
-    return json.dumps(material, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    parts = {key: _canonical_dump(value) for key, value in material.items()}
+    parts["profile"] = _canonical_json(point.profile)
+    parts["config"] = _canonical_json(point.config)
+    return "{" + ",".join(f"{_canonical_dump(key)}:{parts[key]}"
+                          for key in sorted(parts)) + "}"

@@ -202,6 +202,58 @@ class TestSchemaInvalidation:
         assert current != previous
 
 
+class TestKeyMaterial:
+    """The key material is ``json.dumps(material, sort_keys=True)`` of every
+    run parameter; memoizing the profile's and config's JSON must keep it
+    byte-identical."""
+
+    POINTS = (
+        (("gcc", "ppa"), {"length": 500, "warmup": 0},
+         "b7bd4b8b0f28daea4433a6f951a5a8312afe085c935d77814fc1f8b381bc770a",
+         "778d2ca57f0741c3146a469977ecf44675970f08555f694eb661afed59b40e33"),
+        (("rb", "capri"), {"length": 2000, "seed": 3, "track_values": True},
+         "10843ed4aaa6e6d4e3fb813169bd3a44b3c6a70eac50215956ae2a83f8c8e0b4",
+         "f53dd2209b39f658bc6d4922b665e237c9dc54db331fcafbc07df23bfa776a3e"),
+        (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
+         "3d6e975c7dfbbfc4281e34456ae64be2fa6c595b1bc462491d875636ffe4a36e",
+         "8a2e4ee589704da88cea6981b051cc7d75361d5507a965fd05ad8efd66445000"),
+    )
+
+    @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS)
+    def test_pinned_digests(self, args, kwargs, digest, batched):
+        from repro.orchestrator.cache import point_digest
+
+        point = make_point(*args, **kwargs)
+        for _ in range(2):                  # cold, then memoized
+            assert point_digest(point, salt="fixed") == digest
+            assert point_digest(point, salt="fixed",
+                                engine="batched") == batched
+
+    def test_equals_plain_dump_of_fresh_objects(self):
+        import dataclasses
+
+        from repro.orchestrator.serialize import point_key_material
+
+        point = make_point("rb", "ppa", length=700)
+        point_key_material(point, "s")
+        config = point.config
+        # Equal objects whose fields differ in type (an int where the
+        # default is a float) must not share their JSON.
+        variant = dataclasses.replace(point, config=dataclasses.replace(
+            config, memory=dataclasses.replace(
+                config.memory, nvm=dataclasses.replace(
+                    config.memory.nvm, clock_ghz=2))))
+        for each in (point, variant):
+            text = point_key_material(each, "s")
+            material = json.loads(text)
+            material["profile"] = profile_to_dict(each.profile)
+            material["config"] = config_to_dict(each.config)
+            assert text == json.dumps(material, sort_keys=True,
+                                      separators=(",", ":"))
+        assert '"clock_ghz":2,' in point_key_material(variant, "s")
+        assert '"clock_ghz":2.0,' in point_key_material(point, "s")
+
+
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True)
 

@@ -8,7 +8,9 @@ data plane:
   strictly pay-for-use (``tracemalloc``-enforced);
 * process-wide trace interning and warm-memory templates return state
   bit-identical to cold construction, so the speed-up can never leak
-  into model outputs, and a clone never writes its template;
+  into model outputs, and a clone never writes its template; a template
+  fills no line, and a fig16 memory script derives under a quarter of
+  L2's sets;
 * warm state stays out of the cycle collector's heap: template cache sets
   are untracked, a clone adds only a handful of tracked objects, and
   traces share one object per architectural register;
@@ -207,6 +209,43 @@ class TestWarmMemoryTemplates:
             assert self._snapshot(kept) \
                 == self._snapshot(self._cold(key_cfg, key_extents))
 
+    def test_template_build_fills_no_line(self, monkeypatch):
+        from repro.memory.cache import Cache
+
+        fills = []
+        real_fill = Cache.fill
+
+        def counting_fill(cache, *args, **kwargs):
+            fills.append(args)
+            return real_fill(cache, *args, **kwargs)
+
+        monkeypatch.setattr(Cache, "fill", counting_fill)
+        cfg = skylake_default().with_l3().memory
+        extents = interning.region_extents(profile_by_name("rb"))
+        memory = prewarm.warmed_memory(cfg, extents)
+        assert prewarm.stats["builds"] == 1
+        assert fills == []
+        memory.l2.fill(0x10_0000)       # the counter does count fills
+        assert len(fills) == 1
+
+    def test_fig16_script_derives_under_a_quarter_of_l2(self):
+        """A 12,000-instruction fig16 memory script touches a small share
+        of L2's sets, and only those are derived."""
+        from repro.engine.memscript import clear_scripts, memory_script
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        points = build_sweep(sweep_spec("fig16"))
+        cfg = points[0].config.memory
+        num_sets = cfg.l2.num_sets
+        for profile in {point.profile: None for point in points}:
+            trace = interning.interned_trace(profile, points[0].length)
+            extents = interning.region_extents(profile)
+            memory_script(trace, cfg, True, extents)
+            template = prewarm._templates[cfg, extents]
+            assert template.l2._sets == {}
+            assert 0 < len(template.l2._base) < num_sets / 4, profile.name
+        clear_scripts()
+
     def test_template_reused_and_nvm_isolated(self):
         cfg = skylake_default().memory
         extents = interning.region_extents(profile_by_name("gcc"))
@@ -239,9 +278,11 @@ class TestGcFootprint:
         for template in prewarm._templates.values():
             for cache in (template.l1d, template.l2, template.l3):
                 if cache is not None:
-                    assert cache._sets
-                    assert not any(gc.is_tracked(s)
-                                   for s in cache._sets.values())
+                    # A template's sets live in its base map, derived on
+                    # first lookup; it writes none of its own.
+                    sets = [*cache._sets.values(), *cache._base.values()]
+                    assert sets
+                    assert not any(gc.is_tracked(s) for s in sets)
 
     def test_clone_adds_few_gc_tracked_objects(self):
         cfg = skylake_default().memory
