@@ -13,21 +13,16 @@ per-core recovery composes without cross-core ordering.
 Run:  python examples/multicore_memcached.py
 """
 
-from repro.config import skylake_default
-from repro.multicore.system import MulticoreSystem
-from repro.workloads.profiles import profile_by_name
+import repro
 
 LENGTH = 4_000
 
 
 def compare(app: str, threads: int):
-    profile = profile_by_name(app)
-    config = skylake_default()
-    base = MulticoreSystem(config, "baseline",
-                           threads=threads).run_profile(profile, LENGTH)
-    ppa = MulticoreSystem(config, "ppa",
-                          threads=threads).run_profile(profile, LENGTH)
-    return base, ppa
+    """(baseline, ppa) MulticoreStats of one app at one thread count."""
+    return tuple(repro.simulate(app, scheme=scheme, core="multicore",
+                                threads=threads, length=LENGTH).stats
+                 for scheme in ("baseline", "ppa"))
 
 
 def main() -> None:

@@ -41,15 +41,18 @@ def emit_json(payload: Any) -> None:
 
 
 def reject_bad_limits(args: argparse.Namespace) -> bool:
-    """Refuse a ``--timeout`` that is not positive or a ``--length`` below
-    one instruction: print one line on stderr and return True (the caller
-    exits 2). Absent flags pass."""
+    """Refuse a ``--timeout`` that is not positive, a ``--length`` below
+    one instruction or a ``--threads`` below one thread: print one line
+    on stderr and return True (the caller exits 2). Absent flags pass."""
     timeout = getattr(args, "timeout", None)
     length = getattr(args, "length", None)
+    threads = getattr(args, "threads", None)
     if timeout is not None and timeout <= 0:
         message = f"--timeout must be > 0 seconds (got {timeout:g})"
     elif length is not None and length < 1:
         message = f"--length must be at least 1 instruction (got {length})"
+    elif threads is not None and threads < 1:
+        message = f"--threads must be at least 1 thread (got {threads})"
     else:
         return False
     print(message, file=sys.stderr)

@@ -68,7 +68,6 @@ from repro.persistence.capri import (
 )
 from repro.pipeline.core import _SYNC_LATENCY
 from repro.pipeline.stats import CoreStats, RegionRecord, StoreRecord
-from repro.workloads.interning import interned_trace, region_extents
 
 _INF = float("inf")
 _PRF_NAMES = ("int", "fp")
@@ -198,16 +197,17 @@ def run_cohort(points, *, diverge_at=None) -> list[LaneResult]:
 def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
     """The out-of-order kernel: the cohort prologue, then one walk per
     lane."""
+    from repro.orchestrator.points import bandwidth_share, point_inputs
+
     start = perf_counter()
     p0 = points[0]
     scheme = p0.scheme
     is_ppa = scheme == "ppa"
     is_capri = scheme == "capri"
     stats_scheme = scheme if scheme in ("ppa", "capri") else "baseline"
-    trace = interned_trace(p0.profile, p0.length, seed=p0.seed)
-    warm = p0.warmup > 0
-    extents = region_extents(p0.profile) if warm else None
-    script = memory_script(trace, p0.config.memory, warm, extents)
+    trace, extents, __ = point_inputs(p0)
+    script = memory_script(trace, p0.config.memory, extents is not None,
+                           extents)
 
     dec = trace.decoded()
     length = dec.length
@@ -258,7 +258,8 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         penalty = core.branch_mispredict_penalty
         lat_agen = core.lat_agen
         lat_tab = _latency_list(core, dec)
-        nvm_write, nvm_read, replay, nvm_counts = nvm_device(nvm)
+        nvm_write, nvm_read, replay, nvm_counts = nvm_device(
+            nvm, bandwidth_share(point))
         advance_floor, persist_store, region_drain, seal_region, wb_totals = \
             write_buffer(ppa, nvm, nvm_write)
 
@@ -676,9 +677,9 @@ def run_lanes(points, length, walk, start, diverge_at=None) \
     return results
 
 
-def nvm_device(nvm):
-    """One lane's ``NvmModel``, as closures over its state: returns
-    ``(write, read, replay, counts)``.
+def nvm_device(nvm, share=1.0):
+    """One lane's ``NvmModel(nvm, bandwidth_share=share)``, as closures
+    over its state: returns ``(write, read, replay, counts)``.
 
     * ``write(line, submit)`` -> ``(accepted, done, backpressure)``
       (``NvmModel.write_line``);
@@ -698,9 +699,9 @@ def nvm_device(nvm):
     drain threshold is the running max of submit times.
     """
     nctl = max(1, nvm.num_controllers)
-    cpl = nvm.cycles_per_line / 1.0
+    cpl = nvm.cycles_per_line / share
     cpl_q = cpl * 0.25
-    rcpl = nvm.read_cycles_per_line / 1.0
+    rcpl = nvm.read_cycles_per_line / share
     wlat = nvm.write_latency
     rlat = nvm.read_latency
     wpq_n = nvm.wpq_entries

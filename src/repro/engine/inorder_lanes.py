@@ -40,17 +40,18 @@ from repro.inorder.value_csq import ValueCsqEntry
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
 from repro.pipeline.core import _SYNC_LATENCY
 from repro.pipeline.stats import RegionRecord
-from repro.workloads.interning import interned_trace
 
 
 def run_inorder_cohort(points, *, diverge_at=None):
     """Run a compatible ``core="inorder"`` cohort: the prologue, then one
     walk per lane (see :func:`repro.engine.batched.run_lanes`)."""
+    from repro.orchestrator.points import bandwidth_share, point_inputs
+
     start = perf_counter()
     p0 = points[0]
     persistent = p0.scheme == "ppa"
-    trace = interned_trace(p0.profile, p0.length, seed=p0.seed)
-    # The in-order facade ignores warmup: memory always starts cold.
+    # The in-order model ignores warmup: memory always starts cold.
+    trace = point_inputs(p0)[0]
     script = memory_script(trace, p0.config.memory, False, None,
                            core="inorder")
 
@@ -70,7 +71,8 @@ def run_inorder_cohort(points, *, diverge_at=None):
         width = core.width
         penalty = core.branch_mispredict_penalty
         lat_tab = _latency_list(core, dec)
-        nvm_write, __, replay, nvm_counts = nvm_device(nvm)
+        nvm_write, __, replay, nvm_counts = nvm_device(
+            nvm, bandwidth_share(point))
         advance_floor, persist_store, __, seal_region, wb_totals = \
             write_buffer(ppa, nvm, nvm_write)
 

@@ -2,13 +2,16 @@
 
 Two points can share a cohort — one prologue that loads the trace, its
 memory script and its columns, then one walk per lane — when everything
-*outside* the per-lane state is identical: the interned trace (profile, length, seed),
-the persistence scheme, whether the caches start warm, and the cache
-geometry (the memory config minus the NVM device parameters — the only
-part of the hierarchy whose behaviour is timing-dependent). Everything
-else — the full core config, the PPA knobs, the NVM device config and
-whether store values are tracked — may differ per lane; that is exactly the shape of the paper's design-space
-sweeps, where fig16's 96 points differ only in PRF sizes.
+*outside* the per-lane state is identical: the interned trace (profile,
+length, seed, thread index), the persistence scheme, whether the caches
+start warm, and the cache geometry (the memory config minus the NVM
+device parameters — the only part of the hierarchy whose behaviour is
+timing-dependent). Everything else — the full core config, the PPA
+knobs, the NVM device config and bandwidth share, and whether store
+values are tracked — may differ per lane; that is exactly the shape of
+the paper's design-space sweeps, where fig16's 96 points differ only in
+PRF sizes, and of Fig 19, where one thread's runs differ only in
+bandwidth share.
 
 ``plan_points`` implements the ``engine`` contract:
 
@@ -42,10 +45,13 @@ def unbatchable_reason(point) -> str | None:
 
 def cohort_key(point) -> tuple:
     """Grouping key: points with equal keys may share a cohort prologue
-    (trace, memory script, columns)."""
+    (trace, memory script, columns). A thread's trace depends on its
+    index, not on the thread count."""
+    thread = getattr(point, "thread", None)
     return (point.profile, point.length, point.seed, point.warmup > 0,
             point.scheme, geometry_key(point.config.memory),
-            getattr(point, "core", "ooo"))
+            getattr(point, "core", "ooo"),
+            None if thread is None else thread[0])
 
 
 @dataclass

@@ -18,6 +18,7 @@ import argparse
 import sys
 import time
 
+from repro.cli import reject_bad_limits
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.experiments.runner import configure_disk_cache, disk_cache
 from repro.orchestrator.cache import default_cache_dir
@@ -59,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chart", action="store_true",
                         help="render an ASCII bar chart of the result")
     args = parser.parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
 
     if args.experiment == "list":
         for experiment_id, experiment in sorted(all_experiments().items()):

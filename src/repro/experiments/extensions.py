@@ -16,13 +16,12 @@ from repro.config import skylake_default
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
 from repro.experiments.runner import run_points
-from repro.memory.hierarchy import MemorySystem
-from repro.orchestrator.execute import declare_steady_state
+from repro.memory.prewarm import warmed_memory
 from repro.orchestrator.points import make_point
 from repro.persistence.capri import CapriPolicy
 from repro.pipeline.core import OoOCore
+from repro.workloads.interning import interned_trace, region_extents
 from repro.workloads.profiles import profile_by_name
-from repro.workloads.synthetic import TraceGenerator
 
 PSP_APPS = ("gcc", "mcf", "rb", "lulesh", "tatp")
 SWEEP_APPS = ("gcc", "rb", "water-ns")
@@ -72,11 +71,8 @@ def run_ext_region_length(apps=SWEEP_APPS, length: int = 8_000,
         ratios = []
         for app, base in zip(apps, bases):
             profile = profile_by_name(app)
-            generator = TraceGenerator(profile, seed=0)
-            memory = MemorySystem(config.memory)
-            declare_steady_state(memory, generator)
-            memory.prewarm_extents(generator.region_extents())
-            trace = generator.generate(length)
+            trace = interned_trace(profile, length)
+            memory = warmed_memory(config.memory, region_extents(profile))
             core = OoOCore(config,
                            CapriPolicy(mean_region_length=mean_length),
                            memory=memory, track_values=False)
@@ -139,11 +135,8 @@ def run_ext_inorder(apps=("gcc", "rb", "xsbench"),
         profile = profile_by_name(app)
 
         def run(persistent: bool) -> float:
-            generator = TraceGenerator(profile, seed=0)
-            memory = MemorySystem(config.memory)
-            declare_steady_state(memory, generator)
-            memory.prewarm_extents(generator.region_extents())
-            trace = generator.generate(length)
+            trace = interned_trace(profile, length)
+            memory = warmed_memory(config.memory, region_extents(profile))
             core = InOrderCore(config, memory=memory,
                                persistent=persistent)
             return core.run(trace).cycles

@@ -18,6 +18,7 @@ from repro.config import skylake_default
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import register
 from repro.experiments.runner import run_point_results, run_points
+from repro.multicore.system import barrier_reduce, thread_points
 from repro.orchestrator.campaigns import (
     SWEEP_LENGTH,
     build_sweep,
@@ -343,21 +344,33 @@ def run_fig18(apps=None, length: int = SWEEP_LENGTH) -> ExperimentResult:
 # Figure 19 — thread-count sweep on the multicore system
 # ---------------------------------------------------------------------------
 
+def fig19_runs(apps, threads, length: int) -> dict:
+    """Fig 19's ``MulticoreStats``, keyed by (app, scheme, thread count).
+
+    Every thread of every run is one point of a single campaign; thread
+    ``tid`` of each width shares one cohort (see
+    :func:`repro.engine.plan.cohort_key`)."""
+    runs = {(name, scheme, count): thread_points(
+                profile_by_name(name), scheme, count, length=length,
+                warmup=DEFAULT_WARMUP)
+            for name in apps for scheme in ("ppa", "baseline")
+            for count in threads}
+    stats = iter(run_points([point for run in runs.values()
+                             for point in run]))
+    return {key: barrier_reduce(run[0].profile, key[1], length,
+                                [next(stats) for __ in run])
+            for key, run in runs.items()}
+
+
 def run_fig19(apps=None, threads=(8, 16, 32, 64),
               length: int = 4_000) -> ExperimentResult:
-    from repro import simulate
-
-    def makespan(name: str, scheme: str, count: int) -> float:
-        return simulate(name, scheme=scheme, core="multicore",
-                        threads=count, length=length,
-                        warmup=DEFAULT_WARMUP).stats.makespan
-
     apps = list(apps) if apps is not None else list(MULTITHREADED_APPS)
+    runs = fig19_runs(apps, threads, length)
     rows = []
     summary = {}
     for count in threads:
-        ratios = [makespan(name, "ppa", count) /
-                  makespan(name, "baseline", count) for name in apps]
+        ratios = [runs[name, "ppa", count].makespan /
+                  runs[name, "baseline", count].makespan for name in apps]
         mean = gmean(ratios)
         rows.append([count, mean])
         summary[f"gmean_t{count}"] = mean

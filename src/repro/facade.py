@@ -1,8 +1,9 @@
 """The unified run API: one call simulates any core under any scheme.
 
 It wraps the per-model classes (``PersistentProcessor``,
-``InOrderPersistentProcessor``, ``MulticoreSystem``, ...) and the engine
-layer, so callers need not pick one themselves:
+``InOrderPersistentProcessor``, ...), the engine layer and the multicore
+reduction (:func:`repro.multicore.system.barrier_reduce`), so callers
+need not pick one themselves:
 
 >>> result = repro.simulate("gcc", scheme="ppa")   # runs on the kernel
 >>> result.stats.ipc
@@ -125,20 +126,22 @@ def _run_ooo(profile, run_trace, scheme, config, length, warmup,
     from repro.persistence.catalog import make_policy
     from repro.pipeline.core import OoOCore
 
+    extents = None
     if run_trace is None:
         # Profile runs intern the generated trace and clone prewarmed
         # cache state from a shared template — both deterministic, so
         # repeated runs are bit-identical to cold ones.
-        from repro.memory.prewarm import warmed_memory
-        from repro.workloads.interning import interned_trace, region_extents
+        from repro.orchestrator.points import make_point, point_inputs
 
-        run_trace = interned_trace(profile, length, seed=seed)
-        if warmup > 0:
-            memory = warmed_memory(config.memory, region_extents(profile))
-        else:
-            memory = MemorySystem(config.memory)
-    else:
+        run_trace, extents, __ = point_inputs(make_point(
+            profile, scheme, config, length=length, warmup=warmup,
+            seed=seed))
+    if extents is None:
         memory = MemorySystem(config.memory)
+    else:
+        from repro.memory.prewarm import warmed_memory
+
+        memory = warmed_memory(config.memory, extents)
     if scheme == "ppa":
         # The full life cycle (run / crash_at / recover) needs the
         # value-tracking PPA processor.
@@ -178,13 +181,26 @@ def _run_inorder(profile, run_trace, scheme, config, length,
 
 
 def _run_multicore(profile, scheme, config, length, warmup, seed,
-                   threads) -> SimResult:
-    from repro.multicore.system import MulticoreSystem
+                   threads, engine) -> SimResult:
+    """Thread points, then the barrier reduction; traced, thread ``tid``
+    records into a ``core{tid}/`` scope."""
+    from repro import telemetry
+    from repro.multicore.system import barrier_reduce, thread_points
+    from repro.orchestrator.execute import simulate_point
 
-    system = MulticoreSystem(config, scheme, threads=threads)
-    stats = system.run_profile(profile, length=length, warmup=warmup,
-                               seed=seed)
-    return SimResult(stats=stats, telemetry=system.tracer)
+    points = thread_points(profile, scheme, threads, config=config,
+                           length=length, warmup=warmup, seed=seed)
+    tracer = telemetry.tracer_for_run()
+    per_thread = []
+    for tid, point in enumerate(points):
+        if tracer is None:
+            per_thread.append(simulate_point(point, engine=engine)[0])
+            continue
+        with telemetry.tracing(tracer.scope(f"core{tid}")):
+            per_thread.append(simulate_point(point, engine=engine)[0])
+    stats = barrier_reduce(profile, scheme, length, per_thread,
+                           tracer=tracer)
+    return SimResult(stats=stats, telemetry=tracer)
 
 
 def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
@@ -198,19 +214,21 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
     (``"gcc"``). ``core`` selects the model — ``"ooo"`` (Section 4),
     ``"inorder"`` (Section 6's value-CSQ variant, schemes ``ppa`` and
     ``baseline`` only), or ``"multicore"`` (Section 7.11, profile input
-    only). ``trace=True`` records cycle-level telemetry into
-    ``result.telemetry`` without touching the configured environment.
+    only: ``threads`` out-of-order thread points, one simulation point
+    each, barrier-reduced to a :class:`MulticoreStats`). ``trace=True``
+    records cycle-level telemetry into ``result.telemetry`` without
+    touching the configured environment.
 
     ``engine`` follows the :mod:`repro.engine` contract (``None`` resolves
     ``REPRO_ENGINE``, default ``"auto"``): under ``"auto"`` or
     ``"batched"`` a profile run of a scheme with a kernel —
     ``ppa``/``baseline``/``eadr``/``dram-only``/``capri`` on the
     out-of-order core, ``ppa``/``baseline`` on the in-order core — runs
-    on the one-lane kernel, bit-exact with the scalar kernel. For ``ppa``
-    the first read of ``result.crash_api`` replays the run on the
-    value-tracking processor. Raw ``Trace`` input, the multicore model,
-    ``engine="scalar"`` and runs under an active tracer or sanitizer use
-    the scalar kernel.
+    on the one-lane kernel, bit-exact with the scalar kernel; so does
+    each thread of a multicore run. For single-core ``ppa`` the first
+    read of ``result.crash_api`` replays the run on the value-tracking
+    processor. Raw ``Trace`` input, ``engine="scalar"`` and runs under an
+    active tracer or sanitizer use the scalar kernel.
     """
     if core not in CORES:
         raise ValueError(f"unknown core {core!r}; options: {list(CORES)}")
@@ -239,7 +257,7 @@ def _dispatch(profile, run_trace, scheme, core, config, length, warmup,
               seed, threads, engine) -> SimResult:
     if core == "multicore":
         return _run_multicore(profile, scheme, config, length, warmup, seed,
-                              threads)
+                              threads, engine)
     if engine != "scalar" and run_trace is None:
         result = _run_kernel(profile, scheme, core, config, length, warmup,
                              seed, engine)

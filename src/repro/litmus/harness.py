@@ -457,7 +457,7 @@ def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
 
 
 def _check_multicore(check: _Check, scheme: str, config) -> None:
-    from repro.multicore.system import MulticoreSystem
+    from repro.multicore.system import run_traces
 
     program = check.program
     if not program.store_disjoint:
@@ -466,8 +466,7 @@ def _check_multicore(check: _Check, scheme: str, config) -> None:
             "store-disjoint locations")
         return
     traces = thread_traces(program)
-    system = MulticoreSystem(config, scheme, threads=len(traces))
-    mstats = system.run_traces(traces, track_values=True)
+    mstats = run_traces(config, scheme, traces, track_values=True)
     check.result.runs += 1
     snapshots = _image_snapshots(
         [(tid, s.stores) for tid, s in enumerate(mstats.per_thread)],

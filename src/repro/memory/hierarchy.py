@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.config import MemoryConfig
 from repro.memory.cache import Cache, DirectMappedDramCache, Eviction
-from repro.memory.nvm import MultiControllerNvm, NvmModel
+from repro.memory.nvm import NvmModel, nvm_backend
 
 
 @dataclass(slots=True)
@@ -43,13 +43,7 @@ class MemorySystem:
             self.dram_cache = DirectMappedDramCache(cfg.dram_cache)
         else:
             self.dram_cache = None
-        if nvm is not None:
-            self.nvm = nvm
-        elif cfg.nvm.num_controllers > 1:
-            self.nvm = MultiControllerNvm(
-                cfg.nvm, controllers=cfg.nvm.num_controllers)
-        else:
-            self.nvm = NvmModel(cfg.nvm)
+        self.nvm = nvm if nvm is not None else nvm_backend(cfg.nvm)
         self.eviction_writebacks = 0
         self.demand_loads = 0
 
@@ -198,6 +192,11 @@ class MemorySystem:
             total_lines = sum(size // 64 for __, size in ranges)
             if total_lines == 0:
                 continue
+            if budget == 0:
+                raise ValueError(
+                    f"prewarm_extents: {level.name} ({level.cfg.num_sets} "
+                    f"sets x {level.cfg.assoc} ways) has no line to "
+                    "prewarm at 85% occupancy")
             stride = max(1, -(-total_lines // budget))  # ceil division
             level.prewarm_ranges(
                 [(base, len(range(0, size // 64, stride)))

@@ -221,3 +221,12 @@ class MultiControllerNvm:
         for controller in self.controllers:
             merged.merge(controller.stats)
         return merged
+
+
+def nvm_backend(cfg, bandwidth_share: float = 1.0):
+    """The device a memory system sits on: one :class:`NvmModel`, or a
+    :class:`MultiControllerNvm` when ``cfg`` has several controllers."""
+    if cfg.num_controllers > 1:
+        return MultiControllerNvm(cfg, controllers=cfg.num_controllers,
+                                  bandwidth_share=bandwidth_share)
+    return NvmModel(cfg, bandwidth_share=bandwidth_share)

@@ -1,5 +1,5 @@
 """Multi-core simulation for the multithreaded suites (Fig 19, Section 6)."""
 
-from repro.multicore.system import MulticoreStats, MulticoreSystem
+from repro.multicore.system import MulticoreStats
 
-__all__ = ["MulticoreStats", "MulticoreSystem"]
+__all__ = ["MulticoreStats"]

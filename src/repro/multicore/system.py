@@ -3,18 +3,16 @@
 The paper simulates SPLASH3/STAMP/WHISPER on 8 cores in gem5 full-system
 mode and sweeps the thread count up to 64 (Section 7.11), scaling the WPQ
 and shared L2 proportionally. We model the same setup with a rate-based
-decomposition:
+decomposition, as ordinary simulation points plus a pure reduction:
 
-* each thread runs on its own core model over its own (disjoint-heap, hence
-  trivially DRF) trace. The paper's Fig 19 scales the WPQ and shared L2
-  with the thread count (a bigger machine brings more memory channels), so
-  per-thread NVM bandwidth degrades only mildly with contention; we model
-  it as ``share = (8 / threads) ** contention_exponent`` for more than 8
-  threads, calibrated so PPA's overhead drifts from ~2 % at 8 threads
-  toward ~6 % at 64 as the paper reports;
+* each thread is one :class:`~repro.orchestrator.points.SimPoint` with
+  ``thread=(tid, threads)`` (:func:`thread_points`): its own core, warmed
+  memory and NVM model (with a bandwidth share that shrinks mildly past
+  8 threads) over its own disjoint-heap, hence trivially DRF, trace. It
+  runs wherever points run: on the kernel, in a ``Campaign``, cached;
 * SYNC instructions are barriers placed at identical trace positions in
-  every thread; the system's makespan is the sum over barrier-delimited
-  segments of the slowest thread's segment time (load imbalance plus
+  every thread; :func:`barrier_reduce` sums, over barrier-delimited
+  segments, the slowest thread's segment time (load imbalance plus
   PPA's sync-boundary drains, which each core pays locally per Section 6).
 
 Per Section 6, PPA needs no cross-core recovery ordering: each core's CSQ
@@ -24,13 +22,12 @@ the single-core failure tests) composes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import SystemConfig
-from repro.isa.decoded import OP_SYNC
-from repro.memory.nvm import NvmModel
-from repro.persistence.catalog import make_policy, scheme_backend
+from repro.orchestrator.points import SimPoint, config_for, make_point
+from repro.persistence.catalog import make_policy
 from repro.pipeline.core import OoOCore
 from repro.pipeline.stats import CoreStats
 from repro.workloads.profiles import WorkloadProfile
@@ -96,143 +93,89 @@ class MulticoreStats:
         return self.merge(other)
 
 
-class MulticoreSystem:
-    """Runs one profile across N cores under one persistence scheme."""
+def thread_points(profile: WorkloadProfile, scheme: str, threads: int,
+                  config: SystemConfig | None = None, length: int = 20_000,
+                  warmup: int = 1, seed: int = 0) -> list[SimPoint]:
+    """One point per thread of a ``threads``-thread run."""
+    if threads <= 0:
+        raise ValueError("need at least one thread")
+    return [make_point(profile, scheme, config=config, length=length,
+                       warmup=warmup, seed=seed, thread=(tid, threads))
+            for tid in range(threads)]
 
-    BASE_THREADS = 8
 
-    def __init__(self, config: SystemConfig, scheme: str,
-                 threads: int = 8,
-                 contention_exponent: float = 0.2) -> None:
-        if threads <= 0:
-            raise ValueError("need at least one thread")
-        self.contention_exponent = contention_exponent
-        backend = scheme_backend(scheme)
-        if config.memory.backend != backend:
-            config = replace(config, memory=replace(
-                config.memory, backend=backend))
-        # Fig 19 scales the WPQ and shared L2 proportionally to the thread
-        # count; per-thread capacity is constant, bandwidth is shared.
-        self.config = config
-        self.scheme = scheme
-        self.threads = threads
-        # Set per run_profile() call; each thread's core traces into a
-        # ``core{tid}/`` scope of this tracer.
-        self.tracer = None
+def barrier_reduce(profile: WorkloadProfile, scheme: str, length: int,
+                   per_thread: list[CoreStats],
+                   tracer=None) -> MulticoreStats:
+    """Barrier-align one run's per-thread stats (thread order).
 
-    def bandwidth_share(self) -> float:
-        """Per-thread share of NVM bandwidth on the scaled machine."""
-        if self.threads <= self.BASE_THREADS:
-            return 1.0
-        return (self.BASE_THREADS / self.threads) ** self.contention_exponent
-
-    def _run_thread(self, trace, extents, tracer=None,
-                    track_values: bool = False) -> CoreStats:
-        from repro.memory.prewarm import warmed_memory
-
-        nvm = NvmModel(self.config.memory.nvm,
-                       bandwidth_share=self.bandwidth_share())
-        # Declared-resident + prewarmed state comes from a shared template
-        # per (config, extents); each thread keeps its own NVM model so
-        # bandwidth-share accounting stays per-core.
-        memory = warmed_memory(self.config.memory, extents, nvm=nvm)
-        core = OoOCore(self.config, make_policy(self.scheme),
-                       memory=memory, track_values=track_values,
-                       tracer=tracer)
-        return core.run(trace)
-
-    def run_traces(self, traces, track_values: bool = False
-                   ) -> MulticoreStats:
-        """Run caller-supplied per-thread traces, one core each.
-
-        Unlike :meth:`run_profile`, no barrier alignment is assumed
-        between the traces (each may place SYNCs wherever it likes); the
-        makespan is simply the slowest core's finish time. This is the
-        entry point the litmus conformance harness uses: tiny hand-built
-        traces with ``track_values=True`` so per-thread store payloads
-        land in the logs.
-        """
-        if len(traces) != self.threads:
-            raise ValueError(
-                f"got {len(traces)} traces for {self.threads} threads")
-        per_thread = [
-            self._run_thread(trace, (), track_values=track_values)
-            for trace in traces
-        ]
-        makespan = max((s.cycles for s in per_thread), default=0.0)
-        return MulticoreStats(
-            scheme=self.scheme,
-            threads=self.threads,
-            makespan=makespan,
-            per_thread=per_thread,
-            barrier_segments=0,
-            imbalance_cycles=sum(makespan - s.cycles for s in per_thread),
-        )
-
-    @staticmethod
-    def _sync_points(trace) -> list[int]:
-        return [i for i, op in enumerate(trace.decoded().opcode_ids)
-                if op == OP_SYNC]
-
-    def run_profile(self, profile: WorkloadProfile, length: int = 20_000,
-                    warmup: int = 1, seed: int = 0) -> MulticoreStats:
-        """Simulate ``threads`` copies of the profile with barrier sync
-        (:func:`repro.simulate` with ``core="multicore"`` wraps this)."""
-        from repro import telemetry
-        from repro.workloads.interning import (
-            interned_thread_traces,
-            region_extents,
-        )
-
-        tracer = telemetry.tracer_for_run()
-        self.tracer = tracer
-        traces = interned_thread_traces(profile, length,
-                                        threads=self.threads, seed=seed)
-        per_thread: list[CoreStats] = []
-        for tid, trace in enumerate(traces):
-            scope = (tracer.scope(f"core{tid}")
-                     if tracer is not None else None)
-            extents = region_extents(
-                profile, addr_base=0x10_0000 + tid * (1 << 32))
-            per_thread.append(self._run_thread(trace, extents,
-                                               tracer=scope))
-
-        # Barrier-align the threads: SYNCs are at identical positions.
-        sync_points = self._sync_points(traces[0])
-        boundaries = sync_points + [len(traces[0]) - 1]
-        makespan = 0.0
-        imbalance = 0.0
-        previous = [0.0] * self.threads
-        segment_start = 0.0
-        for segment, boundary in enumerate(boundaries):
-            segment_times = []
-            for tid, stats in enumerate(per_thread):
-                arrival = stats.commit_times[boundary]
-                segment_times.append(arrival - previous[tid])
-                previous[tid] = arrival
-            slowest = max(segment_times)
-            makespan += slowest
-            imbalance += slowest * len(segment_times) - sum(segment_times)
-            if tracer is not None:
-                # System-level view: the barrier-aligned makespan segment,
-                # with the straggler and the idle (imbalance) cycles.
-                end = segment_start + slowest
-                tracer.span("system", f"segment {segment}", segment_start,
-                            end, cat="run",
-                            straggler=segment_times.index(slowest),
-                            imbalance=slowest * len(segment_times)
-                            - sum(segment_times))
-                segment_start = end
+    Every thread's trace places a SYNC at each positive multiple of the
+    profile's ``sync_interval`` below ``length``; the run's makespan is
+    the sum over barrier-delimited segments of the slowest thread's
+    segment time. With ``tracer``, each segment (its straggler and idle
+    cycles) and the whole run land on its ``system`` track."""
+    interval = profile.sync_interval
+    boundaries = (list(range(interval, length, interval)) if interval
+                  else []) + [length - 1]
+    makespan = 0.0
+    imbalance = 0.0
+    previous = [0.0] * len(per_thread)
+    segment_start = 0.0
+    for segment, boundary in enumerate(boundaries):
+        segment_times = []
+        for tid, stats in enumerate(per_thread):
+            arrival = stats.commit_times[boundary]
+            segment_times.append(arrival - previous[tid])
+            previous[tid] = arrival
+        slowest = max(segment_times)
+        idle = slowest * len(segment_times) - sum(segment_times)
+        makespan += slowest
+        imbalance += idle
         if tracer is not None:
-            tracer.span("system", f"run {profile.name}", 0.0, makespan,
-                        cat="run", scheme=self.scheme,
-                        threads=self.threads,
-                        segments=len(boundaries))
-        return MulticoreStats(
-            scheme=self.scheme,
-            threads=self.threads,
-            makespan=makespan,
-            per_thread=per_thread,
-            barrier_segments=len(boundaries),
-            imbalance_cycles=imbalance,
-        )
+            tracer.span("system", f"segment {segment}", segment_start,
+                        segment_start + slowest, cat="run",
+                        straggler=segment_times.index(slowest),
+                        imbalance=idle)
+            segment_start += slowest
+    if tracer is not None:
+        tracer.span("system", f"run {profile.name}", 0.0, makespan,
+                    cat="run", scheme=scheme, threads=len(per_thread),
+                    segments=len(boundaries))
+    return MulticoreStats(
+        scheme=scheme,
+        threads=len(per_thread),
+        makespan=makespan,
+        per_thread=per_thread,
+        barrier_segments=len(boundaries),
+        imbalance_cycles=imbalance,
+    )
+
+
+def run_traces(config: SystemConfig | None, scheme: str, traces,
+               track_values: bool = False) -> MulticoreStats:
+    """Run caller-supplied per-thread traces, one cold core each.
+
+    No barrier alignment is assumed between the traces (each may place
+    SYNCs wherever it likes); the makespan is simply the slowest core's
+    finish time. The litmus conformance harness runs tiny hand-built
+    traces with ``track_values=True`` so per-thread store payloads land
+    in the logs.
+    """
+    from repro.memory.hierarchy import MemorySystem
+
+    config = config_for(scheme, config)
+    per_thread = [
+        OoOCore(config, make_policy(scheme),
+                memory=MemorySystem(config.memory),
+                track_values=track_values).run(trace)
+        for trace in traces
+    ]
+    makespan = max((s.cycles for s in per_thread), default=0.0)
+    return MulticoreStats(
+        scheme=scheme,
+        threads=len(traces),
+        makespan=makespan,
+        per_thread=per_thread,
+        barrier_segments=0,
+        imbalance_cycles=sum(makespan - s.cycles for s in per_thread),
+    )

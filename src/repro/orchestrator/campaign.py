@@ -410,11 +410,13 @@ class Campaign:
     def _preload_specs(self, misses: list[int]) -> tuple:
         """Trace specs worth interning in every worker up front: the
         ``(profile, length, seed)`` combinations shared by two or more
-        submitted points (a sweep varies config/scheme, not the trace)."""
+        submitted points (a sweep varies config/scheme, not the trace).
+        Thread points run traces of their own and are left out."""
         from collections import Counter
 
         counts = Counter(
             (self.points[i].profile, self.points[i].length,
-             self.points[i].seed) for i in misses)
+             self.points[i].seed) for i in misses
+            if self.points[i].thread is None)
         return tuple(spec for spec, count in counts.most_common(8)
                      if count >= 2)

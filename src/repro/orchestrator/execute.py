@@ -23,15 +23,14 @@ from typing import Any
 
 from repro.config import SANITIZE_ENV_VAR, sanitize_requested
 from repro.memory.hierarchy import MemorySystem
-from repro.memory.prewarm import declare_resident_extents, warmed_memory
+from repro.memory.nvm import nvm_backend
+from repro.memory.prewarm import warmed_memory
 from repro.memory.writebuffer import PersistOp
 from repro.persistence.catalog import make_policy
 from repro.pipeline.core import OoOCore
 from repro.pipeline.stats import CoreStats
-from repro.workloads.interning import interned_trace, region_extents
-from repro.workloads.synthetic import TraceGenerator
 
-from repro.orchestrator.points import SimPoint
+from repro.orchestrator.points import SimPoint, point_inputs
 from repro.orchestrator.serialize import payload_from_run
 
 # Per-process worker accounting. ``imports`` counts worker_init calls in
@@ -89,14 +88,6 @@ def worker_info() -> dict[str, int]:
             "preloaded": _WORKER_STATE["preloaded"]}
 
 
-def declare_steady_state(memory: MemorySystem,
-                         generator: TraceGenerator) -> None:
-    """Mark non-streaming regions DRAM-cache resident: after the billions
-    of instructions the paper fast-forwards, a sub-4 GB reused footprint
-    sits in the direct-mapped DRAM cache, while streaming data outruns it."""
-    declare_resident_extents(memory, generator.region_extents())
-
-
 def simulate_point(point: SimPoint, engine: str | None = None) \
         -> tuple[CoreStats, list[PersistOp] | None]:
     """Run one point to completion; returns the stats and, when the point
@@ -139,21 +130,21 @@ def _scalar_simulate(point: SimPoint) \
         -> tuple[CoreStats, list[PersistOp] | None]:
     """The scalar reference path (also the batched kernel's divergence
     fallback, via ``simulate_point(..., engine="scalar")``)."""
-    trace = interned_trace(point.profile, point.length, seed=point.seed)
+    trace, extents, share = point_inputs(point)
+    cfg = point.config.memory
+    nvm = nvm_backend(cfg.nvm, share)
+    if extents is None:
+        memory = MemorySystem(cfg, nvm=nvm)
+    else:
+        memory = warmed_memory(cfg, extents, nvm=nvm)
     if point.core == "inorder":
-        # The in-order model always runs cold (the facade ignores warmup
-        # and so does the batched in-order kernel).
+        # The in-order model always runs cold: point_inputs gives it no
+        # extents.
         from repro.inorder.core import InOrderCore
 
-        core = InOrderCore(point.config,
-                           memory=MemorySystem(point.config.memory),
+        core = InOrderCore(point.config, memory=memory,
                            persistent=point.scheme == "ppa")
     else:
-        if point.warmup > 0:
-            memory = warmed_memory(point.config.memory,
-                                   region_extents(point.profile))
-        else:
-            memory = MemorySystem(point.config.memory)
         core = OoOCore(point.config, make_policy(point.scheme),
                        memory=memory, track_values=point.track_values)
     stats = core.run(trace)

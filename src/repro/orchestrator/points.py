@@ -2,8 +2,9 @@
 
 A :class:`SimPoint` pins down everything that determines a run's outcome —
 workload profile, scheme, resolved configuration, trace length/warmup,
-seed, and whether values are tracked — so the same point always hashes to
-the same cache key, in any process.
+seed, whether values are tracked, which thread of a multicore run it is
+— so the same point always hashes to the same cache key, in any process.
+:func:`point_inputs` derives what its run consumes.
 """
 
 from __future__ import annotations
@@ -12,10 +13,21 @@ from dataclasses import dataclass, replace
 
 from repro.config import SystemConfig, skylake_default
 from repro.persistence.catalog import scheme_backend
+from repro.workloads.interning import ADDR_BASE, interned_trace, region_extents
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
 DEFAULT_LENGTH = 20_000
 DEFAULT_WARMUP = 40_000
+
+# Thread ``tid`` of a multicore run (Section 7.11) runs its own trace
+# over a heap ``tid`` strides above the single-core base, so heaps never
+# overlap (trivially data-race-free). Fig 19 scales the WPQ and shared L2
+# with the thread count, so NVM bandwidth per thread degrades only mildly
+# beyond the paper's 8 cores; the exponent is calibrated so PPA's
+# overhead drifts from ~2 % at 8 threads toward ~6 % at 64.
+THREAD_STRIDE = 1 << 32
+BASE_THREADS = 8
+CONTENTION_EXPONENT = 0.2
 
 
 def config_for(scheme: str, config: SystemConfig | None) -> SystemConfig:
@@ -46,14 +58,50 @@ class SimPoint:
     # in-order core of §7.1).
     core: str = "ooo"
     label: str = ""
+    # ``(tid, threads)``: the point is thread ``tid`` of a
+    # ``threads``-thread barrier-synchronized run (:mod:`repro.multicore`).
+    thread: tuple[int, int] | None = None
 
     @property
     def name(self) -> str:
         if self.label:
             return self.label
+        name = f"{self.profile.name}:{self.scheme}"
         if self.core != "ooo":
-            return f"{self.profile.name}:{self.scheme}:{self.core}"
-        return f"{self.profile.name}:{self.scheme}"
+            name += f":{self.core}"
+        if self.thread is not None:
+            name += f":t{self.thread[0]}of{self.thread[1]}"
+        return name
+
+
+def bandwidth_share(point: SimPoint) -> float:
+    """The point's share of NVM bandwidth: 1.0 unless it is a thread of
+    a run wider than :data:`BASE_THREADS`."""
+    if point.thread is None or point.thread[1] <= BASE_THREADS:
+        return 1.0
+    return (BASE_THREADS / point.thread[1]) ** CONTENTION_EXPONENT
+
+
+def point_inputs(point: SimPoint) -> tuple:
+    """``(trace, extents, share)``: the point's interned trace, the
+    extents its caches warm from (None when they start cold: no warm-up,
+    or the in-order core) and its NVM bandwidth share.
+
+    Thread ``tid``'s trace is seeded ``seed * 1000 + tid`` and interned
+    under the name ``<profile>/t<tid>``, so the stats' name never depends
+    on whether thread 0 met an equal single-core trace first."""
+    if point.thread is None:
+        base = ADDR_BASE
+        trace = interned_trace(point.profile, point.length, seed=point.seed)
+    else:
+        tid = point.thread[0]
+        base = ADDR_BASE + tid * THREAD_STRIDE
+        trace = interned_trace(point.profile, point.length,
+                               seed=point.seed * 1000 + tid, addr_base=base,
+                               name=f"{point.profile.name}/t{tid}")
+    warm = point.warmup > 0 and point.core != "inorder"
+    extents = region_extents(point.profile, addr_base=base) if warm else None
+    return trace, extents, bandwidth_share(point)
 
 
 def make_point(profile: WorkloadProfile | str, scheme: str,
@@ -61,15 +109,18 @@ def make_point(profile: WorkloadProfile | str, scheme: str,
                length: int = DEFAULT_LENGTH, warmup: int = DEFAULT_WARMUP,
                seed: int = 0, track_values: bool = False,
                capture_persist_log: bool = False, core: str = "ooo",
-               label: str = "") -> SimPoint:
+               label: str = "",
+               thread: tuple[int, int] | None = None) -> SimPoint:
     """Build a :class:`SimPoint` with the configuration resolved."""
     if isinstance(profile, str):
         profile = profile_by_name(profile)
     if core not in ("ooo", "inorder"):
         raise ValueError(f"unknown core model {core!r} "
                          "(options: ooo, inorder)")
+    if thread is not None and not 0 <= thread[0] < thread[1]:
+        raise ValueError(f"thread {thread[0]} is not one of {thread[1]}")
     return SimPoint(profile=profile, scheme=scheme,
                     config=config_for(scheme, config), length=length,
                     warmup=warmup, seed=seed, track_values=track_values,
                     capture_persist_log=capture_persist_log, core=core,
-                    label=label)
+                    label=label, thread=thread)

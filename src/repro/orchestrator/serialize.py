@@ -110,6 +110,7 @@ def point_to_dict(point: SimPoint) -> dict[str, Any]:
         "capture_persist_log": point.capture_persist_log,
         "core": point.core,
         "label": point.label,
+        "thread": point.thread,
     }
 
 
@@ -125,6 +126,8 @@ def point_from_dict(data: dict[str, Any]) -> SimPoint:
         capture_persist_log=data.get("capture_persist_log", False),
         core=data.get("core", "ooo"),
         label=data.get("label", ""),
+        thread=(tuple(data["thread"]) if data.get("thread") is not None
+                else None),
     )
 
 
@@ -429,6 +432,9 @@ def point_key_material(point: SimPoint, salt: str,
     # valid — "ooo" points hash exactly as they always did.
     if point.core != "ooo":
         material["core"] = point.core
+    # Likewise only thread points carry their ``[tid, threads]``.
+    if point.thread is not None:
+        material["thread"] = list(point.thread)
     if engine is not None:
         material["engine"] = engine
     parts = {key: _canonical_dump(value) for key, value in material.items()}

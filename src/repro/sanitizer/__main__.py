@@ -20,7 +20,7 @@ import argparse
 import sys
 from typing import Any
 
-from repro.cli import add_json_flag, emit_json
+from repro.cli import add_json_flag, emit_json, reject_bad_limits
 from repro.orchestrator.execute import simulate_point
 from repro.orchestrator.points import make_point
 from repro.sanitizer.oracle import crash_sweep
@@ -94,13 +94,23 @@ def main(argv: list[str] | None = None) -> int:
                              "(0 disables the oracle)")
     add_json_flag(parser, "per-run verdicts")
     args = parser.parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
+    profiles = [name.strip() for name in args.profiles.split(",")]
+    schemes = [name.strip() for name in args.schemes.split(",")]
+    try:
+        for profile in profiles:
+            for scheme in schemes:
+                make_point(profile, scheme)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
 
     records = []
-    for profile in args.profiles.split(","):
-        for scheme in args.schemes.split(","):
-            records.append(run_one(profile.strip(), scheme.strip(),
-                                   args.length, args.seed, args.sweeps,
-                                   quiet=args.json))
+    for profile in profiles:
+        for scheme in schemes:
+            records.append(run_one(profile, scheme, args.length, args.seed,
+                                   args.sweeps, quiet=args.json))
     failures = sum(1 for record in records if not record["ok"])
     if args.json:
         emit_json({"runs": records, "failures": failures})

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import add_json_flag
+from repro.cli import add_json_flag, reject_bad_limits
 from repro.facade import CORES, simulate
 from repro.persistence.catalog import scheme_names
 from repro.telemetry.export import timeline_summary, top_regions
@@ -54,6 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
     result = simulate(args.profile, scheme=args.scheme, core=args.core,
                       length=args.length, seed=args.seed,
                       threads=args.threads, trace=True)

@@ -9,7 +9,6 @@ from repro.workloads.profiles import (
     profiles_in_suite,
 )
 from repro.workloads.synthetic import TraceGenerator, generate_trace
-from repro.workloads.multithreaded import generate_thread_traces
 
 __all__ = [
     "ALL_PROFILES",
@@ -17,7 +16,6 @@ __all__ = [
     "SUITES",
     "TraceGenerator",
     "WorkloadProfile",
-    "generate_thread_traces",
     "generate_trace",
     "profile_by_name",
     "profiles_in_suite",

@@ -3,8 +3,8 @@
 Trace generation is deterministic: :class:`TraceGenerator` seeds its RNG
 from ``(profile.name, seed)`` and neither the constructor nor
 ``region_extents()`` draws from it, so the trace produced for a given
-``(profile, length, seed, addr_base, sync_interval)`` tuple is a pure
-function of that key. The generator writes the predecoded columns
+``(profile, length, seed, addr_base, sync_interval, name)`` tuple is a
+pure function of that key. The generator writes the predecoded columns
 directly: 12k instructions take 15-25 ms, against ~130 ms for a warm
 ``ppa`` ``simulate()`` of them (2-vCPU x86-64 host). The bench harness,
 campaign sweeps, and repeated ``simulate()`` calls all replay identical
@@ -23,22 +23,24 @@ from repro.isa.trace import Trace
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.synthetic import TraceGenerator
 
-_DEFAULT_ADDR_BASE = 0x10_0000
+ADDR_BASE = 0x10_0000  # the single-core heap; thread heaps sit above it
 
 # FIFO-capped so pathological sweeps over many (profile, length) combos
 # cannot grow memory without bound. 64 traces ≈ a full figure campaign.
 _MAX_TRACES = 64
 
 _traces: dict[tuple, Trace] = {}
-_thread_traces: dict[tuple, list[Trace]] = {}
 
 stats = {"hits": 0, "builds": 0}
 
 
 def interned_trace(profile: WorkloadProfile, length: int, seed: int = 0,
-                   addr_base: int = _DEFAULT_ADDR_BASE,
-                   sync_interval: int | None = None) -> Trace:
+                   addr_base: int = ADDR_BASE,
+                   sync_interval: int | None = None,
+                   name: str | None = None) -> Trace:
     """The shared trace for this key; generated on first request.
+
+    ``name`` names a generated trace (default: the profile's name).
 
     ``profile`` is normally a :class:`WorkloadProfile`; any hashable
     object exposing a ``build_trace(length, seed=, addr_base=,
@@ -46,7 +48,7 @@ def interned_trace(profile: WorkloadProfile, length: int, seed: int = 0,
     LitmusWorkload`) is interned the same way, so synthetic and litmus
     points share one campaign/caching path.
     """
-    key = (profile, length, seed, addr_base, sync_interval)
+    key = (profile, length, seed, addr_base, sync_interval, name)
     trace = _traces.get(key)
     if trace is None:
         stats["builds"] += 1
@@ -57,7 +59,8 @@ def interned_trace(profile: WorkloadProfile, length: int, seed: int = 0,
         else:
             generator = TraceGenerator(profile, seed=seed,
                                        addr_base=addr_base)
-            trace = generator.generate(length, sync_interval=sync_interval)
+            trace = generator.generate(length, name=name,
+                                       sync_interval=sync_interval)
         if len(_traces) >= _MAX_TRACES:
             _traces.pop(next(iter(_traces)))
         _traces[key] = trace
@@ -66,29 +69,8 @@ def interned_trace(profile: WorkloadProfile, length: int, seed: int = 0,
     return trace
 
 
-def interned_thread_traces(profile: WorkloadProfile, length: int,
-                           threads: int | None = None,
-                           seed: int = 0) -> list[Trace]:
-    """Shared per-thread traces for a multicore run (disjoint heaps)."""
-    from repro.workloads.multithreaded import generate_thread_traces
-
-    count = profile.threads if threads is None else threads
-    key = (profile, length, count, seed)
-    traces = _thread_traces.get(key)
-    if traces is None:
-        stats["builds"] += 1
-        traces = generate_thread_traces(profile, length, threads=count,
-                                        seed=seed)
-        if len(_thread_traces) >= _MAX_TRACES:
-            _thread_traces.pop(next(iter(_thread_traces)))
-        _thread_traces[key] = traces
-    else:
-        stats["hits"] += 1
-    return traces
-
-
 def region_extents(profile: WorkloadProfile,
-                   addr_base: int = _DEFAULT_ADDR_BASE
+                   addr_base: int = ADDR_BASE
                    ) -> tuple[tuple[str, int, int], ...]:
     """Region extents for a profile without generating any instructions.
 
@@ -115,6 +97,5 @@ def preload(specs) -> int:
 def clear() -> None:
     """Drop all interned traces (tests use this to isolate counters)."""
     _traces.clear()
-    _thread_traces.clear()
     stats["hits"] = 0
     stats["builds"] = 0

@@ -36,7 +36,7 @@ from repro.engine.batched import (
 from repro.engine.plan import cohort_key, plan_points, plan_units
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.execute import _simulate_engine, simulate_point
-from repro.orchestrator.points import make_point
+from repro.orchestrator.points import bandwidth_share, make_point
 from repro.workloads.interning import interned_trace
 
 BASE = skylake_default()
@@ -231,6 +231,34 @@ class TestGoldenParity:
             assert any(r.cause == "prf" for r in batched.regions)
 
 
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_thread_point_parity(self, core):
+        # Thread 5 of 32: its own trace and heap, and a bandwidth share
+        # below one in its NVM model.
+        point = _pt("rb", "ppa", thread=(5, 32), core=core,
+                    **({"warmup": 0} if core == "inorder" else {}))
+        assert bandwidth_share(point) < 1.0
+        scalar = simulate_point(point, engine="scalar")[0]
+        batched, _, engine_used = _simulate_engine(point, "batched")
+        assert engine_used == "batched"
+        assert batched.name == "rb/t5"
+        assert batched.to_dict() == scalar.to_dict()
+
+    def test_one_threads_widths_form_one_cohort(self):
+        points = [_pt("rb", "ppa", thread=(5, count), warmup=0)
+                  for count in (8, 16, 32, 64)]
+        plan = plan_points(points, "batched")
+        assert [c.indices for c in plan.cohorts] == [[0, 1, 2, 3]]
+        lanes = run_cohort(points)
+        for lane, point in zip(lanes, points):
+            assert lane.engine == "batched"
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.stats.to_dict() == want.to_dict()
+        # The share reaches the NVM model: a cold run slows as it shrinks.
+        cycles = [lane.stats.cycles for lane in lanes]
+        assert cycles == sorted(set(cycles))
+
+
 class TestDivergence:
     def test_forced_divergence_matches_scalar(self):
         points = _prf_sweep(3)
@@ -251,15 +279,21 @@ class TestDivergence:
         n = data.draw(st.integers(2, 6), label="lanes")
         scheme = data.draw(st.sampled_from(sorted(KERNEL_SCHEMES)),
                            label="scheme")
+        # Optionally every lane is thread ``tid`` of a run whose width
+        # (hence NVM bandwidth share) varies per lane.
+        tid = data.draw(st.sampled_from([None, 0, 5]), label="tid")
         points = []
         for lane in range(n):
             prf_int = data.draw(st.integers(70, 300), label=f"prf{lane}")
             prf_fp = data.draw(st.integers(70, prf_int), label=f"fp{lane}")
             wpq = data.draw(st.sampled_from([4, 16, 64]), label=f"w{lane}")
             tv = data.draw(st.booleans(), label=f"tv{lane}")
+            thread = None if tid is None else (tid, data.draw(
+                st.sampled_from([8, 16, 64]), label=f"threads{lane}"))
             points.append(_pt("rb", scheme,
                               BASE.with_prf(prf_int, prf_fp).with_wpq(wpq),
-                              length=1_200, track_values=tv))
+                              length=1_200, track_values=tv,
+                              thread=thread))
         diverge_at = {
             lane: data.draw(st.integers(1, 1_199), label=f"d{lane}")
             for lane in range(n)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import skylake_default
+from repro.config import CacheConfig, skylake_default
 from repro.memory.hierarchy import MemorySystem
 
 
@@ -168,6 +168,14 @@ class TestPrewarm:
         mem = make_system()
         mem.prewarm_extents([("stream", 0, 1 << 20)])
         assert mem.load(0, 0.0).level in ("dram$", "nvm")
+
+    def test_prewarm_level_with_no_line_budget_is_a_value_error(self):
+        # One 64-byte line: int(1 * 1 * 0.85) == 0 lines to prewarm.
+        config = skylake_default().memory
+        mem = MemorySystem(dataclasses.replace(
+            config, l1d=CacheConfig(64, 1, 1)))
+        with pytest.raises(ValueError, match=r"l1d \(1 sets x 1 ways\)"):
+            mem.prewarm_extents([("hot", 0, 4096)])
 
     def test_prewarm_accesses_resets_counters(self):
         mem = make_system()

@@ -253,6 +253,39 @@ class TestKeyMaterial:
         assert '"clock_ghz":2,' in point_key_material(variant, "s")
         assert '"clock_ghz":2.0,' in point_key_material(point, "s")
 
+    def test_default_point_material_predates_thread_points(self):
+        import hashlib
+
+        from repro.orchestrator.serialize import point_key_material
+
+        # SHA-256 of the material as minted before SimPoint had a
+        # ``thread`` field: an unset field adds no key.
+        text = point_key_material(make_point("rb", "ppa"), "fixed")
+        assert '"thread"' not in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f46cec57698a65a268737122c2e24a4730ff64e81270eac38002205d29bcfdd8")
+
+    def test_thread_point_wire_round_trip(self):
+        from repro.orchestrator.cache import point_digest
+        from repro.orchestrator.serialize import (
+            point_from_dict,
+            point_to_dict,
+        )
+
+        point = make_point("water-ns", "ppa", length=800, thread=(3, 16))
+        wire = json.loads(json.dumps(point_to_dict(point)))
+        restored = point_from_dict(wire)
+        assert restored == point
+        assert point_digest(restored, salt="s") \
+            == point_digest(point, salt="s")
+        # The thread is part of the key: thread 3 of 16 is not of 8, nor
+        # the single-core point.
+        for other in (make_point("water-ns", "ppa", length=800,
+                                 thread=(3, 8)),
+                      make_point("water-ns", "ppa", length=800)):
+            assert point_digest(other, salt="s") \
+                != point_digest(point, salt="s")
+
 
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True)

@@ -95,6 +95,17 @@ class TestExperimentsCli:
         err = capsys.readouterr().err
         assert err.strip() == "unknown workload 'nosuchapp'"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fig16", "--length", "0", "--apps", "rb"],
+         "--length must be at least 1 instruction (got 0)"),
+        (["fig19", "--length", "-5"],
+         "--length must be at least 1 instruction (got -5)"),
+    ])
+    def test_bad_length_exits_cleanly(self, argv, message, capsys):
+        from repro.experiments.__main__ import main
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_figure_reports_its_campaign_points(self, capsys):
         from repro.experiments.__main__ import main
         argv = ["fig15", "--length", "1000", "--apps", "rb"]

@@ -252,3 +252,18 @@ class TestOrchestratorWiring:
         monkeypatch.delenv("REPRO_SANITIZE")
         assert not Campaign(cache=None).sanitize
         assert Campaign(cache=None, sanitize=True).sanitize
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv,message", [
+        (["--profiles", "nosuch"], "unknown workload 'nosuch'"),
+        (["--length", "0"],
+         "--length must be at least 1 instruction (got 0)"),
+    ])
+    def test_bad_arguments_exit_2_in_one_line(self, argv, message, capsys):
+        from repro.sanitizer.__main__ import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""

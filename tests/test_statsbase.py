@@ -10,7 +10,7 @@ import repro
 from repro.core.iobuffer import IoBufferStats
 from repro.inorder.core import InOrderCore, InOrderStats
 from repro.memory.nvm import NvmStats
-from repro.multicore.system import MulticoreStats, MulticoreSystem
+from repro.multicore.system import MulticoreStats
 from repro.pipeline.stats import CoreStats
 from repro.statsbase import (
     StatsBase,
@@ -80,8 +80,9 @@ class TestRoundTrips:
             == [e.commit_time for e in stats.entries]
 
     def test_multicore_stats_round_trip(self, gcc_profile, config):
-        system = MulticoreSystem(config, "ppa", threads=2)
-        stats = system.run_profile(gcc_profile, length=1_000)
+        stats = repro.simulate(gcc_profile, core="multicore", scheme="ppa",
+                               config=config, threads=2,
+                               length=1_000).stats
         restored = stats_from_dict(stats_to_dict(stats))
         assert isinstance(restored, MulticoreStats)
         assert restored.to_dict() == stats.to_dict()
@@ -196,16 +197,6 @@ class TestSimulateFacade:
     def test_multicore_requires_profile(self, small_trace):
         with pytest.raises(ValueError, match="pass a profile"):
             repro.simulate(small_trace, core="multicore")
-
-    def test_multicore_matches_legacy_system(self, gcc_profile, config):
-        import dataclasses
-
-        legacy = MulticoreSystem(
-            dataclasses.replace(config), "ppa",
-            threads=2).run_profile(gcc_profile, length=1_000)
-        result = repro.simulate(gcc_profile, core="multicore",
-                                scheme="ppa", threads=2, length=1_000)
-        assert result.stats.to_dict() == legacy.to_dict()
 
     def test_unknown_core_rejected(self):
         with pytest.raises(ValueError, match="unknown core"):

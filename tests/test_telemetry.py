@@ -310,6 +310,19 @@ class TestSummariesAndCli:
                      "--crash", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["rb", "--length", "0"],
+         "--length must be at least 1 instruction (got 0)"),
+        (["rb", "--core", "multicore", "--threads", "0"],
+         "--threads must be at least 1 thread (got 0)"),
+    ])
+    def test_cli_rejects_bad_limits_in_one_line(self, argv, message,
+                                                 capsys):
+        from repro.telemetry.__main__ import main
+
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_write_helpers_raise_on_untraced_result(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

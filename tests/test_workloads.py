@@ -7,11 +7,9 @@ import pytest
 
 from repro.isa.instructions import Opcode, RegClass
 from repro.isa.trace import Trace
-from repro.workloads.multithreaded import generate_thread_traces
 from repro.workloads.profiles import (
     ALL_PROFILES,
     SUITES,
-    MemRegion,
     WorkloadProfile,
     memory_intensive_profiles,
     profile_by_name,
@@ -167,19 +165,29 @@ class TestGenerator:
         assert run_rate(Opcode.STORE) > run_rate(Opcode.LOAD)
 
 
+def _thread_traces(length, threads=8, app="rb"):
+    """The traces of a ``threads``-thread run's thread points."""
+    from repro.multicore.system import thread_points
+    from repro.orchestrator.points import point_inputs
+
+    return [point_inputs(point)[0] for point in thread_points(
+        profile_by_name(app), "ppa", threads, length=length)]
+
+
 class TestMultithreaded:
     def test_one_trace_per_thread(self):
-        traces = generate_thread_traces(profile_by_name("rb"), 1_000)
-        assert len(traces) == 8
+        traces = _thread_traces(1_000)
+        assert len({id(t) for t in traces}) == 8
+        assert [t.name for t in traces] == [f"rb/t{i}" for i in range(8)]
 
     def test_explicit_thread_count(self):
-        traces = generate_thread_traces(profile_by_name("rb"), 1_000,
-                                        threads=3)
-        assert len(traces) == 3
+        # A thread's trace does not depend on the run's width.
+        three = _thread_traces(1_000, threads=3)
+        assert len(three) == 3
+        assert three == _thread_traces(1_000, threads=16)[:3]
 
     def test_disjoint_address_spaces(self):
-        traces = generate_thread_traces(profile_by_name("rb"), 2_000,
-                                        threads=4)
+        traces = _thread_traces(2_000, threads=4)
         line_sets = []
         for trace in traces:
             line_sets.append({i.line_addr for i in trace
@@ -189,18 +197,19 @@ class TestMultithreaded:
                 assert not (line_sets[a] & line_sets[b])
 
     def test_syncs_aligned_across_threads(self):
-        traces = generate_thread_traces(profile_by_name("rb"), 3_000,
-                                        threads=4)
+        traces = _thread_traces(3_000, threads=4)
         positions = [
             [i for i, ins in enumerate(t) if ins.opcode is Opcode.SYNC]
             for t in traces
         ]
         assert all(p == positions[0] for p in positions)
-        assert positions[0]
+        # The barrier reduction derives them from the profile alone.
+        interval = profile_by_name("rb").sync_interval
+        assert positions[0] == list(range(interval, 3_000, interval))
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ValueError):
-            generate_thread_traces(profile_by_name("rb"), 100, threads=0)
+            _thread_traces(100, threads=0)
 
 
 _COLUMNS = ("opcode_ids", "dest_cls", "dest_idx", "srcs", "addrs",
