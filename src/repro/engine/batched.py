@@ -129,21 +129,6 @@ class LaneResult:
     wall_clock: float = 0.0
 
 
-def lane_summary(results: list[LaneResult]) -> dict:
-    """Introspection digest of one cohort run: how many lanes finished
-    batched, how many diverged and retired to the scalar kernel, where
-    they diverged, and how many errored outright."""
-    diverged = [r.diverged_at for r in results if r.diverged_at is not None]
-    return {
-        "lanes": len(results),
-        "batched": sum(1 for r in results
-                       if r.engine == "batched" and r.error is None),
-        "scalar_resim": sum(1 for r in results if r.engine == "scalar"),
-        "errors": sum(1 for r in results if r.error is not None),
-        "diverged_at": sorted(diverged),
-    }
-
-
 def _scalar_rerun(point) -> CoreStats:
     from repro.orchestrator.execute import simulate_point
 

@@ -1,9 +1,12 @@
 """The unified run API: one call simulates any core under any scheme.
 
-It wraps the per-model classes (``PersistentProcessor``,
-``InOrderPersistentProcessor``, ...), the engine layer and the multicore
-reduction (:func:`repro.multicore.system.barrier_reduce`), so callers
-need not pick one themselves:
+A profile run is a :class:`~repro.orchestrator.points.SimPoint` run
+through the same router as every campaign point
+(:mod:`repro.orchestrator.execute`: the kernel, else the one scalar
+runner); a raw trace runs on that scalar runner over cold caches; a
+multicore run is thread points plus the barrier reduction
+(:func:`repro.multicore.system.barrier_reduce`). Callers need not pick
+an engine or a model class themselves:
 
 >>> result = repro.simulate("gcc", scheme="ppa")   # runs on the kernel
 >>> result.stats.ipc
@@ -89,99 +92,8 @@ def _resolve_profile(spec) -> tuple[WorkloadProfile | None, Trace | None]:
         f"got {type(spec).__name__}")
 
 
-def _run_kernel(profile, scheme, core, config, length, warmup,
-                seed, engine) -> SimResult | None:
-    """Run a profile point on the one-lane kernel (bit-exact with the
-    scalar kernel); None when the scheme has no kernel or an active
-    tracer or sanitizer needs the scalar kernel's hooks."""
-    from repro.engine import runtime_scalar_reason
-    from repro.engine.plan import unbatchable_reason
-    from repro.orchestrator.execute import simulate_point
-    from repro.orchestrator.points import make_point
-
-    # track_values=True matches the scalar OoOCore default, so the stats
-    # (store values included) do not depend on the engine. On the kernel
-    # it adds nothing to the walk: store values come from the trace's
-    # value stream, built once per trace. The in-order model always runs
-    # cold.
-    point = make_point(profile=profile, scheme=scheme, config=config,
-                       length=length,
-                       warmup=warmup if core == "ooo" else 0, seed=seed,
-                       track_values=True, core=core)
-    if unbatchable_reason(point) or runtime_scalar_reason():
-        return None
-    stats, _ = simulate_point(point, engine=engine)
-    if scheme != "ppa":
-        return SimResult(stats=stats)
-    # The crash API is the value-tracking processor, built on first read
-    # by a scalar replay of the same trace, config and warm-up.
-    return SimResult(stats=stats, make_crash_api=lambda: _dispatch(
-        profile, None, scheme, core, config, length, warmup, seed,
-        threads=0, engine="scalar").crash_api)
-
-
-def _run_ooo(profile, run_trace, scheme, config, length, warmup,
-             seed) -> SimResult:
-    from repro.memory.hierarchy import MemorySystem
-    from repro.persistence.catalog import make_policy
-    from repro.pipeline.core import OoOCore
-
-    extents = None
-    if run_trace is None:
-        # Profile runs intern the generated trace and clone prewarmed
-        # cache state from a shared template — both deterministic, so
-        # repeated runs are bit-identical to cold ones.
-        from repro.orchestrator.points import make_point, point_inputs
-
-        run_trace, extents, __ = point_inputs(make_point(
-            profile, scheme, config, length=length, warmup=warmup,
-            seed=seed))
-    if extents is None:
-        memory = MemorySystem(config.memory)
-    else:
-        from repro.memory.prewarm import warmed_memory
-
-        memory = warmed_memory(config.memory, extents)
-    if scheme == "ppa":
-        # The full life cycle (run / crash_at / recover) needs the
-        # value-tracking PPA processor.
-        from repro.core.processor import PersistentProcessor
-
-        proc = PersistentProcessor(config, memory=memory)
-        stats = proc.run(run_trace)
-        return SimResult(stats=stats, telemetry=proc.tracer,
-                         make_crash_api=lambda: proc)
-    core = OoOCore(config, make_policy(scheme), memory=memory)
-    stats = core.run(run_trace)
-    return SimResult(stats=stats, telemetry=core.tracer)
-
-
-def _run_inorder(profile, run_trace, scheme, config, length,
-                 seed) -> SimResult:
-    from repro.workloads.interning import interned_trace
-
-    if run_trace is None:
-        run_trace = interned_trace(profile, length, seed=seed)
-    if scheme == "ppa":
-        from repro.inorder.processor import InOrderPersistentProcessor
-
-        proc = InOrderPersistentProcessor(config)
-        stats = proc.run(run_trace)
-        return SimResult(stats=stats, telemetry=proc.core.tracer,
-                         make_crash_api=lambda: proc)
-    if scheme == "baseline":
-        from repro.inorder.core import InOrderCore
-
-        core = InOrderCore(config, persistent=False)
-        stats = core.run(run_trace)
-        return SimResult(stats=stats, telemetry=core.tracer)
-    raise ValueError(
-        f"the in-order core supports scheme 'ppa' or 'baseline', "
-        f"not {scheme!r}")
-
-
 def _run_multicore(profile, scheme, config, length, warmup, seed,
-                   threads, engine) -> SimResult:
+                   threads, engine, tracer) -> SimResult:
     """Thread points, then the barrier reduction; traced, thread ``tid``
     records into a ``core{tid}/`` scope."""
     from repro import telemetry
@@ -190,7 +102,6 @@ def _run_multicore(profile, scheme, config, length, warmup, seed,
 
     points = thread_points(profile, scheme, threads, config=config,
                            length=length, warmup=warmup, seed=seed)
-    tracer = telemetry.tracer_for_run()
     per_thread = []
     for tid, point in enumerate(points):
         if tracer is None:
@@ -201,6 +112,41 @@ def _run_multicore(profile, scheme, config, length, warmup, seed,
     stats = barrier_reduce(profile, scheme, length, per_thread,
                            tracer=tracer)
     return SimResult(stats=stats, telemetry=tracer)
+
+
+def _run(profile, run_trace, scheme, core, config, length, warmup, seed,
+         threads, engine, tracer) -> SimResult:
+    from repro.orchestrator.execute import (
+        _scalar_simulate,
+        _simulate_engine,
+        run_scalar,
+    )
+    from repro.orchestrator.points import check_run, make_point
+
+    if core == "multicore":
+        return _run_multicore(profile, scheme, config, length, warmup,
+                              seed, threads, engine, tracer)
+    if run_trace is not None:
+        check_run(core, scheme)
+        stats, runner = run_scalar(run_trace, config, scheme, core=core)
+    else:
+        # track_values=True matches the scalar OoOCore default, so the
+        # stats (store values included) do not depend on the engine. On
+        # the kernel it adds nothing to the walk: store values come from
+        # the trace's value stream, built once per trace.
+        point = make_point(profile, scheme, config, length=length,
+                           warmup=warmup, seed=seed, track_values=True,
+                           core=core)
+        stats, _, _, runner = _simulate_engine(point, engine)
+    if scheme != "ppa":
+        return SimResult(stats=stats, telemetry=tracer)
+    if runner is None:
+        # The kernel ran: replay the point on the scalar processor the
+        # first time the crash API is read (untraced, like the run).
+        return SimResult(stats=stats, telemetry=tracer,
+                         make_crash_api=lambda: _scalar_simulate(point)[2])
+    return SimResult(stats=stats, telemetry=tracer,
+                     make_crash_api=lambda: runner)
 
 
 def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
@@ -219,19 +165,27 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
     records cycle-level telemetry into ``result.telemetry`` without
     touching the configured environment.
 
-    ``engine`` follows the :mod:`repro.engine` contract (``None`` resolves
+    A profile run is the value-tracking :class:`SimPoint` of the same
+    arguments, run like every other point
+    (:func:`repro.orchestrator.execute.simulate_point`). ``engine``
+    follows the :mod:`repro.engine` contract (``None`` resolves
     ``REPRO_ENGINE``, default ``"auto"``): under ``"auto"`` or
-    ``"batched"`` a profile run of a scheme with a kernel —
+    ``"batched"`` a scheme with a kernel —
     ``ppa``/``baseline``/``eadr``/``dram-only``/``capri`` on the
     out-of-order core, ``ppa``/``baseline`` on the in-order core — runs
     on the one-lane kernel, bit-exact with the scalar kernel; so does
-    each thread of a multicore run. For single-core ``ppa`` the first
-    read of ``result.crash_api`` replays the run on the value-tracking
-    processor. Raw ``Trace`` input, ``engine="scalar"`` and runs under an
-    active tracer or sanitizer use the scalar kernel.
+    each thread of a multicore run. Raw ``Trace`` input runs on the
+    scalar kernel over cold caches, as do ``engine="scalar"`` and runs
+    under an active tracer or sanitizer.
+
+    For single-core ``ppa``, ``result.crash_api`` is the processor that
+    ran when the scalar kernel ran (its checkpoint and recovery spans
+    land on the run's tracer); after a kernel run, its first read
+    replays the point on the scalar processor.
     """
     if core not in CORES:
         raise ValueError(f"unknown core {core!r}; options: {list(CORES)}")
+    from repro import telemetry
     from repro.engine import resolve_engine
     from repro.orchestrator.points import config_for
 
@@ -242,28 +196,10 @@ def simulate(trace_or_profile, *, scheme: str = "ppa", core: str = "ooo",
             "the multicore system generates per-thread traces itself; "
             "pass a profile (or profile name), not a Trace")
     config = config_for(scheme, config)
-
-    if trace:
-        from repro.telemetry import Tracer, tracing
-
-        with tracing(Tracer()):
-            return _dispatch(profile, run_trace, scheme, core, config,
-                             length, warmup, seed, threads, engine)
-    return _dispatch(profile, run_trace, scheme, core, config, length,
-                     warmup, seed, threads, engine)
-
-
-def _dispatch(profile, run_trace, scheme, core, config, length, warmup,
-              seed, threads, engine) -> SimResult:
-    if core == "multicore":
-        return _run_multicore(profile, scheme, config, length, warmup, seed,
-                              threads, engine)
-    if engine != "scalar" and run_trace is None:
-        result = _run_kernel(profile, scheme, core, config, length, warmup,
-                             seed, engine)
-        if result is not None:
-            return result
-    if core == "ooo":
-        return _run_ooo(profile, run_trace, scheme, config, length,
-                        warmup, seed)
-    return _run_inorder(profile, run_trace, scheme, config, length, seed)
+    tracer = telemetry.Tracer() if trace else telemetry.tracer_for_run()
+    args = (profile, run_trace, scheme, core, config, length, warmup, seed,
+            threads, engine, tracer)
+    if tracer is None:
+        return _run(*args)
+    with telemetry.tracing(tracer):
+        return _run(*args)

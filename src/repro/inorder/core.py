@@ -148,9 +148,6 @@ class InOrderCore:
         # (created per run, since it appends into that run's stats).
         self.regions: RegionTracker | None = None
 
-    def _value_of(self, reg) -> int:
-        return self._values[reg.cls][reg.index]
-
     def _close_region(self, end_seq: int, boundary: float,
                       cause: str) -> float:
         assert self.regions is not None

@@ -15,6 +15,7 @@ from repro.config import SystemConfig, skylake_default
 from repro.inorder.core import InOrderCore, InOrderStats
 from repro.inorder.value_csq import ValueCsqEntry
 from repro.isa.trace import Trace
+from repro.memory.hierarchy import MemorySystem
 
 
 @dataclass
@@ -38,9 +39,11 @@ class InOrderRecovery:
 class InOrderPersistentProcessor:
     """An in-order core with value-CSQ whole-system persistence."""
 
-    def __init__(self, config: SystemConfig | None = None) -> None:
+    def __init__(self, config: SystemConfig | None = None,
+                 memory: MemorySystem | None = None) -> None:
         self.config = config if config is not None else skylake_default()
-        self.core = InOrderCore(self.config, persistent=True)
+        # ``memory`` injects a prepared MemorySystem; None builds a cold one.
+        self.core = InOrderCore(self.config, memory=memory, persistent=True)
         self.stats: InOrderStats | None = None
         self._trace: Trace | None = None
         self._region_close: dict[int, float] = {}

@@ -6,7 +6,9 @@ For each litmus program and (core, scheme) target the harness
 2. runs every compiled thread interleaving through the simulator —
    out-of-order runs go through the orchestrator
    :class:`~repro.orchestrator.campaign.Campaign` (pool + L2 cache), the
-   in-order and multicore models run in-process;
+   in-order model runs in-process on the scalar runner, and the
+   multicore check runs each thread's trace through
+   :func:`repro.simulate` on its own cold core;
 3. extracts the **observed** crash states from the run's persistence
    logs at every instant at which the durable image can change (the NVM
    image is piecewise-constant between durability events, so probing
@@ -48,11 +50,11 @@ from repro.litmus.compile import (
 from repro.litmus.program import LitmusProgram
 from repro.litmus.px86 import allowed_crash_states, format_state
 from repro.litmus.workload import litmus_point
+from repro.orchestrator.points import INORDER_SCHEMES, check_run, config_for
 
 _INF = float("inf")
 
 TARGET_CORES = ("ooo", "inorder", "multicore")
-INORDER_SCHEMES = ("ppa", "baseline")
 DEFAULT_MAX_INTERLEAVINGS = 24
 
 # The software-logging comparator schemes persist a per-store log/flush
@@ -420,24 +422,22 @@ def _observe_ppa_ooo(check: _Check, stats, persist_log,
 
 
 def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
-    from repro.inorder.core import InOrderCore
-    from repro.inorder.processor import InOrderPersistentProcessor
+    from repro.orchestrator.execute import run_scalar
 
     for interleaving in inters:
         trace = compile_interleaving(check.program, interleaving)
         check.result.runs += 1
+        # ppa runs on the in-order persistent processor, baseline on the
+        # bare non-persistent core.
+        stats, proc = run_scalar(trace, config, scheme, core="inorder")
         if scheme != "ppa":
-            core = InOrderCore(config, persistent=False)
-            core.run(trace)
             # Nothing persists without a policy; only the initial state
             # is observable — and the write buffer must agree.
-            if core.wb.log:
+            if proc.wb.log:
                 raise RuntimeError(
                     "non-persistent in-order core persisted stores")
             check.note(0.0, {}, "nvm", interleaving)
             continue
-        proc = InOrderPersistentProcessor(config)
-        stats = proc.run(trace)
         times = sorted({
             durable_time
             for op in proc.core.wb.log if op.submitted
@@ -457,7 +457,7 @@ def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
 
 
 def _check_multicore(check: _Check, scheme: str, config) -> None:
-    from repro.multicore.system import run_traces
+    from repro.facade import simulate
 
     program = check.program
     if not program.store_disjoint:
@@ -465,11 +465,13 @@ def _check_multicore(check: _Check, scheme: str, config) -> None:
             "multicore threads own disjoint memories; needs "
             "store-disjoint locations")
         return
-    traces = thread_traces(program)
-    mstats = run_traces(config, scheme, traces, track_values=True)
+    # Each thread runs alone on its own cold core; the threads share no
+    # memory, so their durable images simply combine.
+    per_thread = [simulate(trace, scheme=scheme, config=config).stats
+                  for trace in thread_traces(program)]
     check.result.runs += 1
     snapshots = _image_snapshots(
-        [(tid, s.stores) for tid, s in enumerate(mstats.per_thread)],
+        [(tid, stats.stores) for tid, stats in enumerate(per_thread)],
         check.litmus_addrs)
     for fail_time, image in snapshots:
         check.note(fail_time, image, "nvm", None)
@@ -487,8 +489,6 @@ def check_program(program: LitmusProgram, core: str = "ooo",
     ``jobs``/``cache`` parallelize and memoize the out-of-order runs
     through the orchestrator campaign machinery.
     """
-    from repro.orchestrator.points import config_for
-
     config = config_for(scheme, config)
     check = _Check(program, core, scheme, strict)
     campaign_kwargs = {} if sanitize is None else {"sanitize": sanitize}
@@ -497,10 +497,7 @@ def check_program(program: LitmusProgram, core: str = "ooo",
         _check_ooo(check, scheme, config, inters, jobs, cache,
                    campaign_kwargs)
     elif core == "inorder":
-        if scheme not in INORDER_SCHEMES:
-            raise ValueError(
-                f"the in-order core supports {INORDER_SCHEMES}, "
-                f"not {scheme!r}")
+        check_run(core, scheme)
         inters = interleavings(program, limit=max_interleavings)
         _check_inorder(check, scheme, config, inters)
     elif core == "multicore":

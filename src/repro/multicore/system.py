@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import SystemConfig
-from repro.orchestrator.points import SimPoint, config_for, make_point
-from repro.persistence.catalog import make_policy
-from repro.pipeline.core import OoOCore
+from repro.orchestrator.points import SimPoint, make_point
 from repro.pipeline.stats import CoreStats
 from repro.workloads.profiles import WorkloadProfile
 
@@ -150,32 +148,3 @@ def barrier_reduce(profile: WorkloadProfile, scheme: str, length: int,
         imbalance_cycles=imbalance,
     )
 
-
-def run_traces(config: SystemConfig | None, scheme: str, traces,
-               track_values: bool = False) -> MulticoreStats:
-    """Run caller-supplied per-thread traces, one cold core each.
-
-    No barrier alignment is assumed between the traces (each may place
-    SYNCs wherever it likes); the makespan is simply the slowest core's
-    finish time. The litmus conformance harness runs tiny hand-built
-    traces with ``track_values=True`` so per-thread store payloads land
-    in the logs.
-    """
-    from repro.memory.hierarchy import MemorySystem
-
-    config = config_for(scheme, config)
-    per_thread = [
-        OoOCore(config, make_policy(scheme),
-                memory=MemorySystem(config.memory),
-                track_values=track_values).run(trace)
-        for trace in traces
-    ]
-    makespan = max((s.cycles for s in per_thread), default=0.0)
-    return MulticoreStats(
-        scheme=scheme,
-        threads=len(traces),
-        makespan=makespan,
-        per_thread=per_thread,
-        barrier_segments=0,
-        imbalance_cycles=sum(makespan - s.cycles for s in per_thread),
-    )

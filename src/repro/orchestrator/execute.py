@@ -3,8 +3,9 @@
 This is the single place that turns a :class:`SimPoint` into a finished
 :class:`CoreStats`; the pool executor (:mod:`repro.orchestrator.pool`,
 in-process or in its workers, under every campaign, experiment and the
-service) and the :func:`repro.simulate` facade's kernel path all
-delegate here, so the serial and parallel paths cannot drift apart.
+service) and the :func:`repro.simulate` facade all delegate here, so the
+serial and parallel paths cannot drift apart. :func:`run_scalar` is the
+one place that builds a scalar core for a run.
 
 Traces are interned (:mod:`repro.workloads.interning`) and steady-state
 cache contents cloned from prewarmed templates (:mod:`repro.memory.prewarm`),
@@ -97,15 +98,16 @@ def simulate_point(point: SimPoint, engine: str | None = None) \
     ``REPRO_ENGINE``, default ``auto``): under ``auto`` or ``batched`` a
     batchable point runs on the kernel as a one-lane cohort, unless an
     active tracer or sanitizer needs the scalar kernel."""
-    stats, log, _ = _simulate_engine(point, engine)
+    stats, log, _, _ = _simulate_engine(point, engine)
     return stats, log
 
 
 def _simulate_engine(point: SimPoint, engine: str | None) \
-        -> tuple[CoreStats, list[PersistOp] | None, str]:
+        -> tuple[CoreStats, list[PersistOp] | None, str, Any]:
     """:func:`simulate_point` plus which engine actually produced the
     stats (``"scalar"``/``"batched"``) — the honest producer, so a
-    diverged-and-fallen-back lane reports ``"scalar"``."""
+    diverged-and-fallen-back lane reports ``"scalar"`` — and the scalar
+    object that ran the point (None when the kernel ran)."""
     from repro.engine import resolve_engine, runtime_scalar_reason
 
     engine = resolve_engine(engine)
@@ -121,15 +123,17 @@ def _simulate_engine(point: SimPoint, engine: str | None) \
                 raise CohortLaneError(
                     f"point {point.name} failed under the batched kernel "
                     f"and its scalar fallback: {lane.error}")
-            return lane.stats, None, lane.engine
-    stats, log = _scalar_simulate(point)
-    return stats, log, "scalar"
+            return lane.stats, None, lane.engine, None
+    stats, log, runner = _scalar_simulate(point)
+    return stats, log, "scalar", runner
 
 
 def _scalar_simulate(point: SimPoint) \
-        -> tuple[CoreStats, list[PersistOp] | None]:
+        -> tuple[CoreStats, list[PersistOp] | None, Any]:
     """The scalar reference path (also the batched kernel's divergence
-    fallback, via ``simulate_point(..., engine="scalar")``)."""
+    fallback, via ``simulate_point(..., engine="scalar")``): the point's
+    inputs, then :func:`run_scalar`. Returns the stats, the persist log
+    when the point asks for it, and the object that ran."""
     trace, extents, share = point_inputs(point)
     cfg = point.config.memory
     nvm = nvm_backend(cfg.nvm, share)
@@ -137,19 +141,45 @@ def _scalar_simulate(point: SimPoint) \
         memory = MemorySystem(cfg, nvm=nvm)
     else:
         memory = warmed_memory(cfg, extents, nvm=nvm)
-    if point.core == "inorder":
-        # The in-order model always runs cold: point_inputs gives it no
-        # extents.
-        from repro.inorder.core import InOrderCore
+    stats, runner = run_scalar(trace, point.config, point.scheme,
+                               core=point.core, memory=memory,
+                               track_values=point.track_values)
+    log = None
+    if point.capture_persist_log:
+        # The crash-capable processors wrap the core that owns the buffer.
+        log = getattr(runner, "core", runner).wb.log
+    return stats, log, runner
 
-        core = InOrderCore(point.config, memory=memory,
-                           persistent=point.scheme == "ppa")
+
+def run_scalar(trace, config, scheme: str, core: str = "ooo",
+               memory: MemorySystem | None = None,
+               track_values: bool = True) -> tuple[Any, Any]:
+    """Run ``trace`` on the scalar model of ``core`` under ``scheme``,
+    over ``memory`` (None: cold); returns the stats and the object that
+    ran them.
+
+    ``ppa`` gets the crash-capable processor (:class:`PersistentProcessor`
+    when it tracks values, :class:`InOrderPersistentProcessor` in order),
+    whose run is bit-exact with the bare core's; every other run is the
+    bare core. The caller has checked ``core``/``scheme``
+    (:func:`repro.orchestrator.points.check_run`)."""
+    if core == "inorder":
+        if scheme == "ppa":
+            from repro.inorder.processor import InOrderPersistentProcessor
+
+            runner = InOrderPersistentProcessor(config, memory=memory)
+        else:
+            from repro.inorder.core import InOrderCore
+
+            runner = InOrderCore(config, memory=memory, persistent=False)
+    elif scheme == "ppa" and track_values:
+        from repro.core.processor import PersistentProcessor
+
+        runner = PersistentProcessor(config, memory=memory)
     else:
-        core = OoOCore(point.config, make_policy(point.scheme),
-                       memory=memory, track_values=point.track_values)
-    stats = core.run(trace)
-    log = core.wb.log if point.capture_persist_log else None
-    return stats, log
+        runner = OoOCore(config, make_policy(scheme), memory=memory,
+                         track_values=track_values)
+    return runner.run(trace), runner
 
 
 def point_trace_filename(point: SimPoint) -> str:
@@ -205,10 +235,10 @@ def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
         # were installed at import and simply stay.
         with sanitized():
             start = time.perf_counter()
-            stats, log, engine = _simulate_engine(point, None)
+            stats, log, engine, _ = _simulate_engine(point, None)
     else:
         start = time.perf_counter()
-        stats, log, engine = _simulate_engine(point, None)
+        stats, log, engine, _ = _simulate_engine(point, None)
     elapsed = time.perf_counter() - start
     payload = payload_from_run(stats, log, elapsed, engine=engine)
     # Worker accounting rides along and is stripped before the payload is

@@ -23,11 +23,37 @@ DEFAULT_WARMUP = 40_000
 # over a heap ``tid`` strides above the single-core base, so heaps never
 # overlap (trivially data-race-free). Fig 19 scales the WPQ and shared L2
 # with the thread count, so NVM bandwidth per thread degrades only mildly
-# beyond the paper's 8 cores; the exponent is calibrated so PPA's
-# overhead drifts from ~2 % at 8 threads toward ~6 % at 64.
+# beyond the paper's 8 cores; the exponent was meant to take PPA's
+# overhead from ~2 % at 8 threads toward the paper's ~6 % at 64, but the
+# shipped fig19 reads 7.4 % at 64 (EXPERIMENTS.md).
 THREAD_STRIDE = 1 << 32
 BASE_THREADS = 8
 CONTENTION_EXPONENT = 0.2
+
+CORE_MODELS = ("ooo", "inorder")
+# The in-order model implements the value-CSQ PPA variant and the
+# volatile baseline only (Section 6).
+INORDER_SCHEMES = ("ppa", "baseline")
+
+
+def check_run(core: str, scheme: str,
+              thread: tuple[int, int] | None = None) -> None:
+    """Raise ``ValueError`` unless ``scheme`` runs on the ``core`` model
+    and ``thread`` (when given) is ``(tid, threads)`` with
+    ``0 <= tid < threads``."""
+    if core not in CORE_MODELS:
+        raise ValueError(f"unknown core model {core!r} "
+                         f"(options: {', '.join(CORE_MODELS)})")
+    if core == "inorder" and scheme not in INORDER_SCHEMES:
+        raise ValueError(
+            f"the in-order core supports scheme 'ppa' or 'baseline', "
+            f"not {scheme!r}")
+    if thread is None:
+        return
+    if len(thread) != 2:
+        raise ValueError(f"thread {thread!r} is not a (tid, threads) pair")
+    if not 0 <= thread[0] < thread[1]:
+        raise ValueError(f"thread {thread[0]} is not one of {thread[1]}")
 
 
 def config_for(scheme: str, config: SystemConfig | None) -> SystemConfig:
@@ -61,6 +87,9 @@ class SimPoint:
     # ``(tid, threads)``: the point is thread ``tid`` of a
     # ``threads``-thread barrier-synchronized run (:mod:`repro.multicore`).
     thread: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        check_run(self.core, self.scheme, self.thread)
 
     @property
     def name(self) -> str:
@@ -111,14 +140,10 @@ def make_point(profile: WorkloadProfile | str, scheme: str,
                capture_persist_log: bool = False, core: str = "ooo",
                label: str = "",
                thread: tuple[int, int] | None = None) -> SimPoint:
-    """Build a :class:`SimPoint` with the configuration resolved."""
+    """Build a :class:`SimPoint` with the configuration resolved (the
+    point validates itself: :func:`check_run`)."""
     if isinstance(profile, str):
         profile = profile_by_name(profile)
-    if core not in ("ooo", "inorder"):
-        raise ValueError(f"unknown core model {core!r} "
-                         "(options: ooo, inorder)")
-    if thread is not None and not 0 <= thread[0] < thread[1]:
-        raise ValueError(f"thread {thread[0]} is not one of {thread[1]}")
     return SimPoint(profile=profile, scheme=scheme,
                     config=config_for(scheme, config), length=length,
                     warmup=warmup, seed=seed, track_values=track_values,

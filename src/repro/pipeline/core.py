@@ -118,17 +118,6 @@ class OoOCore:
         policy.attach(self)
 
     # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _sample_free_regs(self, time: float, weight: float) -> None:
-        if weight <= 0:
-            return
-        stats = self.stats
-        stats.free_reg_hist_int[self.rf[RegClass.INT].free_count(time)] += weight
-        stats.free_reg_hist_fp[self.rf[RegClass.FP].free_count(time)] += weight
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
 

@@ -204,7 +204,7 @@ class TestGoldenParity:
     def test_gcc_3000_pins_under_batched(self, scheme):
         point = make_point("gcc", scheme, length=3_000)
         scalar = simulate_point(point, engine="scalar")[0]
-        stats, _, engine_used = _simulate_engine(point, "batched")
+        stats, _, engine_used, _ = _simulate_engine(point, "batched")
         expected = "batched" if scheme in KERNEL_SCHEMES else "scalar"
         assert engine_used == expected
         assert stats.to_dict() == scalar.to_dict()
@@ -220,7 +220,7 @@ class TestGoldenParity:
         point = _pt("rb", scheme, config, track_values=True, core=core,
                     **({"warmup": 0} if core == "inorder" else {}))
         scalar = simulate_point(point, engine="scalar")[0]
-        batched, _, engine_used = _simulate_engine(point, "batched")
+        batched, _, engine_used, _ = _simulate_engine(point, "batched")
         assert engine_used == "batched"
         records = "entries" if core == "inorder" else "stores"
         values = [s.value for s in getattr(batched, records)]
@@ -239,7 +239,7 @@ class TestGoldenParity:
                     **({"warmup": 0} if core == "inorder" else {}))
         assert bandwidth_share(point) < 1.0
         scalar = simulate_point(point, engine="scalar")[0]
-        batched, _, engine_used = _simulate_engine(point, "batched")
+        batched, _, engine_used, _ = _simulate_engine(point, "batched")
         assert engine_used == "batched"
         assert batched.name == "rb/t5"
         assert batched.to_dict() == scalar.to_dict()
@@ -518,6 +518,28 @@ class TestFacadeEngine:
                      engine="simd")
 
 
+class TestFacadePointParity:
+    """``repro.simulate`` on a profile is the value-tracking point of the
+    same arguments: equal stats for every catalog scheme out-of-order
+    and both in-order schemes, warm and cold, on either engine."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    @pytest.mark.parametrize("warmup", [0, 1])
+    @pytest.mark.parametrize("scheme,core", [
+        *((scheme, "ooo") for scheme in ALL_SCHEMES),
+        ("ppa", "inorder"), ("baseline", "inorder")])
+    def test_facade_equals_point(self, scheme, core, warmup, engine):
+        from repro import simulate
+        from repro.orchestrator.serialize import stats_to_dict
+
+        result = simulate("rb", scheme=scheme, core=core, length=400,
+                          warmup=warmup, seed=3, engine=engine)
+        point = make_point("rb", scheme, length=400, warmup=warmup,
+                           seed=3, track_values=True, core=core)
+        want = simulate_point(point, engine="scalar")[0]
+        assert stats_to_dict(result.stats) == stats_to_dict(want)
+
+
 class TestDeprecatedEntryPoints:
     """The per-core ``run`` methods and the experiments runner were once
     deprecated delegates; they are plain entry points now and warn
@@ -636,16 +658,6 @@ class TestInOrderBatching:
             assert lane.engine == "batched"
             want = simulate_point(point, engine="scalar")[0]
             assert lane.stats.to_dict() == want.to_dict()
-
-    def test_inorder_unbatchable_scheme_reason(self):
-        from repro.engine.plan import unbatchable_reason
-
-        point = _pt("rb", "eadr", length=800, warmup=0, core="inorder")
-        reason = unbatchable_reason(point)
-        assert reason is not None and "in-order" in reason
-        plan = plan_points([point], "batched")
-        assert plan.reasons[0] == reason
-        assert plan.summary()["scalar_reasons"] == {reason: 1}
 
     def test_cohort_key_separates_cores(self):
         ooo = _pt("rb", "ppa", length=800)

@@ -6,7 +6,6 @@ from repro.config import skylake_default
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.campaign import Campaign, CampaignError
 from repro.orchestrator.points import SimPoint, make_point
-from repro.workloads.profiles import profile_by_name
 
 LENGTH = 1_500
 
@@ -20,11 +19,12 @@ def _populate(campaign):
 
 
 def _bad_point() -> SimPoint:
-    """A point whose simulation raises inside the worker (unknown scheme
-    slips past make_point because we build the dataclass directly)."""
-    return SimPoint(profile=profile_by_name("gcc"),
-                    scheme="no-such-scheme", config=skylake_default(),
-                    length=200, warmup=0)
+    """A valid point whose simulation raises inside the worker: a 16-entry
+    integer PRF cannot rename the 16 architectural registers."""
+    base = skylake_default()
+    return make_point("gcc", "baseline",
+                      config=base.with_prf(16, base.core.fp_arch_regs),
+                      length=200, warmup=0)
 
 
 class TestSerialCampaign:

@@ -287,6 +287,52 @@ class TestKeyMaterial:
                 != point_digest(point, salt="s")
 
 
+
+class TestPointValidation:
+    """A point checks its core, in-order scheme and thread however it is
+    built: ``make_point``, a wire dict or ``dataclasses.replace``."""
+
+    @staticmethod
+    def _wire(**changes):
+        from repro.orchestrator.serialize import point_to_dict
+
+        wire = json.loads(json.dumps(point_to_dict(
+            make_point("rb", "ppa", length=500, warmup=0))))
+        wire.update(changes)
+        return wire
+
+    def test_unknown_core_rejected(self):
+        from dataclasses import replace
+
+        from repro.orchestrator.serialize import point_from_dict
+
+        with pytest.raises(ValueError, match="unknown core model 'foo'"):
+            point_from_dict(self._wire(core="foo"))
+        with pytest.raises(ValueError, match="unknown core model"):
+            replace(make_point("rb", "ppa", length=500), core="gpu")
+
+    def test_inorder_scheme_outside_ppa_baseline_rejected(self):
+        from repro.orchestrator.serialize import point_from_dict
+
+        with pytest.raises(ValueError, match="in-order core supports"):
+            make_point("gcc", "capri", core="inorder", length=500,
+                       warmup=0)
+        with pytest.raises(ValueError, match="in-order core supports"):
+            point_from_dict(self._wire(core="inorder",
+                                       scheme="replaycache"))
+        for scheme in ("ppa", "baseline"):
+            assert make_point("gcc", scheme, core="inorder").core \
+                == "inorder"
+
+    @pytest.mark.parametrize("thread", [[5, 2], [2, 2], [-1, 4], [3]])
+    def test_thread_out_of_bounds_rejected(self, thread):
+        from repro.orchestrator.serialize import point_from_dict
+
+        with pytest.raises(ValueError, match="^thread "):
+            point_from_dict(self._wire(thread=thread))
+        assert point_from_dict(self._wire(thread=[1, 2])).thread == (1, 2)
+
+
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True)
 

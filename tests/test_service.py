@@ -72,6 +72,17 @@ class TestApiBasics:
                 client.request("POST", "/v1/campaigns", body)
             assert excinfo.value.status == 400, body
 
+    def test_invalid_points_are_400(self, service):
+        client, _ = service
+        good = point_to_dict(make_point("rb", "ppa", length=LENGTH,
+                                        warmup=0))
+        for changes in ({"core": "foo"},
+                        {"core": "inorder", "scheme": "replaycache"},
+                        {"thread": [5, 2]}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("alice", points=[{**good, **changes}])
+            assert excinfo.value.status == 400, changes
+
     def test_route_miss_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceError) as excinfo:
