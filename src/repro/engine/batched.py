@@ -23,10 +23,20 @@ that state. It keeps no register values: a lane that tracks values takes
 its stores' values from the stream in turn. :func:`run_lanes` walks the
 lanes one after another.
 
-The arithmetic is a faithful transliteration of the scalar models
-(:mod:`repro.pipeline.core` + the persistence policies + WB/NVM device
-models): the same float operations in the same order, so the results are
-bit-exact against the golden-count pins. The cache hierarchy itself is
+The arithmetic transliterates the scalar models (:mod:`repro.pipeline.core`
++ the persistence policies + WB/NVM device models), so the results are
+bit-exact against them and the golden-count pins. The bandwidth takes
+(rename and commit here, issue in the in-order kernel) are the one
+place where the walk computes differently from
+``BandwidthLimiter.take``: a take at time ``t`` stays in the current
+cycle when ``t <= cycle`` and the cycle has a free slot, and otherwise
+opens cycle ``-(-t // 1.0)`` if ``t > cycle``, else ``cycle + 1.0``.
+That is exact because cycles are whole numbers, so ``ceil(t) > cycle``
+holds exactly when ``t > cycle``, and floor division is an exact ceil
+for finite ``t >= 0``. A non-finite ``t`` raises, as ``int(t)`` does in
+the reference. Rename samples the free-register histogram when it opens
+a cycle: that is exactly when the reference's sample weight (this
+rename cycle minus the last) is positive. The cache hierarchy itself is
 not re-simulated per lane — its decisions are lane-invariant and come
 precompiled from the memory script; only the NVM device terms (WPQ
 admission, port contention) are evaluated per lane.
@@ -248,8 +258,9 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         advance_floor, persist_store, region_drain, seal_region, wb_totals = \
             write_buffer(ppa, nvm, nvm_write)
 
-        fetch_ready = last_commit = last_sample = oor = 0.0
-        ren_cycle = com_cycle = -1.0
+        # The first rename lands in cycle 0, which is never sampled.
+        fetch_ready = last_commit = oor = ren_cycle = 0.0
+        com_cycle = -1.0
         ren_used = com_used = 0
         rob_sz = core.rob_size
         rob_rel = [0.0] * rob_sz
@@ -401,32 +412,26 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                         while heap and heap[0][0] <= t:
                             free.append(heappop(heap)[1])
 
-                # rename_bw.take(t)
-                cyc = float(int(t))
-                if t > cyc:
-                    cyc += 1.0
-                if cyc < ren_cycle:
-                    cyc = ren_cycle
-                if cyc == ren_cycle and ren_used >= width:
-                    cyc += 1.0
-                if cyc > ren_cycle:
-                    ren_cycle = cyc
-                    ren_used = 1
-                else:
+                # rename_bw.take(t) in closed form (see the module
+                # docstring); opening a cycle samples the free counts.
+                if t <= ren_cycle and ren_used < width:
                     ren_used += 1
-                rename_time = cyc
-
-                weight = rename_time - last_sample
-                if weight > 0:
-                    while sched_int and sched_int[0][0] <= rename_time:
+                else:
+                    cyc = ren_cycle + 1.0 if t <= ren_cycle else -(-t // 1.0)
+                    if not cyc < _INF:
+                        raise OverflowError(f"rename at time {t}")
+                    while sched_int and sched_int[0][0] <= cyc:
                         free_int.append(heappop(sched_int)[1])
-                    while sched_fp and sched_fp[0][0] <= rename_time:
+                    while sched_fp and sched_fp[0][0] <= cyc:
                         free_fp.append(heappop(sched_fp)[1])
+                    weight = cyc - ren_cycle
                     key = len(free_int)
                     hist_int[key] = hist_int.get(key, 0) + weight
                     key = len(free_fp)
                     hist_fp[key] = hist_fp.get(key, 0) + weight
-                last_sample = rename_time
+                    ren_cycle = cyc
+                    ren_used = 1
+                rename_time = ren_cycle
 
                 # Sources read the RAT before the destination is
                 # allocated; a mapped source is never the freshly popped
@@ -520,20 +525,16 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                         if drain > tentative:
                             tentative = drain
 
-                # commit_bw.take(tentative)
-                cyc = float(int(tentative))
-                if tentative > cyc:
-                    cyc += 1.0
-                if cyc < com_cycle:
-                    cyc = com_cycle
-                if cyc == com_cycle and com_used >= width:
-                    cyc += 1.0
-                if cyc > com_cycle:
-                    com_cycle = cyc
-                    com_used = 1
-                else:
+                # commit_bw.take(tentative), the same closed form.
+                if tentative <= com_cycle and com_used < width:
                     com_used += 1
-                commit = last_commit = cyc
+                else:
+                    com_cycle = (com_cycle + 1.0 if tentative <= com_cycle
+                                 else -(-tentative // 1.0))
+                    if not com_cycle < _INF:
+                        raise OverflowError(f"commit at time {tentative}")
+                    com_used = 1
+                commit = last_commit = com_cycle
                 commit_times.append(commit)
                 rob_rel[rob_cnt % rob_sz] = commit
                 rob_cnt += 1

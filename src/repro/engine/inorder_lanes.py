@@ -29,6 +29,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.engine.batched import (
+    _INF,
     _latency_list,
     nvm_device,
     run_lanes,
@@ -113,20 +114,17 @@ def run_inorder_cohort(points, *, diverge_at=None):
                     if src_ready > ready:
                         ready = src_ready
 
-                # issue_bw.take(ready)
-                cyc = float(int(ready))
-                if ready > cyc:
-                    cyc += 1.0
-                if cyc < iss_cycle:
-                    cyc = iss_cycle
-                if cyc == iss_cycle and iss_used >= width:
-                    cyc += 1.0
-                if cyc > iss_cycle:
-                    iss_cycle = cyc
-                    iss_used = 1
-                else:
+                # issue_bw.take(ready) in closed form (see
+                # repro.engine.batched).
+                if ready <= iss_cycle and iss_used < width:
                     iss_used += 1
-                issue = cyc
+                else:
+                    iss_cycle = (iss_cycle + 1.0 if ready <= iss_cycle
+                                 else -(-ready // 1.0))
+                    if not iss_cycle < _INF:
+                        raise OverflowError(f"issue at time {ready}")
+                    iss_used = 1
+                issue = iss_cycle
 
                 if opcode == OP_LOAD:
                     if mem_entry[0] == MODE_CONST and not mem_entry[4]:

@@ -25,18 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.batched import INORDER_KERNEL_SCHEMES, KERNEL_SCHEMES
+from repro.engine.batched import KERNEL_SCHEMES
 from repro.engine.memscript import geometry_key
 
 
 def unbatchable_reason(point) -> str | None:
-    """Why ``point`` cannot run on the batched kernel (None = it can)."""
-    core = getattr(point, "core", "ooo")
-    if core == "inorder":
-        if point.scheme not in INORDER_KERNEL_SCHEMES:
-            return (f"scheme {point.scheme!r} has no batched in-order "
-                    "kernel")
-    elif point.scheme not in KERNEL_SCHEMES:
+    """Why ``point`` cannot run on the batched kernel (None = it can).
+    An in-order point has passed ``check_run``, so its scheme is one the
+    in-order kernel runs."""
+    if point.scheme not in KERNEL_SCHEMES:
         return f"scheme {point.scheme!r} has no batched kernel"
     if point.capture_persist_log:
         return "persist-log capture needs the scalar write buffer"

@@ -11,6 +11,8 @@ forced-divergence hook that retires lanes to the scalar kernel
 mid-flight.
 """
 
+import json
+import math
 import os
 import time
 import warnings
@@ -36,7 +38,12 @@ from repro.engine.batched import (
 from repro.engine.plan import cohort_key, plan_points, plan_units
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.execute import _simulate_engine, simulate_point
-from repro.orchestrator.points import bandwidth_share, make_point
+from repro.orchestrator.points import (
+    INORDER_SCHEMES,
+    bandwidth_share,
+    make_point,
+)
+from repro.orchestrator.serialize import stats_to_dict
 from repro.workloads.interning import interned_trace
 
 BASE = skylake_default()
@@ -54,6 +61,10 @@ def _prf_sweep(n, profile="rb", scheme="ppa", length=1_500):
              (150, 140), (200, 190), (110, 100)]
     return [_pt(profile, scheme, BASE.with_prf(i, f), length=length)
             for i, f in sizes[:n]]
+
+
+def _with_width(config, width):
+    return replace(config, core=replace(config.core, width=width))
 
 
 def _store_seqs(point):
@@ -194,6 +205,32 @@ class TestPlanner:
             run_cohort([_pt("rb", "psp-undolog")])
 
 
+class TestClosedFormCeil:
+    """Both kernels round a time up to its cycle as ``-(-t // 1.0)``;
+    ``BandwidthLimiter.take`` computes ``float(int(t))`` plus one for a
+    fractional part. The two agree, sign of zero included."""
+
+    @staticmethod
+    def _check(t):
+        assert repr(-(-t // 1.0)) == repr(float(int(t)) + (t > int(t)))
+
+    @given(st.floats(0.0, 2.0 ** 52))
+    def test_ceil_identity(self, t):
+        self._check(t)
+
+    @given(st.integers(0, 2 ** 52))
+    def test_ceil_identity_whole(self, n):
+        self._check(float(n))
+        self._check(math.nextafter(float(n), math.inf))
+
+    @pytest.mark.parametrize("t", [
+        0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
+        math.nextafter(1.0, 2.0), 4503599627370495.5, 2.0 ** 52,
+        2.0 ** 53, 1e300])
+    def test_ceil_identity_edges(self, t):
+        self._check(t)
+
+
 @pytest.mark.usefixtures("untraced_unsanitized")
 class TestGoldenParity:
     """Golden pins must hold bit-exactly under ``engine="batched"`` for
@@ -287,11 +324,14 @@ class TestDivergence:
             prf_int = data.draw(st.integers(70, 300), label=f"prf{lane}")
             prf_fp = data.draw(st.integers(70, prf_int), label=f"fp{lane}")
             wpq = data.draw(st.sampled_from([4, 16, 64]), label=f"w{lane}")
+            # Narrow widths fill rename and commit cycles, so the takes
+            # often move on to the next cycle.
+            width = data.draw(st.integers(1, 8), label=f"width{lane}")
             tv = data.draw(st.booleans(), label=f"tv{lane}")
             thread = None if tid is None else (tid, data.draw(
                 st.sampled_from([8, 16, 64]), label=f"threads{lane}"))
-            points.append(_pt("rb", scheme,
-                              BASE.with_prf(prf_int, prf_fp).with_wpq(wpq),
+            config = BASE.with_prf(prf_int, prf_fp).with_wpq(wpq)
+            points.append(_pt("rb", scheme, _with_width(config, width),
                               length=1_200, track_values=tv,
                               thread=thread))
         diverge_at = {
@@ -306,6 +346,66 @@ class TestDivergence:
             if i in diverge_at:
                 assert lane.engine == "scalar"
                 assert lane.diverged_at == diverge_at[i]
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_perturbed_undersized_cohorts_bit_exact(self, data):
+        # Only PRFs this small make rename's allocation drain pop, or
+        # release registers at or before the previous rename cycle; these
+        # are apps where they do. Histogram key order is part of the
+        # result, so the stats compare as JSON.
+        length = 4_000
+        n = data.draw(st.integers(2, 4), label="lanes")
+        app = data.draw(st.sampled_from(["lbm", "lulesh", "water-ns",
+                                         "xsbench"]), label="app")
+        scheme = data.draw(st.sampled_from(["ppa", "baseline", "capri"]),
+                           label="scheme")
+        points = []
+        for lane in range(n):
+            prf_int = data.draw(st.integers(36, 64), label=f"prf{lane}")
+            prf_fp = data.draw(st.integers(36, prf_int), label=f"fp{lane}")
+            width = data.draw(st.integers(1, 8), label=f"width{lane}")
+            config = _with_width(BASE.with_prf(prf_int, prf_fp), width)
+            points.append(_pt(app, scheme, config, length=length))
+        lanes = run_cohort(points)
+        for i, (lane, point) in enumerate(zip(lanes, points)):
+            try:
+                want = simulate_point(point, engine="scalar")[0]
+            except Exception as err:
+                assert lane.stats is None, f"lane {i}"
+                assert lane.error.type_name == type(err).__name__
+                assert lane.error.message == str(err)
+                continue
+            assert lane.error is None, f"lane {i}: {lane.error}"
+            assert json.dumps(stats_to_dict(lane.stats)) == \
+                json.dumps(stats_to_dict(want)), f"lane {i}"
+
+    @pytest.mark.parametrize("app", ["lbm", "water-ns"])
+    def test_undersized_prf_allocation_drain_bit_exact(self, app):
+        # Fixed cohorts whose renames pop registers in the allocation
+        # drain, which the property above draws only now and then.
+        points = [_pt(app, "ppa", BASE.with_prf(i, f), length=4_000)
+                  for i, f in ((36, 36), (40, 39), (56, 39), (64, 49))]
+        for lane, point in zip(run_cohort(points), points):
+            want = simulate_point(point, engine="scalar")[0]
+            assert lane.engine == "batched"
+            assert json.dumps(stats_to_dict(lane.stats)) == \
+                json.dumps(stats_to_dict(want))
+
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_non_finite_time_diverges_like_scalar(self, core):
+        # A take of an infinite time raises in the scalar model; the
+        # kernel's closed form must raise too, not carry a NaN cycle on.
+        config = replace(BASE, core=replace(BASE.core,
+                                            lat_int_alu=float("inf")))
+        kw = {"warmup": 0, "core": "inorder"} if core == "inorder" else {}
+        point = _pt("rb", "ppa", config, length=500, **kw)
+        lane, = run_cohort([point])
+        assert lane.engine == "scalar" and lane.stats is None
+        with pytest.raises(OverflowError) as err:
+            simulate_point(point, engine="scalar")
+        assert lane.error.message == str(err.value)
 
     def test_stop_index_outside_the_trace_never_fires(self):
         points = _prf_sweep(4, length=1_200)
@@ -461,7 +561,6 @@ class TestFacadeEngine:
                                                       monkeypatch):
         from repro import simulate
         from repro.engine import batched
-        from repro.orchestrator.serialize import stats_to_dict
 
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         widths = []
@@ -486,7 +585,6 @@ class TestFacadeEngine:
     def test_lazy_crash_api_matches_scalar_life_cycle(self, core,
                                                       monkeypatch):
         from repro import simulate
-        from repro.orchestrator.serialize import stats_to_dict
 
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
         result = simulate("rb", scheme="ppa", core=core, length=1_500)
@@ -530,7 +628,6 @@ class TestFacadePointParity:
         ("ppa", "inorder"), ("baseline", "inorder")])
     def test_facade_equals_point(self, scheme, core, warmup, engine):
         from repro import simulate
-        from repro.orchestrator.serialize import stats_to_dict
 
         result = simulate("rb", scheme=scheme, core=core, length=400,
                           warmup=warmup, seed=3, engine=engine)
@@ -659,6 +756,11 @@ class TestInOrderBatching:
             want = simulate_point(point, engine="scalar")[0]
             assert lane.stats.to_dict() == want.to_dict()
 
+    def test_every_inorder_scheme_has_the_kernel(self):
+        # The planner relies on this and checks no in-order scheme.
+        assert INORDER_KERNEL_SCHEMES == frozenset(INORDER_SCHEMES)
+        assert INORDER_KERNEL_SCHEMES <= KERNEL_SCHEMES
+
     def test_cohort_key_separates_cores(self):
         ooo = _pt("rb", "ppa", length=800)
         inorder = _pt("rb", "ppa", length=800, warmup=0, core="inorder")
@@ -715,7 +817,8 @@ class TestInOrderBatching:
             wpq = data.draw(st.sampled_from([4, 16, 64]), label=f"w{lane}")
             csq = data.draw(st.sampled_from([4, 16, 40]), label=f"c{lane}")
             wb = data.draw(st.sampled_from([2, 8, 16]), label=f"b{lane}")
-            config = BASE.with_wpq(wpq).with_csq(csq)
+            width = data.draw(st.integers(1, 8), label=f"width{lane}")
+            config = _with_width(BASE.with_wpq(wpq).with_csq(csq), width)
             config = replace(config, ppa=replace(config.ppa,
                                                  writebuffer_entries=wb))
             tv = data.draw(st.booleans(), label=f"tv{lane}")
