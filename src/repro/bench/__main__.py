@@ -48,7 +48,7 @@ from repro.bench.harness import (
     run_suite,
 )
 from repro.bench.profile import profile_by_name
-from repro.bench.suite import SUITES
+from repro.bench.suite import SUITES, suite_benchmarks
 
 
 def _progress(name: str, index: int, total: int) -> None:
@@ -77,6 +77,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    known = [b.name for b in suite_benchmarks(args.suite)]
+    if args.benchmark not in known:
+        print(f"unknown benchmark {args.benchmark!r} in suite "
+              f"{args.suite!r} (known: {', '.join(known)})",
+              file=sys.stderr)
+        return 2
     report = profile_by_name(args.benchmark, suite=args.suite,
                              top=args.top,
                              with_metrics=not args.no_metrics)

@@ -8,7 +8,8 @@ of two kernels:
 * the **out-of-order kernel** (this module), for the schemes in
   :data:`KERNEL_SCHEMES`;
 * the **in-order kernel** (:mod:`repro.engine.inorder_lanes`), for
-  ``core="inorder"`` points (schemes in :data:`INORDER_KERNEL_SCHEMES`).
+  ``core="inorder"`` points (the in-order schemes,
+  :data:`repro.orchestrator.points.INORDER_SCHEMES`).
 
 Each kernel is a cohort prologue plus a lane walk. The prologue does the
 lane-invariant work once: it loads the interned trace, its memory script
@@ -88,9 +89,6 @@ _PRF_NAMES = ("int", "fp")
 # compiler-region seal floor and the redo-buffer/dedicated-path device.
 KERNEL_SCHEMES = frozenset({"ppa", "baseline", "eadr", "dram-only", "capri"})
 
-# Schemes the in-order lane kernel implements (the facade's in-order
-# dispatch accepts exactly these two).
-INORDER_KERNEL_SCHEMES = frozenset({"ppa", "baseline"})
 
 @dataclass(frozen=True)
 class LaneError:
@@ -140,10 +138,9 @@ class LaneResult:
 
 
 def _scalar_rerun(point) -> CoreStats:
-    from repro.orchestrator.execute import simulate_point
+    from repro.orchestrator.execute import _scalar_simulate
 
-    stats, __ = simulate_point(point, engine="scalar")
-    return stats
+    return _scalar_simulate(point)[0]
 
 
 def _latency_list(core, dec) -> list:

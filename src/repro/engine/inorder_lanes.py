@@ -19,7 +19,7 @@ trace by :mod:`repro.engine.memscript`:
   payloads.
 
 The in-order facade always runs cold (no warmup), and both supported
-schemes (:data:`repro.engine.batched.INORDER_KERNEL_SCHEMES`) share the
+schemes (:data:`repro.orchestrator.points.INORDER_SCHEMES`) share the
 walk: ``"ppa"`` drives the value CSQ + write buffer, ``"baseline"``
 replays only the cache/NVM side effects of store merges.
 """

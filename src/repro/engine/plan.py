@@ -13,12 +13,25 @@ the paper's design-space sweeps, where fig16's 96 points differ only in
 PRF sizes, and of Fig 19, where one thread's runs differ only in
 bandwidth share.
 
-``plan_points`` implements the ``engine`` contract:
+This module is the only code that decides kernel or scalar. Two
+questions stay apart:
 
-* ``"scalar"`` — everything runs on the scalar kernel.
-* ``"auto"`` and ``"batched"`` (one plan, two spellings) — every batchable
-  point runs the batched kernel, a lone point as a one-lane cohort; only
-  unbatchable points stay scalar.
+* *can* the kernel run a point — :func:`unbatchable_reason`, about the
+  scheme and persist-log capture; :func:`repro.engine.batched.run_cohort`
+  checks it as its precondition;
+* *should* a point run on the kernel now — :func:`scalar_reason`, which
+  adds the ``engine`` contract and the instrumentation the run asks for.
+  ``"scalar"`` sends everything to the scalar kernel; ``"auto"`` and
+  ``"batched"`` (one mode, two spellings) send every batchable point to
+  the kernel, a lone point as a one-lane unit. A sanitized or traced
+  run, an active tracer and installed sanitizer probes all need the
+  scalar kernel's hooks.
+
+:func:`plan_points` asks it once per point, in the process that plans,
+and each :class:`PlanUnit` carries the answer; the process that runs a unit
+(:func:`repro.orchestrator.execute.run_cohort_payloads`) does not ask
+again. Single in-process runs (``execute.simulate_point`` and
+:func:`repro.simulate`) ask the same function.
 """
 
 from __future__ import annotations
@@ -51,12 +64,39 @@ def cohort_key(point) -> tuple:
             None if thread is None else thread[0])
 
 
+def scalar_reason(point, engine: str, sanitize: bool = False,
+                  traced: bool = False) -> str | None:
+    """Why ``point`` should run on the scalar kernel if planned now (None:
+    on the kernel). ``sanitize`` and ``traced`` are the run's own
+    instrumentation; an active tracer or installed sanitizer probes in
+    this process count too, because the kernel emits no telemetry and
+    bypasses the classes the probes patch."""
+    if engine == "scalar":
+        return "engine=scalar"
+    if sanitize:
+        return "sanitizer needs scalar instrumentation"
+    if traced:
+        return "tracing needs scalar instrumentation"
+    from repro import telemetry
+
+    if telemetry.tracer_for_run() is not None:
+        return "telemetry tracer active"
+    from repro.sanitizer import installed
+
+    if installed():
+        return "sanitizer probes installed"
+    return unbatchable_reason(point)
+
+
 @dataclass
-class Cohort:
-    """One kernel unit: original indices plus their points, in order."""
+class PlanUnit:
+    """What one worker slot runs: original indices plus their points, in
+    order. A kernel unit (any width) runs on the batched kernel; a scalar
+    unit is one point on the scalar kernel."""
 
     indices: list[int]
     points: list
+    kernel: bool
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -64,85 +104,59 @@ class Cohort:
 
 @dataclass
 class Plan:
-    """How a point list will be executed."""
+    """How a point list will be executed: its units in order of their
+    first index."""
 
     engine: str
-    cohorts: list[Cohort] = field(default_factory=list)
-    scalar_indices: list[int] = field(default_factory=list)
-    # index -> why that point stayed scalar (engine choice or
-    # incompatibility).
+    units: list[PlanUnit] = field(default_factory=list)
+    # index -> why that point stays scalar (scalar_reason).
     reasons: dict[int, str] = field(default_factory=dict)
 
     @property
-    def batched_points(self) -> int:
-        return sum(len(c) for c in self.cohorts)
+    def cohorts(self) -> list[PlanUnit]:
+        """The kernel units."""
+        return [unit for unit in self.units if unit.kernel]
 
-    def units(self) -> list[list[int]]:
-        """Each cohort's indices and each scalar index alone, in order."""
-        return sorted([list(c.indices) for c in self.cohorts]
-                      + [[index] for index in self.scalar_indices])
+    @property
+    def batched_points(self) -> int:
+        return sum(len(unit) for unit in self.cohorts)
 
     def summary(self) -> dict:
-        """Introspection digest for observability surfaces: cohort count
-        and widths, the batched/scalar split, and a histogram of why
-        points stayed scalar."""
+        """Introspection digest for observability surfaces: kernel unit
+        count and widths, the batched/scalar split, and a histogram of
+        why points stayed scalar."""
         reasons: dict[str, int] = {}
         for reason in self.reasons.values():
             reasons[reason] = reasons.get(reason, 0) + 1
+        cohorts = self.cohorts
         return {
             "engine": self.engine,
-            "cohorts": len(self.cohorts),
-            "cohort_widths": sorted(len(c) for c in self.cohorts),
+            "cohorts": len(cohorts),
+            "cohort_widths": sorted(len(c) for c in cohorts),
             "batched_points": self.batched_points,
-            "scalar_points": len(self.scalar_indices),
+            "scalar_points": len(self.units) - len(cohorts),
             "scalar_reasons": reasons,
         }
 
 
-def plan_points(points, engine: str) -> Plan:
+def plan_points(points, engine: str, sanitize: bool = False,
+                traced: bool = False) -> Plan:
     """Partition ``points`` (any SimPoint-shaped sequence) into kernel
-    cohorts and scalar leftovers under the given engine mode."""
+    units and scalar singletons under the given engine mode and run
+    instrumentation (:func:`scalar_reason`)."""
     plan = Plan(engine=engine)
-    if engine == "scalar":
-        plan.scalar_indices = list(range(len(points)))
-        for index in plan.scalar_indices:
-            plan.reasons[index] = "engine=scalar"
-        return plan
-
-    groups: dict[tuple, Cohort] = {}
+    groups: dict[tuple, PlanUnit] = {}
     for index, point in enumerate(points):
-        reason = unbatchable_reason(point)
+        reason = scalar_reason(point, engine, sanitize, traced)
         if reason is not None:
-            plan.scalar_indices.append(index)
+            plan.units.append(PlanUnit([index], [point], kernel=False))
             plan.reasons[index] = reason
             continue
         key = cohort_key(point)
-        cohort = groups.get(key)
-        if cohort is None:
-            groups[key] = cohort = Cohort(indices=[], points=[])
-        cohort.indices.append(index)
-        cohort.points.append(point)
-    plan.cohorts = list(groups.values())
-    return plan
-
-
-def plan_units(points, engine: str, sanitize: bool = False,
-               traced: bool = False) -> Plan:
-    """The plan both front ends run (``Campaign``, ``FleetScheduler``).
-
-    Sanitized or traced runs need the scalar kernel's hooks, so all their
-    points stay scalar. A width-1 cohort is demoted, with no reason
-    recorded, to a singleton: per-point execution resolves the pinned
-    engine itself, so it still runs on the kernel."""
-    if engine != "scalar" and (sanitize or traced):
-        reason = ("sanitizer needs scalar instrumentation" if sanitize
-                  else "tracing needs scalar instrumentation")
-        indices = list(range(len(points)))
-        return Plan(engine=engine, scalar_indices=indices,
-                    reasons=dict.fromkeys(indices, reason))
-    plan = plan_points(points, engine)
-    for cohort in [c for c in plan.cohorts if len(c) < 2]:
-        plan.cohorts.remove(cohort)
-        plan.scalar_indices.extend(cohort.indices)
-    plan.scalar_indices.sort()
+        unit = groups.get(key)
+        if unit is None:
+            groups[key] = unit = PlanUnit([], [], kernel=True)
+            plan.units.append(unit)
+        unit.indices.append(index)
+        unit.points.append(point)
     return plan

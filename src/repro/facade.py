@@ -98,17 +98,17 @@ def _run_multicore(profile, scheme, config, length, warmup, seed,
     records into a ``core{tid}/`` scope."""
     from repro import telemetry
     from repro.multicore.system import barrier_reduce, thread_points
-    from repro.orchestrator.execute import simulate_point
+    from repro.orchestrator.execute import _simulate_engine
 
     points = thread_points(profile, scheme, threads, config=config,
                            length=length, warmup=warmup, seed=seed)
     per_thread = []
     for tid, point in enumerate(points):
         if tracer is None:
-            per_thread.append(simulate_point(point, engine=engine)[0])
+            per_thread.append(_simulate_engine(point, engine)[0])
             continue
         with telemetry.tracing(tracer.scope(f"core{tid}")):
-            per_thread.append(simulate_point(point, engine=engine)[0])
+            per_thread.append(_simulate_engine(point, engine)[0])
     stats = barrier_reduce(profile, scheme, length, per_thread,
                            tracer=tracer)
     return SimResult(stats=stats, telemetry=tracer)

@@ -49,7 +49,11 @@ def _cmd_enumerate(args) -> int:
     from repro.litmus.families import program_by_name
     from repro.litmus.px86 import allowed_crash_states, format_state
 
-    program = program_by_name(args.program)
+    try:
+        program = program_by_name(args.program)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     allowed = sorted(allowed_crash_states(program))
     if args.json:
         json.dump({
@@ -70,16 +74,20 @@ def _cmd_run(args) -> int:
     from repro.litmus.families import curated_suite, program_by_name
     from repro.litmus.harness import run_suite, target_matrix
 
-    if args.programs:
-        programs = tuple(program_by_name(name.strip())
-                         for name in args.programs.split(","))
-    else:
-        programs = curated_suite()
     cores = (tuple(c.strip() for c in args.cores.split(","))
              if args.cores else None)
     schemes = (tuple(s.strip() for s in args.schemes.split(","))
                if args.schemes else None)
-    targets = target_matrix(cores, schemes)
+    try:
+        if args.programs:
+            programs = tuple(program_by_name(name.strip())
+                             for name in args.programs.split(","))
+        else:
+            programs = curated_suite()
+        targets = target_matrix(cores, schemes)
+    except ValueError as error:       # an unknown program, core or scheme
+        print(error, file=sys.stderr)
+        return 2
 
     cache = None
     if args.cache_dir:

@@ -253,7 +253,8 @@ class SuiteReport:
 def target_matrix(cores=None, schemes=None) -> list[tuple[str, str]]:
     """The (core, scheme) pairs a suite run covers. The in-order model
     only implements ``ppa``/``baseline``; other requested schemes are
-    silently dropped for it."""
+    silently dropped for it. An unknown core or scheme raises
+    ``ValueError``."""
     from repro.persistence.catalog import scheme_names
 
     cores = TARGET_CORES if cores is None else tuple(cores)
@@ -263,6 +264,10 @@ def target_matrix(cores=None, schemes=None) -> list[tuple[str, str]]:
                              f"options: {TARGET_CORES}")
     all_schemes = tuple(scheme_names()) if schemes is None else \
         tuple(schemes)
+    for scheme in all_schemes:
+        if scheme not in scheme_names():
+            raise ValueError(f"unknown scheme {scheme!r}; "
+                             f"options: {scheme_names()}")
     matrix: list[tuple[str, str]] = []
     for core in cores:
         pool = (tuple(s for s in all_schemes if s in INORDER_SCHEMES)

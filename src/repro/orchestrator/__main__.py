@@ -135,12 +135,15 @@ def _cmd_run(args) -> int:
 
 
 def _plan_preview(campaign: str, engine: str | None) -> dict:
-    """How a named sweep would batch, without simulating anything."""
+    """How a named sweep would batch, without simulating anything: the
+    plan ``run`` would make under this environment."""
+    from repro.config import sanitize_requested
     from repro.engine import resolve_engine
     from repro.engine.plan import plan_points
 
     spec = sweep_spec(campaign)
-    plan = plan_points(build_sweep(spec), resolve_engine(engine))
+    plan = plan_points(build_sweep(spec), resolve_engine(engine),
+                       sanitize_requested())
     summary = plan.summary()
     summary["campaign"] = campaign
     summary["points"] = summary["batched_points"] + summary["scalar_points"]

@@ -2,8 +2,7 @@
 
 A :class:`Campaign` collects :class:`SimPoint`\\ s, resolves as many as it
 can from the content-addressed :class:`ResultCache`, plans the misses into
-batched-kernel cohorts and scalar singletons
-(:func:`repro.engine.plan.plan_units`),
+kernel units and scalar singletons (:func:`repro.engine.plan.plan_points`),
 and runs them through the pool executor core
 (:mod:`repro.orchestrator.pool`), which owns retries, per-point deadlines,
 cohort splits and pool rebuilds. Results come back in submission order
@@ -62,9 +61,9 @@ class PointResult:
     # report the original producer, failures None.
     engine: str | None = None
     error: str | None = None
-    # Worker accounting the payload carried ({"pid", "imports",
-    # "preloaded"}); None for cache hits. Stripped from the payload before
-    # caching — pids are not deterministic.
+    # Worker accounting the payload carried ({"pid", "imports"}); None
+    # for cache hits. Stripped from the payload before caching — pids
+    # are not deterministic.
     worker: dict[str, int] | None = None
 
     @property
@@ -131,9 +130,10 @@ class CampaignTelemetry:
     engine: str = "scalar"          # resolved engine mode for this run
     cohorts: int = 0                # kernel cohorts planned (>= 2 lanes)
     batched_points: int = 0         # points whose result ran batched
-    # unbatchable_reason -> count: why planned points stayed on the scalar
-    # kernel (engine choice, scheme with no batched kernel, persist-log
-    # capture, campaign-wide sanitize/trace instrumentation). Only
+    # reason -> count: why planned points stayed on the scalar kernel
+    # (repro.engine.plan.scalar_reason: engine choice, campaign-wide
+    # sanitize/trace instrumentation, an active tracer or sanitizer
+    # probes, a scheme with no batched kernel, persist-log capture). Only
     # simulated (cache-missed) points are planned, so hits never show up
     # here.
     scalar_reasons: dict[str, int] = field(default_factory=dict)
@@ -215,8 +215,8 @@ class Campaign:
         self.progress = progress
         self.fail_fast = fail_fast
         # Execution engine (repro.engine contract: None resolves
-        # REPRO_ENGINE, default "auto"); repro.engine.plan.plan_units
-        # turns cache misses into cohorts and singletons under it.
+        # REPRO_ENGINE, default "auto"); repro.engine.plan.plan_points
+        # turns cache misses into kernel and scalar units under it.
         self.engine = resolve_engine(engine)
         # Run every simulated point under the persistency sanitizer
         # (repro.sanitizer); None defers to the REPRO_SANITIZE environment
@@ -370,23 +370,22 @@ class Campaign:
                   results: list[PointResult | None]) -> None:
         """Plan the missed points into units and run them through the
         pool executor core; results land in ``results`` by index."""
-        from repro.engine.plan import plan_units
+        from repro.engine.plan import plan_points
 
-        plan = plan_units([self.points[i] for i in misses], self.engine,
-                          self.sanitize, self.trace_dir is not None)
+        plan = plan_points([self.points[i] for i in misses], self.engine,
+                           self.sanitize, self.trace_dir is not None)
         self.telemetry.scalar_reasons = plan.summary()["scalar_reasons"]
-        self.telemetry.cohorts = len(plan.cohorts)
+        self.telemetry.cohorts = sum(len(unit) > 1 for unit in plan.cohorts)
         # A deadline needs a worker process to kill, so only a jobs=1
         # campaign without one runs its units in this process.
         executor = PoolExecutor(
             self.jobs, self._on_pool_event, timeout=self.timeout,
             retries=self.retries, sanitize=self.sanitize,
-            trace_dir=self.trace_dir, engine=self.engine,
-            preload=self._preload_specs(misses),
+            trace_dir=self.trace_dir,
             inline=self.jobs == 1 and self.timeout is None)
-        for unit in plan.units():
+        for unit in plan.units:
             executor.submit([Lane(self.points[misses[i]], tag=misses[i])
-                             for i in unit])
+                             for i in unit.indices], unit.kernel)
         try:
             for lane, payload, error in executor.drain():
                 if payload is None:
@@ -406,17 +405,3 @@ class Campaign:
             self.telemetry.timeouts += 1
         elif event == "retry":
             self.telemetry.retries += 1
-
-    def _preload_specs(self, misses: list[int]) -> tuple:
-        """Trace specs worth interning in every worker up front: the
-        ``(profile, length, seed)`` combinations shared by two or more
-        submitted points (a sweep varies config/scheme, not the trace).
-        Thread points run traces of their own and are left out."""
-        from collections import Counter
-
-        counts = Counter(
-            (self.points[i].profile, self.points[i].length,
-             self.points[i].seed) for i in misses
-            if self.points[i].thread is None)
-        return tuple(spec for spec, count in counts.most_common(8)
-                     if count >= 2)

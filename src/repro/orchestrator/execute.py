@@ -1,26 +1,31 @@
-"""Executing one simulation point — in-process or in a pool worker.
+"""Executing simulation points — in-process or in a pool worker.
 
 This is the single place that turns a :class:`SimPoint` into a finished
-:class:`CoreStats`; the pool executor (:mod:`repro.orchestrator.pool`,
+:class:`CoreStats`. The pool executor (:mod:`repro.orchestrator.pool`,
 in-process or in its workers, under every campaign, experiment and the
-service) and the :func:`repro.simulate` facade all delegate here, so the
-serial and parallel paths cannot drift apart. :func:`run_scalar` is the
-one place that builds a scalar core for a run.
+service) runs every planned unit through one worker entry,
+:func:`run_cohort_payloads`, which runs the unit the way the planner
+marked it: a kernel unit on :func:`repro.engine.batched.run_cohort`, a
+scalar unit on the scalar path. It asks nothing about engines itself.
+:func:`simulate_point` and the :func:`repro.simulate` facade ask the
+planner's :func:`repro.engine.plan.scalar_reason` once per point and run
+it the same two ways. :func:`run_scalar` is the one place that builds a
+scalar core for a run.
 
 Traces are interned (:mod:`repro.workloads.interning`) and steady-state
 cache contents cloned from prewarmed templates (:mod:`repro.memory.prewarm`),
 so sweeping many points over one profile pays trace generation and cache
 warmup once per process. Pool workers run :func:`worker_init` on spawn,
-which counts the (single) ``repro`` import per worker and pre-interns the
-traces the campaign is about to sweep; the counter travels back in each
-payload and surfaces in the campaign telemetry.
+which counts the (single) ``repro`` import per worker; the counter
+travels back in each payload and surfaces in the campaign telemetry.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from repro.config import SANITIZE_ENV_VAR, sanitize_requested
 from repro.memory.hierarchy import MemorySystem
@@ -37,33 +42,21 @@ from repro.orchestrator.serialize import payload_from_run
 # Per-process worker accounting. ``imports`` counts worker_init calls in
 # THIS process: exactly 1 in a pool worker whose initializer ran, 0 in the
 # parent (serial runs never spawn).
-_WORKER_STATE = {"imports": 0, "preloaded": 0}
+_WORKER_STATE = {"imports": 0}
 
 
-def worker_init(preload_specs: tuple = (), engine: str | None = None,
-                switches: dict[str, str | None] | None = None) -> None:
-    """Process-pool initializer: one ``repro`` import per worker, plus
-    up-front interning of the traces shared by the submitted points.
+def worker_init(switches: dict[str, str | None] | None = None) -> None:
+    """Process-pool initializer: one ``repro`` import per worker.
 
     Merely unpickling this function reference already imported the heavy
     ``repro`` modules (this module pulls in the core, memory, and policy
     stacks), so per-point submissions start hot.
-
-    ``engine`` pins the worker's default engine (``REPRO_ENGINE``), so a
-    campaign's explicit ``engine=`` choice governs per-point execution in
-    workers too — not just the parent's cohort planning.
 
     ``switches`` pins ``REPRO_TRACE``/``REPRO_SANITIZE`` to the parent's
     values at pool creation (``None``: unset), and the sanitizer's probes
     with them. A forkserver worker otherwise inherits the environment the
     forkserver started under, which can predate the parent's.
     """
-    from repro.workloads.interning import preload
-
-    if engine is not None:
-        from repro.engine import ENGINE_ENV_VAR
-
-        os.environ[ENGINE_ENV_VAR] = engine
     for name, value in (switches or {}).items():
         if os.environ.get(name) == value:
             continue
@@ -79,14 +72,11 @@ def worker_init(preload_specs: tuple = (), engine: str | None = None,
             else:
                 sanitizer.uninstall()
     _WORKER_STATE["imports"] += 1
-    _WORKER_STATE["preloaded"] += preload(preload_specs)
 
 
 def worker_info() -> dict[str, int]:
     """This process's worker accounting, for payload/telemetry plumbing."""
-    return {"pid": os.getpid(),
-            "imports": _WORKER_STATE["imports"],
-            "preloaded": _WORKER_STATE["preloaded"]}
+    return {"pid": os.getpid(), "imports": _WORKER_STATE["imports"]}
 
 
 def simulate_point(point: SimPoint, engine: str | None = None) \
@@ -95,9 +85,9 @@ def simulate_point(point: SimPoint, engine: str | None = None) \
     asks for it, the write buffer's persist-op log.
 
     ``engine`` follows the :mod:`repro.engine` contract (None resolves
-    ``REPRO_ENGINE``, default ``auto``): under ``auto`` or ``batched`` a
-    batchable point runs on the kernel as a one-lane cohort, unless an
-    active tracer or sanitizer needs the scalar kernel."""
+    ``REPRO_ENGINE``, default ``auto``); the planner's
+    :func:`~repro.engine.plan.scalar_reason` decides whether the point
+    runs on the kernel as a one-lane unit or on the scalar kernel."""
     stats, log, _, _ = _simulate_engine(point, engine)
     return stats, log
 
@@ -108,22 +98,20 @@ def _simulate_engine(point: SimPoint, engine: str | None) \
     stats (``"scalar"``/``"batched"``) — the honest producer, so a
     diverged-and-fallen-back lane reports ``"scalar"`` — and the scalar
     object that ran the point (None when the kernel ran)."""
-    from repro.engine import resolve_engine, runtime_scalar_reason
+    from repro.engine import resolve_engine
+    from repro.engine.plan import scalar_reason
 
-    engine = resolve_engine(engine)
-    if engine != "scalar" and runtime_scalar_reason() is None:
+    if scalar_reason(point, resolve_engine(engine)) is None:
         from repro.engine.batched import run_cohort
-        from repro.engine.plan import unbatchable_reason
 
-        if unbatchable_reason(point) is None:
-            lane = run_cohort([point])[0]
-            if lane.error is not None:
-                # lane.error is a picklable LaneError record, not a live
-                # exception — re-raise it as the cohort error type.
-                raise CohortLaneError(
-                    f"point {point.name} failed under the batched kernel "
-                    f"and its scalar fallback: {lane.error}")
-            return lane.stats, None, lane.engine, None
+        lane = run_cohort([point])[0]
+        if lane.error is not None:
+            # lane.error is a picklable LaneError record, not a live
+            # exception — re-raise it as the cohort error type.
+            raise CohortLaneError(
+                f"point {point.name} failed under the batched kernel "
+                f"and its scalar fallback: {lane.error}")
+        return lane.stats, None, lane.engine, None
     stats, log, runner = _scalar_simulate(point)
     return stats, log, "scalar", runner
 
@@ -131,8 +119,8 @@ def _simulate_engine(point: SimPoint, engine: str | None) \
 def _scalar_simulate(point: SimPoint) \
         -> tuple[CoreStats, list[PersistOp] | None, Any]:
     """The scalar reference path (also the batched kernel's divergence
-    fallback, via ``simulate_point(..., engine="scalar")``): the point's
-    inputs, then :func:`run_scalar`. Returns the stats, the persist log
+    fallback, ``batched._scalar_rerun``): the point's inputs, then
+    :func:`run_scalar`. Returns the stats, the persist log
     when the point asks for it, and the object that ran."""
     trace, extents, share = point_inputs(point)
     cfg = point.config.memory
@@ -188,95 +176,64 @@ def point_trace_filename(point: SimPoint) -> str:
     return point.name.replace(":", "-").replace("/", "-") + ".json"
 
 
-def run_point_payload(point: SimPoint, sanitize: bool = False,
-                      trace_dir: str | None = None,
-                      trace_ctx: dict[str, Any] | None = None) \
-        -> dict[str, Any]:
-    """Pool-worker entry: simulate and return a JSON payload.
-
-    Returning the serialized form (rather than the live objects) keeps the
-    parent<->worker contract identical to the disk-cache contract, so the
-    round trip is exercised on every parallel run. With ``sanitize`` (or
-    ``REPRO_SANITIZE=1`` in the worker's environment) the run executes
-    under the persistency sanitizer's invariant probes; a violation
-    surfaces as an ordinary worker failure carrying the offending event.
-    With ``trace_dir``, the point runs under a fresh telemetry tracer and
-    its Chrome trace is written to ``<trace_dir>/<point name>.json`` —
-    including the events of a failed/violating run, which is exactly when
-    the timeline is most wanted. ``trace_ctx`` (e.g. ``{"trace_id":
-    "c0001", "span_id": "c0001/3"}``) is stamped into the trace as a
-    ``trace-context`` instant so :mod:`repro.observe.stitch` can merge
-    this worker's timeline with the submitting scheduler's spans."""
-    if trace_dir is None:
-        return _run_point_payload(point, sanitize)
-    import pathlib
-
-    from repro.telemetry import Tracer, tracing
-    from repro.telemetry.export import write_chrome_trace
-
-    tracer = Tracer()
-    if trace_ctx:
-        tracer.instant("meta", "trace-context", 0.0, cat="meta",
-                       **trace_ctx)
-    trace_path = pathlib.Path(trace_dir) / point_trace_filename(point)
-    try:
-        with tracing(tracer):
-            return _run_point_payload(point, sanitize)
-    finally:
-        write_chrome_trace(tracer, trace_path)
-
-
-def _run_point_payload(point: SimPoint, sanitize: bool) -> dict[str, Any]:
-    if sanitize:
-        from repro.sanitizer import sanitized
-
-        # The context keeps an in-process (jobs=1) campaign from leaving
-        # the probes patched in the caller; with REPRO_SANITIZE=1 they
-        # were installed at import and simply stay.
-        with sanitized():
-            start = time.perf_counter()
-            stats, log, engine, _ = _simulate_engine(point, None)
-    else:
-        start = time.perf_counter()
-        stats, log, engine, _ = _simulate_engine(point, None)
-    elapsed = time.perf_counter() - start
-    payload = payload_from_run(stats, log, elapsed, engine=engine)
-    # Worker accounting rides along and is stripped before the payload is
-    # cached (pids are not deterministic; cached payloads must be). Only
-    # initialized pool workers report — a serial in-process run is not a
-    # worker and would always read 0 imports.
-    if _WORKER_STATE["imports"]:
-        payload["worker"] = worker_info()
-    # Slow-point attribution (repro.observe.profiler): re-run offenders
-    # under cProfile. The env check keeps the common path import-free.
-    if os.environ.get("REPRO_SLOW_SIM_PROFILE"):
-        from repro.observe.profiler import maybe_profile_slow_point
-
-        maybe_profile_slow_point(point, elapsed,
-                                 lambda: _simulate_engine(point, None))
-    return payload
-
-
 class CohortLaneError(RuntimeError):
     """One lane of a batched cohort failed (its scalar fallback raised
     too); the pool executor splits the cohort to singletons and
     retries."""
 
 
-def run_cohort_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
-    """Pool-worker entry for one planned cohort: run all lanes through the
-    batched kernel, returning one payload per point in lane order.
+def run_cohort_payloads(points: list[SimPoint], kernel: bool = True,
+                        sanitize: bool = False,
+                        trace_dir: str | None = None,
+                        trace_ctx: dict[str, Any] | None = None) \
+        -> list[dict[str, Any]]:
+    """Pool-worker entry for one planned unit: one JSON payload per
+    point, in order.
 
-    Sanitized or traced runs never plan cohorts
-    (:func:`repro.engine.plan.plan_units`), but a worker whose environment
-    sets ``REPRO_SANITIZE=1``/``REPRO_TRACE=1`` behind the planner's back
-    still gets correct results: the runtime guard pushes every lane down
-    the scalar per-point path.
+    A ``kernel`` unit runs every lane through the batched kernel. A
+    scalar unit is one point on the scalar path: with ``sanitize`` under
+    the persistency sanitizer's probes (a violation surfaces as an
+    ordinary worker failure carrying the offending event); with
+    ``trace_dir`` under a fresh telemetry tracer whose Chrome trace is
+    written to ``<trace_dir>/<point name>.json`` — including the events
+    of a failed run, which is exactly when the timeline is most wanted.
+    ``trace_ctx`` (e.g. ``{"trace_id": "c0001", "span_id": "c0001/3"}``)
+    is stamped into that trace as a ``trace-context`` instant so
+    :mod:`repro.observe.stitch` can merge it with the submitting
+    scheduler's spans.
+
+    Returning the serialized form (rather than the live objects) keeps
+    the parent<->worker contract identical to the disk-cache contract,
+    so the round trip is exercised on every parallel run.
     """
-    from repro.engine import runtime_scalar_reason
+    if kernel:
+        payloads = _kernel_payloads(points)
+    else:
+        [point] = points
+        payloads = [_scalar_payload(point, sanitize, trace_dir, trace_ctx)]
+    # Worker accounting rides along and is stripped before the payload is
+    # cached (pids are not deterministic; cached payloads must be). Only
+    # initialized pool workers report — a serial in-process run is not a
+    # worker and would always read 0 imports.
+    if _WORKER_STATE["imports"]:
+        for payload in payloads:
+            payload["worker"] = worker_info()
+    # Slow-point attribution (repro.observe.profiler): re-run a slow
+    # single-point unit under cProfile. The env check keeps the common
+    # path import-free.
+    if len(points) == 1 and os.environ.get("REPRO_SLOW_SIM_PROFILE"):
+        from repro.engine.batched import run_cohort
+        from repro.observe.profiler import maybe_profile_slow_point
 
-    if runtime_scalar_reason() is not None:
-        return [run_point_payload(point) for point in points]
+        point = points[0]
+        maybe_profile_slow_point(
+            point, payloads[0]["wall_clock"],
+            (lambda: run_cohort(points)) if kernel
+            else (lambda: _scalar_simulate(point)))
+    return payloads
+
+
+def _kernel_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
     from repro.engine.batched import run_cohort
 
     lanes = run_cohort(points)
@@ -295,7 +252,48 @@ def run_cohort_payloads(points: list[SimPoint]) -> list[dict[str, Any]]:
             # inputs), so it is safe in cached payloads; the scheduler's
             # cohort metrics count these as lanes retired to scalar.
             payload["diverged_at"] = lane.diverged_at
-        if _WORKER_STATE["imports"]:
-            payload["worker"] = worker_info()
         payloads.append(payload)
     return payloads
+
+
+def _scalar_payload(point: SimPoint, sanitize: bool,
+                    trace_dir: str | None,
+                    trace_ctx: dict[str, Any] | None) -> dict[str, Any]:
+    with contextlib.ExitStack() as stack:
+        if trace_dir is not None:
+            stack.enter_context(_chrome_trace(point, trace_dir, trace_ctx))
+        if sanitize:
+            from repro.sanitizer import sanitized
+
+            # The context keeps an in-process (jobs=1) campaign from
+            # leaving the probes patched in the caller; with
+            # REPRO_SANITIZE=1 they were installed at import and simply
+            # stay.
+            stack.enter_context(sanitized())
+        start = time.perf_counter()
+        stats, log, _ = _scalar_simulate(point)
+        elapsed = time.perf_counter() - start
+    return payload_from_run(stats, log, elapsed, engine="scalar")
+
+
+@contextlib.contextmanager
+def _chrome_trace(point: SimPoint, trace_dir: str,
+                  trace_ctx: dict[str, Any] | None) -> Iterator[None]:
+    """Record the block under a fresh tracer and write its Chrome trace
+    to ``<trace_dir>/<point name>.json``, even when the block raises."""
+    import pathlib
+
+    from repro.telemetry import Tracer, tracing
+    from repro.telemetry.export import write_chrome_trace
+
+    tracer = Tracer()
+    if trace_ctx:
+        tracer.instant("meta", "trace-context", 0.0, cat="meta",
+                       **trace_ctx)
+    try:
+        with tracing(tracer):
+            yield
+    finally:
+        write_chrome_trace(tracer,
+                           pathlib.Path(trace_dir)
+                           / point_trace_filename(point))

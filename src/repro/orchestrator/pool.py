@@ -8,16 +8,18 @@ front end that runs many points.
 on the launched futures). Front ends decide *what* runs — cache probes,
 single-flight, quotas, order — and hand the rest over as units; this
 module decides *how*. It is the only code that builds or kills worker
-processes, reaches the worker entry points, or charges attempts.
+processes, reaches the worker entry, or charges attempts.
 
-A unit is a cohort (two or more lanes of one trace, walked one after
-another by the batched kernel through :func:`run_cohort_payloads`) or a
-singleton (one lane through :func:`run_point_payload`, which picks the
-kernel itself). At most ``workers`` units hold a worker slot; the rest
-wait, and a unit's deadline (``timeout`` per lane) starts when it
-gets a slot. The retry, split and bounce rules are the table in
-``docs/modeling.md`` (§6), which ``tests/test_executor_semantics.py`` runs
-against both front ends.
+A unit is what the planner (:func:`repro.engine.plan.plan_points`) made
+— a kernel unit (lanes of one trace, walked one after another by the
+batched kernel) or a scalar singleton — and it carries that choice as
+:attr:`Unit.kernel`. Every unit runs through the one worker entry,
+:func:`run_cohort_payloads`, which returns one payload per lane; a unit
+with two or more lanes is a cohort (:attr:`Unit.batched`). At most
+``workers`` units hold a worker slot; the rest wait, and a unit's
+deadline (``timeout`` per lane) starts when it gets a slot. The retry,
+split and bounce rules are the table in ``docs/modeling.md`` (§6), which
+``tests/test_executor_semantics.py`` runs against both front ends.
 """
 
 from __future__ import annotations
@@ -37,12 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.config import SANITIZE_ENV_VAR, TRACE_ENV_VAR
-from repro.engine import engine_env
-from repro.orchestrator.execute import (
-    run_cohort_payloads,
-    run_point_payload,
-    worker_init,
-)
+from repro.orchestrator.execute import run_cohort_payloads, worker_init
 from repro.orchestrator.points import SimPoint
 
 # How many times a unit may be bounced by a pool death it did not cause
@@ -64,9 +61,12 @@ class Lane:
 
 @dataclass(eq=False)
 class Unit:
-    """What one worker slot runs: a cohort, or a singleton."""
+    """What one worker slot runs: a cohort, or a singleton. ``kernel``
+    is the planner's choice (batched kernel or scalar kernel); a split
+    cohort's singletons keep it."""
 
     lanes: list[Lane]
+    kernel: bool
     deadline: float | None = None
     generation: int = 0
 
@@ -91,16 +91,14 @@ class PoolExecutor:
                  notify: Callable[[str, Unit | None], None], *,
                  timeout: float | None = None, retries: int = 1,
                  sanitize: bool = False, trace_dir: str | None = None,
-                 engine: str | None = None, context: str | None = None,
-                 preload: tuple = (), inline: bool = False) -> None:
+                 context: str | None = None,
+                 inline: bool = False) -> None:
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
         self.sanitize = sanitize
         self.trace_dir = trace_dir
-        self.engine = engine
         self.context = context
-        self.preload = preload
         self.inline = inline
         self.notify = notify
         self.generation = 0
@@ -110,9 +108,10 @@ class PoolExecutor:
 
     # -- feeding and driving ---------------------------------------------
 
-    def submit(self, lanes: list[Lane]) -> None:
-        """Queue one unit (a cohort when it has two or more lanes)."""
-        self.waiting.append(Unit(lanes))
+    def submit(self, lanes: list[Lane], kernel: bool) -> None:
+        """Queue one unit (a cohort when it has two or more lanes) on the
+        kernel the planner chose for it."""
+        self.waiting.append(Unit(lanes, kernel))
 
     def launch(self) -> list[Future]:
         """Give waiting units the free worker slots, charging each lane
@@ -159,10 +158,8 @@ class PoolExecutor:
             if error is not None:
                 self._fail(unit, repr(error), done)
                 continue
-            result = future.result()
-            payloads = result if unit.batched else [result]
-            done.extend((lane, payload, None)
-                        for lane, payload in zip(unit.lanes, payloads))
+            done.extend((lane, payload, None) for lane, payload
+                        in zip(unit.lanes, future.result()))
         if self.timeout is not None:
             self._expire(done)
         return done
@@ -204,7 +201,7 @@ class PoolExecutor:
             for lane in unit.lanes:
                 lane.attempts -= 1
             self.notify("split", unit)
-            self.waiting.extendleft(Unit([lane])
+            self.waiting.extendleft(Unit([lane], unit.kernel)
                                     for lane in reversed(unit.lanes))
             return
         lane = unit.lanes[0]
@@ -248,21 +245,16 @@ class PoolExecutor:
     # -- workers -------------------------------------------------------------
 
     def _start(self, unit: Unit) -> Future:
-        points = [lane.point for lane in unit.lanes]
-        fn, args = (run_cohort_payloads, (points,)) if unit.batched else \
-            (run_point_payload, (points[0], self.sanitize, self.trace_dir,
-                                 unit.lanes[0].trace_ctx))
+        args = ([lane.point for lane in unit.lanes], unit.kernel,
+                self.sanitize, self.trace_dir, unit.lanes[0].trace_ctx)
         future: Future = Future()
         try:
             if self.inline:
-                # In-process the engine is resolved from the environment:
-                # pin it the way worker_init pins it in pool workers.
-                with engine_env(self.engine):
-                    future.set_result(fn(*args))
+                future.set_result(run_cohort_payloads(*args))
                 return future
             if self._pool is None:
                 self._pool = self._make_pool()
-            return self._pool.submit(fn, *args)
+            return self._pool.submit(run_cohort_payloads, *args)
         except Exception as exc:  # noqa: BLE001 — settled by collect()
             # Inline, the unit raised. Otherwise the pool died under the
             # hand-off (BrokenExecutor, or a closed pipe while a crashed
@@ -287,8 +279,7 @@ class PoolExecutor:
         pool = ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=context,
                                    initializer=worker_init,
-                                   initargs=(self.preload, self.engine,
-                                             self._switches()))
+                                   initargs=(self._switches(),))
         # Start every worker with the first unit, not on demand: a worker
         # spawned while a crashed sibling's pool tears down hands the
         # forkserver closed fds, which kills the forkserver.

@@ -31,7 +31,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.config import sanitize_requested
 from repro.observe.slog import log_for_run
@@ -41,6 +41,9 @@ from repro.orchestrator.cache import ResultCache, point_digest
 from repro.orchestrator.execute import point_trace_filename
 from repro.orchestrator.points import SimPoint
 from repro.orchestrator.pool import Done, Lane, PoolExecutor, Unit
+
+if TYPE_CHECKING:
+    from repro.engine.plan import PlanUnit
 
 
 @dataclass(eq=False)
@@ -67,10 +70,10 @@ class TenantState:
 
     name: str
     quota: int
-    # Planned units — a cohort's indices, or one scalar index — of the
-    # tenant's campaigns; each admitted lane holds one quota slot until
-    # it finishes.
-    queue: deque[tuple["CampaignJob", list[int]]] = field(
+    # Planned units (a kernel unit, or one scalar point) of the tenant's
+    # campaigns; each admitted lane holds one quota slot until it
+    # finishes.
+    queue: deque[tuple["CampaignJob", PlanUnit]] = field(
         default_factory=deque)
     inflight: int = 0
 
@@ -163,7 +166,7 @@ class FleetScheduler:
         self.cache = cache
         self.workers = max(1, workers)
         # Execution engine (repro.engine contract), under which
-        # repro.engine.plan.plan_units plans each submission.
+        # repro.engine.plan.plan_points plans each submission.
         self.engine = resolve_engine(engine)
         # Per-tenant in-flight cap; by default every tenant may fill the
         # fleet alone — round-robin dispatch still splits it fairly the
@@ -173,8 +176,8 @@ class FleetScheduler:
         self.retries = max(0, retries)
         self.sanitize = sanitize_requested() if sanitize is None \
             else sanitize
-        # Traced fleets run scalar (runtime_scalar_reason: the tracer
-        # instruments the scalar kernel) and collect scheduler-side
+        # Traced fleets run scalar (repro.engine.plan.scalar_reason: the
+        # tracer instruments the scalar kernel) and collect scheduler-side
         # stitch spans per point; ``repro.observe stitch`` merges them
         # with the worker kernel traces written under this directory.
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
@@ -196,8 +199,7 @@ class FleetScheduler:
         self.executor = PoolExecutor(
             self.workers, self._on_pool_event, timeout=timeout,
             retries=self.retries, sanitize=self.sanitize,
-            trace_dir=self.trace_dir, engine=self.engine,
-            context="forkserver")
+            trace_dir=self.trace_dir, context="forkserver")
         self._wakeup: asyncio.Event | None = None
         self._pool_wake: asyncio.Event | None = None
         self._loopers: list[asyncio.Task] = []
@@ -272,7 +274,7 @@ class FleetScheduler:
                      meta: dict[str, Any] | None = None,
                      quota: int | None = None) -> CampaignJob:
         """Queue one campaign for ``tenant_name``; returns immediately."""
-        from repro.engine.plan import plan_units
+        from repro.engine.plan import plan_points
 
         if self._closed:
             raise RuntimeError("scheduler is shut down")
@@ -283,14 +285,15 @@ class FleetScheduler:
                           points, meta or {})
         self.jobs[job.id] = job
         job.state = "running"
-        plan = plan_units(points, self.engine, self.sanitize,
-                          self.trace_dir is not None)
+        plan = plan_points(points, self.engine, self.sanitize,
+                           self.trace_dir is not None)
         self._count_scalar_reasons(plan.summary()["scalar_reasons"])
-        self.metrics.counter("service.cohorts").inc(len(plan.cohorts))
-        for cohort in plan.cohorts:
+        cohorts = [unit for unit in plan.cohorts if len(unit) > 1]
+        self.metrics.counter("service.cohorts").inc(len(cohorts))
+        for cohort in cohorts:
             self.metrics.histogram("service.cohort_width").add(
                 float(len(cohort)))
-        tenant.queue.extend((job, indices) for indices in plan.units())
+        tenant.queue.extend((job, unit) for unit in plan.units)
         self._counter(tenant_name, "submitted_points").inc(len(points))
         self.metrics.counter("service.campaigns").inc()
         if self._slog is not None:
@@ -341,7 +344,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------
 
     def _next_unit(self) \
-            -> tuple[TenantState, CampaignJob, list[int]] | None:
+            -> tuple[TenantState, CampaignJob, PlanUnit] | None:
         """Strict round-robin: the first tenant (in rotation order) with
         queued work and quota headroom; the rotation advances past every
         tenant inspected, so service alternates under contention.
@@ -374,9 +377,9 @@ class FleetScheduler:
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            tenant, job, indices = picked
-            tenant.inflight += len(indices)
-            self._spawn(self._admit(tenant, job, indices))
+            tenant, job, unit = picked
+            tenant.inflight += len(unit)
+            self._spawn(self._admit(tenant, job, unit))
 
     def _spawn(self, coro) -> None:
         task = asyncio.create_task(coro)
@@ -384,7 +387,7 @@ class FleetScheduler:
         task.add_done_callback(self._point_tasks.discard)
 
     async def _admit(self, tenant: TenantState, job: CampaignJob,
-                     indices: list[int]) -> None:
+                     unit: PlanUnit) -> None:
         """Probe the cache for every lane of one unit of ``job``, join
         the lanes already in flight, and hand the rest to the executor as
         one unit — before any of them takes a worker slot."""
@@ -395,7 +398,7 @@ class FleetScheduler:
         self.metrics.histogram("service.queue_wait_seconds").add(wait)
         self.metrics.histogram(
             f"tenant.{tenant.name}.queue_wait_seconds").add(wait)
-        digests = [point_digest(job.points[i]) for i in indices]
+        digests = [point_digest(job.points[i]) for i in unit.indices]
         payloads: list[dict[str, Any] | None] = [None] * len(digests)
         if self.cache is not None:
             payloads = await loop.run_in_executor(
@@ -403,7 +406,8 @@ class FleetScheduler:
         # No await from here to the executor hand-off, so every lane
         # joins or leads its flight atomically.
         hits, lanes = [], []
-        for index, digest, payload in zip(indices, digests, payloads):
+        for index, digest, payload in zip(unit.indices, digests,
+                                          payloads):
             ticket = Ticket(job, index, digest)
             lane = Lane(ticket.point, tag=ticket)
             if self.trace_dir is not None:
@@ -426,7 +430,7 @@ class FleetScheduler:
                 self._flights[digest] = []
                 lanes.append(lane)
         if lanes:
-            self.executor.submit(lanes)
+            self.executor.submit(lanes, unit.kernel)
             self._pool_wake.set()
         for ticket, payload in hits:
             self._counter(tenant.name, "cache_hits").inc()

@@ -18,7 +18,9 @@ import sys
 
 from repro.cli import add_json_flag, reject_bad_limits
 from repro.facade import CORES, simulate
+from repro.orchestrator.points import check_run
 from repro.persistence.catalog import scheme_names
+from repro.workloads.profiles import profile_by_name
 from repro.telemetry.export import timeline_summary, top_regions
 
 
@@ -55,6 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if reject_bad_limits(args):
+        return 2
+    try:
+        profile_by_name(args.profile)
+        if args.core != "multicore":
+            check_run(args.core, args.scheme)
+    except ValueError as error:
+        print(error, file=sys.stderr)
         return 2
     result = simulate(args.profile, scheme=args.scheme, core=args.core,
                       length=args.length, seed=args.seed,

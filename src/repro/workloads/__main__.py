@@ -71,7 +71,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.name:
-        profile = profile_by_name(args.name)
+        try:
+            profile = profile_by_name(args.name)
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
         if args.json:
             emit_json(dataclasses.asdict(profile))
         else:

@@ -10,11 +10,8 @@ directly: 12k instructions take 15-25 ms, against ~130 ms for a warm
 campaign sweeps, and repeated ``simulate()`` calls all replay identical
 traces, so interning builds each trace once per process and hands out
 the shared (immutable) :class:`~repro.isa.trace.Trace` with its columns
-(:meth:`Trace.decoded`).
-
-Pool workers call :func:`preload` from their initializer so the traces a
-campaign is about to sweep are interned once per worker instead of once
-per point.
+(:meth:`Trace.decoded`). A pool worker interns each trace the first
+time one of its points reads it.
 """
 
 from __future__ import annotations
@@ -85,13 +82,6 @@ def region_extents(profile: WorkloadProfile,
         return tuple(extents(addr_base=addr_base))
     generator = TraceGenerator(profile, seed=0, addr_base=addr_base)
     return tuple(generator.region_extents())
-
-
-def preload(specs) -> int:
-    """Intern traces for ``(profile, length, seed)`` specs; returns count."""
-    for profile, length, seed in specs:
-        interned_trace(profile, length, seed=seed)
-    return len(specs)
 
 
 def clear() -> None:

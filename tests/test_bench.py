@@ -171,6 +171,16 @@ class TestProfileAttribution:
         with pytest.raises(ValueError, match="no benchmark"):
             profile_by_name("sim:missing", suite="smoke")
 
+    def test_cli_unknown_benchmark_exits_2_in_one_line(self, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(["profile", "sim:missing", "--suite", "smoke"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "unknown benchmark 'sim:missing' in suite 'smoke'")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_component_mapping(self):
         from repro.bench.profile import component_for
 

@@ -13,7 +13,6 @@ mid-flight.
 
 import json
 import math
-import os
 import time
 import warnings
 from dataclasses import replace
@@ -27,15 +26,10 @@ from repro.engine import (
     ENGINE_ENV_VAR,
     ENGINES,
     default_engine,
-    engine_env,
     resolve_engine,
 )
-from repro.engine.batched import (
-    INORDER_KERNEL_SCHEMES,
-    KERNEL_SCHEMES,
-    run_cohort,
-)
-from repro.engine.plan import cohort_key, plan_points, plan_units
+from repro.engine.batched import KERNEL_SCHEMES, run_cohort
+from repro.engine.plan import cohort_key, plan_points
 from repro.orchestrator.campaign import Campaign
 from repro.orchestrator.execute import _simulate_engine, simulate_point
 from repro.orchestrator.points import (
@@ -109,19 +103,8 @@ class TestEngineResolution:
         with pytest.raises(ValueError, match="engine"):
             resolve_engine("vectorized")
 
-    def test_engine_env_pins_and_restores(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-        with engine_env("batched"):
-            assert os.environ[ENGINE_ENV_VAR] == "batched"
-        assert os.environ[ENGINE_ENV_VAR] == "scalar"
 
-    def test_engine_env_restores_unset(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        with engine_env("batched"):
-            assert os.environ[ENGINE_ENV_VAR] == "batched"
-        assert ENGINE_ENV_VAR not in os.environ
-
-
+@pytest.mark.usefixtures("untraced_unsanitized")
 class TestPlanner:
     def test_auto_batches_compatible_sweep(self):
         points = _prf_sweep(4)
@@ -129,26 +112,23 @@ class TestPlanner:
         assert len(plan.cohorts) == 1
         assert plan.cohorts[0].indices == [0, 1, 2, 3]
         assert plan.batched_points == 4
-        assert plan.scalar_indices == []
+        assert plan.reasons == {}
 
     def test_auto_batches_singletons(self):
         points = [_pt("rb", "ppa"), _pt("gcc", "ppa")]
         plan = plan_points(points, "auto")
         assert [c.indices for c in plan.cohorts] == [[0], [1]]
-        assert plan.scalar_indices == []
         assert plan.reasons == {}
         assert plan.summary() == {**plan_points(points, "batched").summary(),
                                   "engine": "auto"}
-        # The executors run width-1 cohorts as singletons, with no reason:
-        # per-point execution puts them on the kernel itself.
-        units = plan_units(points, "auto")
-        assert units.cohorts == [] and units.reasons == {}
-        assert units.units() == [[0], [1]]
+        # Both front ends run these as one-lane kernel units.
+        assert [(u.indices, u.kernel) for u in plan.units] == \
+            [([0], True), ([1], True)]
 
     def test_batched_engine_batches_singletons(self):
         plan = plan_points([_pt("rb", "ppa")], "batched")
         assert len(plan.cohorts) == 1
-        assert plan.scalar_indices == []
+        assert plan.reasons == {}
 
     def test_scalar_engine_plans_nothing(self):
         plan = plan_points(_prf_sweep(4), "scalar")
@@ -159,14 +139,14 @@ class TestPlanner:
         points = [_pt("rb", "psp-undolog"), _pt("rb", "ppa"),
                   _pt("rb", "ppa", BASE.with_prf(120, 112))]
         plan = plan_points(points, "auto")
-        assert plan.scalar_indices == [0]
+        assert list(plan.reasons) == [0]
         assert "psp-undolog" in plan.reasons[0]
         assert len(plan.cohorts) == 1
 
     def test_persist_log_capture_is_unbatchable(self):
         point = _pt("rb", "ppa", capture_persist_log=True)
         plan = plan_points([point], "batched")
-        assert plan.scalar_indices == [0]
+        assert list(plan.reasons) == [0]
         assert "persist-log" in plan.reasons[0]
 
     def test_cohort_key_splits_profiles_and_lengths(self):
@@ -176,7 +156,6 @@ class TestPlanner:
         assert cohort_key(a) == cohort_key(
             _pt("rb", "ppa", BASE.with_prf(120, 112)))
 
-    @pytest.mark.usefixtures("untraced_unsanitized")
     def test_track_values_lanes_share_one_cohort(self):
         # The store-value stream is lane-invariant: each lane reads it or
         # zeros, so points differing only in track_values share a prologue.
@@ -186,9 +165,9 @@ class TestPlanner:
                                      (BASE.with_prf(90, 90), True),
                                      (BASE, False))]
         assert len({cohort_key(p) for p in points}) == 1
-        plan = plan_units(points, "auto")
+        plan = plan_points(points, "auto")
         assert [c.indices for c in plan.cohorts] == [[0, 1, 2, 3]]
-        assert plan.scalar_indices == []
+        assert plan.reasons == {}
         lanes = run_cohort(points)
         for lane, point in zip(lanes, points):
             assert lane.engine == "batched" and lane.error is None
@@ -489,9 +468,8 @@ class TestCampaignEngine:
         assert engines[4] == "scalar"
 
     def test_batched_campaign_demotes_width1_cohorts(self):
-        # A lone batchable point forms a width-1 cohort; the campaign
-        # runs it per-point (keeping the run_point_payload seam) but the
-        # pinned engine still pushes it through the kernel.
+        # A lone batchable point is a one-lane kernel unit: it runs on the
+        # kernel, but telemetry counts cohorts of two or more lanes only.
         campaign, results = self._run_campaign("batched", [_pt("rb", "ppa")])
         assert campaign.telemetry.cohorts == 0
         assert results[0].engine == "batched"
@@ -741,7 +719,7 @@ class TestLaneErrorTransport:
 
 
 class TestInOrderBatching:
-    """The in-order lane kernel: both INORDER_KERNEL_SCHEMES batch, the
+    """The in-order lane kernel: both INORDER_SCHEMES batch, the
     planner separates cores, and the facade routes stats-only in-order
     baseline runs through the kernel."""
 
@@ -756,10 +734,16 @@ class TestInOrderBatching:
             want = simulate_point(point, engine="scalar")[0]
             assert lane.stats.to_dict() == want.to_dict()
 
+    @pytest.mark.usefixtures("untraced_unsanitized")
     def test_every_inorder_scheme_has_the_kernel(self):
-        # The planner relies on this and checks no in-order scheme.
-        assert INORDER_KERNEL_SCHEMES == frozenset(INORDER_SCHEMES)
-        assert INORDER_KERNEL_SCHEMES <= KERNEL_SCHEMES
+        # The planner checks no in-order scheme: each must plan onto the
+        # kernel.
+        points = [_pt("rb", scheme, length=800, warmup=0, core="inorder")
+                  for scheme in INORDER_SCHEMES]
+        plan = plan_points(points, "auto")
+        assert plan.reasons == {}
+        assert [(u.indices, u.kernel) for u in plan.units] == \
+            [([i], True) for i in range(len(INORDER_SCHEMES))]
 
     def test_cohort_key_separates_cores(self):
         ooo = _pt("rb", "ppa", length=800)
@@ -810,7 +794,7 @@ class TestInOrderBatching:
     def test_perturbed_inorder_cohorts_bit_exact(self, data):
         length = 1_200
         n = data.draw(st.integers(2, 6), label="lanes")
-        scheme = data.draw(st.sampled_from(sorted(INORDER_KERNEL_SCHEMES)),
+        scheme = data.draw(st.sampled_from(sorted(INORDER_SCHEMES)),
                            label="scheme")
         points = []
         for lane in range(n):
@@ -878,3 +862,41 @@ class TestCampaignScalarReasons:
         campaign.run()
         assert campaign.telemetry.scalar_reasons == \
             {"tracing needs scalar instrumentation": 2}
+
+    def test_env_traced_campaign_plans_no_cohorts(self, monkeypatch):
+        # The tracer that REPRO_TRACE=1 gives each run needs the scalar
+        # kernel; the planner sees it, so the telemetry tells the truth.
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        telemetry = self._campaign("auto", _prf_sweep(3, length=400))
+        assert telemetry.cohorts == 0
+        assert telemetry.batched_points == 0
+        assert telemetry.scalar_reasons == {"telemetry tracer active": 3}
+
+    def test_sanitized_campaign_plans_no_cohorts(self):
+        from repro.sanitizer import sanitized
+
+        with sanitized():
+            telemetry = self._campaign("auto", _prf_sweep(3, length=400))
+        assert telemetry.cohorts == 0
+        assert telemetry.batched_points == 0
+        assert telemetry.scalar_reasons == {"sanitizer probes installed": 3}
+
+
+@pytest.mark.usefixtures("untraced_unsanitized")
+class TestUnitsCarryTheEngine:
+    """Pool workers run each unit as the planning process chose it; the
+    session default REPRO_ENGINE does not reach them."""
+
+    @pytest.mark.parametrize("engine,env,produced", [
+        ("scalar", "auto", "scalar"), ("auto", "scalar", "batched")])
+    def test_explicit_engine_beats_the_env_in_workers(
+            self, engine, env, produced, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV_VAR, env)
+        campaign = Campaign(cache=None, jobs=2, sanitize=False,
+                            engine=engine)
+        campaign.extend(_prf_sweep(2, length=400)
+                        + [_pt("gcc", "ppa", length=400)])
+        results = campaign.run()
+        assert all(r.ok for r in results)
+        assert all(r.worker is not None for r in results)
+        assert [r.engine for r in results] == [produced] * 3

@@ -3,7 +3,8 @@
 ``Campaign`` (synchronous) and ``FleetScheduler`` (asyncio, driven here
 directly, without HTTP) share the pool executor core
 (:mod:`repro.orchestrator.pool`), so every row must hold on both. The
-workers are swapped for fakes at the core's one seam; a point's label
+worker entry is swapped for a fake at the core's one seam,
+``pool.run_cohort_payloads``; a point's label
 ends in the behaviour its fake acts out before running the real worker:
 
 * ``ok`` — nothing;
@@ -26,10 +27,7 @@ import pytest
 
 from repro.config import skylake_default
 from repro.orchestrator.campaign import Campaign
-from repro.orchestrator.execute import (
-    run_cohort_payloads,
-    run_point_payload,
-)
+from repro.orchestrator.execute import run_cohort_payloads
 from repro.orchestrator.points import make_point
 from repro.service.scheduler import FleetScheduler
 
@@ -37,7 +35,7 @@ LENGTH = 300
 PRF_SIZES = ((180, 168), (120, 112), (256, 238), (90, 90))
 
 
-# -- fake workers (module level: pool workers unpickle them by name) --------
+# -- the fake worker (module level: pool workers unpickle it by name) -------
 
 def _act(point, in_cohort: bool) -> None:
     behaviour = point.label.rsplit(":", 1)[1]
@@ -56,23 +54,19 @@ def _act(point, in_cohort: bool) -> None:
             os._exit(3)
 
 
-def _fake_point(point, sanitize=False, trace_dir=None, trace_ctx=None):
-    _act(point, in_cohort=False)
-    return run_point_payload(point, sanitize, trace_dir, trace_ctx)
-
-
-def _fake_cohort(points):
+def _fake_unit(points, *args):
     for point in points:
-        _act(point, in_cohort=True)
-    return run_cohort_payloads(points)
+        _act(point, in_cohort=len(points) > 1)
+    return run_cohort_payloads(points, *args)
 
 
 @pytest.fixture(autouse=True)
-def _fake_workers(monkeypatch):
+def _fake_worker(monkeypatch, untraced_unsanitized):
+    """The fake worker, with tracing and the sanitizer off: either one
+    rightly plans every point scalar, and the cohort rows need cohorts."""
     import repro.orchestrator.pool as pool_module
 
-    monkeypatch.setattr(pool_module, "run_point_payload", _fake_point)
-    monkeypatch.setattr(pool_module, "run_cohort_payloads", _fake_cohort)
+    monkeypatch.setattr(pool_module, "run_cohort_payloads", _fake_unit)
 
 
 # -- points -------------------------------------------------------------------

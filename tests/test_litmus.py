@@ -225,6 +225,19 @@ class TestCli:
         assert sorted(map(tuple, data["allowed"])) == \
             [(0, 0), (1, 0), (1, 1)]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--cores", "bogus"], "unknown core 'bogus'"),
+        (["run", "--schemes", "bogus"], "unknown scheme 'bogus'"),
+        (["run", "--programs", "bogus"], "unknown litmus program 'bogus'"),
+        (["enumerate", "bogus"], "unknown litmus program 'bogus'"),
+    ])
+    def test_unknown_names_exit_2_in_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+
     def test_run_subset_json(self, capsys):
         code = main(["run", "--programs", "wo,wo+fence", "--cores", "ooo",
                      "--schemes", "ppa,baseline", "--json"])

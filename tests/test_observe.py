@@ -34,7 +34,7 @@ from repro.observe.stitch import manifest_path, stitch_campaign
 from repro.observe.watch import render, snapshot, watch_loop
 from repro.orchestrator.cache import ResultCache
 from repro.orchestrator.campaign import Campaign
-from repro.orchestrator.execute import run_point_payload
+from repro.orchestrator.execute import run_cohort_payloads
 from repro.orchestrator.points import make_point
 from repro.orchestrator.serialize import point_to_dict
 from repro.service import FleetScheduler, ServiceClient, serve_background
@@ -599,7 +599,10 @@ class TestSlowPointProfiler:
         monkeypatch.setenv("REPRO_SLOW_SIM_PROFILE", "0")
         monkeypatch.setenv("REPRO_SLOW_SIM_PROFILE_DIR",
                            str(tmp_path / "slow"))
-        payload = run_point_payload(make_point("rb", "ppa", length=600))
+        # A one-lane kernel unit: the hook fires for it as for a scalar
+        # singleton.
+        [payload] = run_cohort_payloads([make_point("rb", "ppa",
+                                                    length=600)])
         assert payload["cycles"] > 0
         dump = tmp_path / "slow" / "rb-ppa.pstats"
         assert dump.is_file()
@@ -611,7 +614,7 @@ class TestSlowPointProfiler:
         monkeypatch.delenv("REPRO_SLOW_SIM_PROFILE", raising=False)
         monkeypatch.setenv("REPRO_SLOW_SIM_PROFILE_DIR",
                            str(tmp_path / "slow"))
-        run_point_payload(make_point("rb", "ppa", length=600))
+        run_cohort_payloads([make_point("rb", "ppa", length=600)])
         assert not (tmp_path / "slow").exists()
 
     def test_unparseable_threshold_is_off(self, monkeypatch):

@@ -181,17 +181,17 @@ class TestParallelCampaign:
         assert warm.telemetry.cache_hits == len(POINTS)
 
 
-def _sleepy_run_point(point, sanitize=False, trace_dir=None,
-                      trace_ctx=None):
-    """Stand-in worker: sleeps for the duration encoded in the point's
-    label, then delegates to the real worker. Module-level so the pool
+def _sleepy_unit(points, *args):
+    """Stand-in worker: sleeps for the durations encoded in the points'
+    labels, then delegates to the real worker. Module-level so the pool
     can unpickle it by name in forked workers."""
     import time as _time
 
-    from repro.orchestrator.execute import run_point_payload
+    from repro.orchestrator.execute import run_cohort_payloads
 
-    _time.sleep(float(point.label.rsplit("=", 1)[1]))
-    return run_point_payload(point, sanitize, trace_dir, trace_ctx)
+    for point in points:
+        _time.sleep(float(point.label.rsplit("=", 1)[1]))
+    return run_cohort_payloads(points, *args)
 
 
 def _timed_point(app: str, seconds: float, seed: int = 0):
@@ -208,8 +208,8 @@ class TestPoolDeadlines:
     def _sleepy_workers(self, monkeypatch):
         import repro.orchestrator.pool as pool_module
 
-        monkeypatch.setattr(pool_module, "run_point_payload",
-                            _sleepy_run_point)
+        monkeypatch.setattr(pool_module, "run_cohort_payloads",
+                            _sleepy_unit)
 
     def test_wedged_point_is_killed_and_slot_reclaimed(self):
         import time as _time
@@ -445,6 +445,7 @@ class TestCliJson:
         assert "banked sim:" in text
         assert "throughput:" in text
 
+    @pytest.mark.usefixtures("untraced_unsanitized")
     def test_status_plan_previews_batching(self, tmp_path, capsys):
         import json
 
@@ -527,8 +528,6 @@ class TestCliJson:
         def broken_worker(*args):
             raise RuntimeError("injected worker failure")
 
-        monkeypatch.setattr(pool_module, "run_point_payload",
-                            broken_worker)
         monkeypatch.setattr(pool_module, "run_cohort_payloads",
                             broken_worker)
         assert main(["run", "fig16", "--apps", "rb", "--no-cache",

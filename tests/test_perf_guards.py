@@ -119,13 +119,6 @@ class TestTraceInterning:
             interning.interned_trace(profile, length)
         assert len(interning._traces) <= interning._MAX_TRACES
 
-    def test_preload_counts_specs(self):
-        profile = profile_by_name("gcc")
-        assert interning.preload([(profile, 300, 0)]) == 1
-        assert interning.stats["builds"] == 1
-        interning.interned_trace(profile, 300)
-        assert interning.stats["hits"] == 1
-
 
 class TestWarmMemoryTemplates:
     def setup_method(self):
@@ -404,12 +397,12 @@ class TestWorkerPreload:
         monkeypatch.setitem(execute._WORKER_STATE, "imports", 0)
         was_installed = sanitizer.installed()
         try:
-            execute.worker_init((), None, {"REPRO_TRACE": None,
-                                           "REPRO_SANITIZE": "1"})
+            execute.worker_init({"REPRO_TRACE": None,
+                                 "REPRO_SANITIZE": "1"})
             assert "REPRO_TRACE" not in os.environ
             assert sanitizer.installed()
-            execute.worker_init((), None, {"REPRO_TRACE": "1",
-                                           "REPRO_SANITIZE": None})
+            execute.worker_init({"REPRO_TRACE": "1",
+                                 "REPRO_SANITIZE": None})
             assert os.environ["REPRO_TRACE"] == "1"
             assert not sanitizer.installed()
         finally:

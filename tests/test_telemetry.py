@@ -323,6 +323,21 @@ class TestSummariesAndCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == message
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bogusapp"], "unknown workload 'bogusapp'"),
+        (["rb", "--core", "inorder", "--scheme", "capri"],
+         "the in-order core supports scheme 'ppa' or 'baseline', "
+         "not 'capri'"),
+    ])
+    def test_cli_rejects_bad_names_in_one_line(self, argv, message,
+                                               capsys):
+        from repro.telemetry.__main__ import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
     def test_write_helpers_raise_on_untraced_result(self, tmp_path,
                                                     monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -52,6 +52,14 @@ class TestProfiles:
         with pytest.raises(ValueError):
             profiles_in_suite("GEEKBENCH")
 
+    def test_cli_unknown_app_exits_2_in_one_line(self, capsys):
+        from repro.workloads.__main__ import main
+
+        assert main(["doom"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "unknown workload 'doom'"
+        assert captured.out == ""
+
     def test_multithreaded_suites_declare_threads(self):
         for suite in ("SPLASH3", "STAMP", "WHISPER"):
             for profile in profiles_in_suite(suite):
