@@ -241,6 +241,34 @@ class SystemConfig:
             l3=CacheConfig(16 << 20, 16, 44)))
 
 
+# Core timing fields, in cycles.
+_CORE_LATENCIES = ("lat_int_alu", "lat_int_mul", "lat_int_div",
+                   "lat_fp_alu", "lat_fp_mul", "lat_fp_div", "lat_branch",
+                   "lat_agen", "branch_mispredict_penalty")
+
+
+def check_latencies(config: SystemConfig) -> None:
+    """Raise ``ValueError`` naming the first core or memory latency of
+    ``config`` that is not a finite number ``>= 0``; a run would
+    otherwise fail deep inside its timing arithmetic."""
+    core, memory = config.core, config.memory
+    fields = [(f"core.{name}", getattr(core, name))
+              for name in _CORE_LATENCIES]
+    for level in ("l1i", "l1d", "l2", "l3", "dram_cache"):
+        cache = getattr(memory, level)
+        if cache is not None:
+            fields.append((f"memory.{level}.hit_latency", cache.hit_latency))
+    nvm = memory.nvm
+    fields += [("memory.nvm.read_latency_ns", nvm.read_latency_ns),
+               ("memory.nvm.write_latency_ns", nvm.write_latency_ns),
+               ("memory.nvm.persist_path_latency", nvm.persist_path_latency),
+               ("memory.dram_only_latency", memory.dram_only_latency)]
+    for name, value in fields:
+        if not 0 <= value < float("inf"):
+            raise ValueError(f"{name} must be a finite latency >= 0, "
+                             f"not {value!r}")
+
+
 def skylake_default() -> SystemConfig:
     """The paper's default configuration (Table 2)."""
     return SystemConfig()

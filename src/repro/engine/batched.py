@@ -14,15 +14,19 @@ of two kernels:
 Each kernel is a cohort prologue plus a lane walk. The prologue does the
 lane-invariant work once: it loads the interned trace, its memory script
 (:mod:`repro.engine.memscript`) and its decoded columns, for capri the
-compiler-region bounds, and, when a lane tracks values, the trace's
-store-value stream (:func:`repro.engine.memscript.value_stream`). The
-walk then runs one lane from the first instruction to the last, with all
-of its state — free lists, CSQ occupancy, write-buffer slots, WPQ rings,
+compiler-region bounds, and the store log's lane-invariant columns
+(``seq``, ``pc``, ``addr``, ``line_addr``, ``data_cls``, and ``value``
+from the trace's store-value stream,
+:func:`repro.engine.memscript.value_stream`, or zeros). The walk then
+runs one lane from the first instruction to the last, with all of its
+state — free lists, CSQ occupancy, write-buffer slots, WPQ rings,
 register ready times — in locals of one function, and its NVM device and
 write buffer (:func:`nvm_device`, :func:`write_buffer`) as closures over
-that state. It keeps no register values: a lane that tracks values takes
-its stores' values from the stream in turn. :func:`run_lanes` walks the
-lanes one after another.
+that state. It keeps no register values, and of each store it records
+only what varies per lane: ``data_preg``, plus ``region_id`` and
+``durable_at`` when the scheme keeps regions (:class:`StoreLog` columns,
+shared across lanes where they agree). :func:`run_lanes` walks the lanes
+one after another.
 
 The arithmetic transliterates the scalar models (:mod:`repro.pipeline.core`
 + the persistence policies + WB/NVM device models), so the results are
@@ -56,11 +60,11 @@ from __future__ import annotations
 
 import random
 import traceback as _traceback
+from array import array
 from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from itertools import repeat
 from time import perf_counter
 
 from repro.engine.memscript import (
@@ -78,7 +82,7 @@ from repro.persistence.capri import (
     SEAL_STALL_CYCLES,
 )
 from repro.pipeline.core import _SYNC_LATENCY
-from repro.pipeline.stats import CoreStats, RegionRecord, StoreRecord
+from repro.pipeline.stats import CoreStats, RegionLog, StoreLog
 
 _INF = float("inf")
 _PRF_NAMES = ("int", "fp")
@@ -203,14 +207,26 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
 
     dec = trace.decoded()
     length = dec.length
-    columns = (dec.opcode_ids, dec.dest_cls, dec.dest_idx, dec.srcs,
-               script.entries, dec.pcs, dec.addrs, dec.line_addrs,
-               dec.mispredicted)
-    # Store values depend only on program order (see
-    # :func:`~repro.engine.memscript.value_stream`): each lane takes them
-    # in turn, or zeros if it does not track values, as the scalar core.
-    stream = (value_stream(trace) if any(p.track_values for p in points)
-              else None)
+    ops = list(zip(dec.opcode_ids, dec.dest_cls, dec.dest_idx, dec.srcs,
+                   script.entries, dec.line_addrs, dec.mispredicted))
+    # The store log's lane-invariant columns, shared by every lane: the
+    # stores sit at the same seqs in every lane. Store values depend only
+    # on program order (see :func:`~repro.engine.memscript.value_stream`):
+    # a lane that tracks values takes the stream, any other zeros, as the
+    # scalar core. region_id and durable_at are constant unless the
+    # scheme keeps regions.
+    store_seqs = [seq for seq, op in enumerate(dec.opcode_ids)
+                  if op == OP_STORE]
+    n_stores = len(store_seqs)
+    store_pcs = [dec.pcs[seq] for seq in store_seqs]
+    store_addrs = [dec.addrs[seq] for seq in store_seqs]
+    store_lines = [dec.line_addrs[seq] for seq in store_seqs]
+    store_cls = [dec.srcs[seq][0][0] for seq in store_seqs]
+    zeros = [0] * n_stores
+    values = (value_stream(trace).tolist()
+              if any(p.track_values for p in points) else zeros)
+    no_region = [-1] * n_stores
+    never_durable = [_INF] * n_stores
     l1_hit = p0.config.memory.l1d.hit_latency
     SYNC_LAT = _SYNC_LATENCY
 
@@ -259,15 +275,16 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         fetch_ready = last_commit = oor = ren_cycle = 0.0
         com_cycle = -1.0
         ren_used = com_used = 0
+        # Release times of the ROB, LQ and SQ entries: each list starts
+        # with one free entry per slot and grows by one release per
+        # allocation, so the oldest live entry is always ``[-size]``.
+        # commit_times doubles as the ROB's list.
         rob_sz = core.rob_size
-        rob_rel = [0.0] * rob_sz
-        rob_cnt = 0
+        commit_times = [0.0] * rob_sz
         lq_sz = core.lq_size
         lq_rel = [0.0] * lq_sz
-        lq_cnt = 0
         sq_sz = core.sq_size
         sq_rel = [0.0] * sq_sz
-        sq_cnt = 0
 
         # Per register class (0 = int, 1 = fp).
         sizes = (core.int_prf_size, core.fp_prf_size)
@@ -283,13 +300,14 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
         sched_int, sched_fp = sched_pair
         free_int, free_fp = free_pair
         defer_int, defer_fp = defer_pair
-        next_value = (iter(stream) if point.track_values
-                      else repeat(0)).__next__
         hist_int = {}
         hist_fp = {}
-        commit_times = []
-        stores = []
-        regions = []
+        # What varies per lane in the store log; regions as columns.
+        data_pregs = []
+        region_ids = []
+        durables = []
+        regions = RegionLog()
+        add_region = regions.add
 
         # PPA policy state.
         csq_cnt = 0
@@ -326,11 +344,8 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                 deferred.clear()
                 masked_pair[cls].clear()
             csq_cnt = 0
-            regions.append(RegionRecord(
-                region_id=region_id, start_seq=region_start,
-                end_seq=end_seq, store_count=region_stores,
-                boundary_time=boundary, drain_wait=drain - boundary,
-                cause=cause))
+            add_region(region_id, region_start, end_seq, region_stores,
+                       boundary, drain - boundary, cause)
             region_id += 1
             region_start = end_seq
             region_stores = 0
@@ -338,8 +353,8 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
 
         seq = 0
         try:
-            for seq, (opcode, dcls, didx, srcs, mem_entry, pc, addr, line,
-                      mis) in enumerate(zip(columns[0][:end], *columns[1:])):
+            for seq, (opcode, dcls, didx, srcs, mem_entry, line,
+                      mis) in enumerate(ops[:end]):
                 if seq == next_bound:
                     # CapriPolicy.pre_rename: the compiler-inserted seal
                     # micro-op closes the region and briefly blocks
@@ -347,27 +362,24 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                     cap_ptr += 1
                     next_bound = cap_bounds[cap_ptr]
                     commit_floor = last_commit + SEAL_STALL_CYCLES
-                    regions.append(RegionRecord(
-                        region_id=region_id, start_seq=region_start,
-                        end_seq=seq, store_count=region_stores,
-                        boundary_time=last_commit,
-                        drain_wait=commit_floor - last_commit,
-                        cause="compiler"))
+                    add_region(region_id, region_start, seq, region_stores,
+                               last_commit, commit_floor - last_commit,
+                               "compiler")
                     region_id += 1
                     region_start = seq
                     region_stores = 0
 
                 # ---------------- rename stage ----------------
                 t = fetch_ready
-                slot = rob_rel[rob_cnt % rob_sz]
+                slot = commit_times[-rob_sz]
                 if slot > t:
                     t = slot
                 if opcode == OP_LOAD:
-                    slot = lq_rel[lq_cnt % lq_sz]
+                    slot = lq_rel[-lq_sz]
                     if slot > t:
                         t = slot
                 elif opcode == OP_STORE:
-                    slot = sq_rel[sq_cnt % sq_sz]
+                    slot = sq_rel[-sq_sz]
                     if slot > t:
                         t = slot
 
@@ -441,6 +453,7 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                 if opcode == OP_STORE:
                     data_cls, data_idx = srcs[0]
                     data_preg = rat_pair[data_cls][data_idx]
+                    data_pregs.append(data_preg)
                 if dcls >= 0:
                     # rf.allocate(didx, rename_time)
                     while heap and heap[0][0] <= rename_time:
@@ -533,8 +546,6 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                     com_used = 1
                 commit = last_commit = com_cycle
                 commit_times.append(commit)
-                rob_rel[rob_cnt % rob_sz] = commit
-                rob_cnt += 1
 
                 if dcls >= 0:
                     crt = crt_pair[dcls]
@@ -546,8 +557,7 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                         heappush(sched_pair[dcls], (commit, old))
 
                 if opcode == OP_LOAD:
-                    lq_rel[lq_cnt % lq_sz] = commit
-                    lq_cnt += 1
+                    lq_rel.append(commit)
                 elif opcode == OP_STORE:
                     merge_from = commit if commit >= rfo_done else rfo_done
                     merge_entry = mem_entry[1]
@@ -556,28 +566,21 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
                     else:
                         merge_time = merge_from + replay(merge_entry,
                                                          merge_from, line)
-                    sq_rel[sq_cnt % sq_sz] = merge_time
-                    sq_cnt += 1
-                    record = StoreRecord(
-                        seq=seq, pc=pc, addr=addr, line_addr=line,
-                        value=next_value(), data_preg=data_preg,
-                        data_cls=data_cls, commit_time=commit,
-                        region_id=-1)
-                    stores.append(record)
+                    sq_rel.append(merge_time)
                     if is_ppa:
                         # PpaPolicy.store_committed
-                        record.region_id = region_id
+                        region_ids.append(region_id)
                         last_store_commit = commit
                         masked_pair[data_cls].add(data_preg)
                         csq_cnt += 1
                         region_stores += 1
                         advance_floor(commit)
-                        record.durable_at = persist_store(line, merge_time)
+                        durables.append(persist_store(line, merge_time))
                     elif is_capri:
                         # CapriPolicy.store_committed: durable on redo-
                         # buffer entry (battery-backed).
-                        record.region_id = region_id
-                        record.durable_at = commit
+                        region_ids.append(region_id)
+                        durables.append(commit)
                         region_stores += 1
 
                 if mis:
@@ -597,20 +600,25 @@ def _run_ooo_cohort(points, *, diverge_at=None) -> list[LaneResult]:
             # CapriPolicy.finish: the trailing region closes at the last
             # commit with no drain wait (redo entries are already
             # durable).
-            regions.append(RegionRecord(
-                region_id=region_id, start_seq=region_start,
-                end_seq=length, store_count=region_stores,
-                boundary_time=last_commit, drain_wait=0.0, cause="end"))
-        stats = CoreStats(scheme=stats_scheme)
+            add_region(region_id, region_start, length, region_stores,
+                       last_commit, 0.0, "end")
+        del commit_times[:rob_sz]
+        stats = CoreStats(scheme=stats_scheme,
+                          commit_times=array("d", commit_times))
         stats.name = trace.name
         stats.instructions = length
         stats.cycles = last_commit
         stats.rename_oor_stall_cycles = oor
         stats.regions = regions
-        stats.stores = stores
+        keeps_regions = is_ppa or is_capri
+        stats.stores = StoreLog((
+            store_seqs, store_pcs, store_addrs, store_lines,
+            values if point.track_values else zeros, data_pregs, store_cls,
+            [commit_times[seq] for seq in store_seqs],
+            region_ids if keeps_regions else no_region,
+            durables if keeps_regions else never_durable))
         stats.free_reg_hist_int = Counter(hist_int)
         stats.free_reg_hist_fp = Counter(hist_fp)
-        stats.commit_times = commit_times
         stats.nvm_line_writes, stats.nvm_reads = nvm_counts()
         (stats.persist_ops, stats.persist_coalesced,
          stats.wb_full_stall_cycles) = wb_totals()

@@ -44,13 +44,15 @@ def _app_names(apps) -> list[str]:
 
 
 def _run_per_app(names, schemes, length: int, config=None) -> list[tuple]:
-    """Stats of every (app, scheme) pair from one campaign: one tuple per
-    app, in ``schemes`` order."""
-    stats = run_points([make_point(name, scheme, config=config,
-                                   length=length)
-                        for name in names for scheme in schemes])
+    """Results of every (app, scheme) pair from one campaign: one tuple
+    per app, in ``schemes`` order. A result's ``cycles`` needs no decode;
+    its ``stats`` are decoded on first read."""
+    results = run_point_results([make_point(name, scheme, config=config,
+                                            length=length)
+                                 for name in names for scheme in schemes])
     width = len(schemes)
-    return [tuple(stats[i:i + width]) for i in range(0, len(stats), width)]
+    return [tuple(results[i:i + width])
+            for i in range(0, len(results), width)]
 
 
 def _over_baseline(schemes, names, length: int,
@@ -88,8 +90,9 @@ def run_fig5(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     names = _app_names(apps)
     runs = _run_per_app(names, ("baseline",), length)
     suites: dict[str, list] = {}
-    for name, (stats,) in zip(names, runs):
-        suites.setdefault(profile_by_name(name).suite, []).append(stats)
+    for name, (result,) in zip(names, runs):
+        suites.setdefault(profile_by_name(name).suite, []).append(
+            result.stats)
     rows = []
     summary = {}
     for suite, stats_list in sorted(suites.items()):
@@ -207,8 +210,8 @@ def run_fig11(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     fractions = []
     names = _app_names(apps)
-    for name, (stats,) in zip(names, _run_per_app(names, ("ppa",), length)):
-        frac = stats.region_end_stall_fraction
+    for name, (result,) in zip(names, _run_per_app(names, ("ppa",), length)):
+        frac = result.stats.region_end_stall_fraction
         rows.append([name, 100.0 * frac])
         fractions.append(frac)
     return ExperimentResult(
@@ -231,6 +234,7 @@ def run_fig12(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     names = _app_names(apps)
     runs = _run_per_app(names, ("baseline", "ppa"), length)
     for name, (base, ppa) in zip(names, runs):
+        base, ppa = base.stats, ppa.stats
         base_frac = base.rename_oor_stall_cycles / base.cycles
         ppa_frac = ppa.rename_oor_stall_cycles / ppa.cycles
         increase = max(0.0, ppa_frac - base_frac)
@@ -255,7 +259,8 @@ def run_fig13(apps=None, length: int = FULL_LENGTH) -> ExperimentResult:
     rows = []
     stores, others = [], []
     names = _app_names(apps)
-    for name, (stats,) in zip(names, _run_per_app(names, ("ppa",), length)):
+    for name, (result,) in zip(names, _run_per_app(names, ("ppa",), length)):
+        stats = result.stats
         rows.append([name, stats.mean_region_others,
                      stats.mean_region_stores])
         stores.append(stats.mean_region_stores)

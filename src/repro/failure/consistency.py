@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pipeline.stats import CoreStats, StoreRecord
+from repro.pipeline.stats import CoreStats, StoreLog, StoreRecord
 
 
 @dataclass
@@ -31,11 +31,12 @@ def reference_image(stores: list[StoreRecord],
                     upto_seq: int | None = None) -> dict[int, int]:
     """Memory contents of a crash-free execution: all stores applied in
     program order, optionally truncated at ``upto_seq`` (inclusive)."""
+    log = StoreLog.of(stores)
     image: dict[int, int] = {}
-    for record in stores:
-        if upto_seq is not None and record.seq > upto_seq:
+    for seq, addr, value in zip(log.seq, log.addr, log.value):
+        if upto_seq is not None and seq > upto_seq:
             break
-        image[record.addr] = record.value
+        image[addr] = value
     return image
 
 
@@ -65,8 +66,9 @@ def verify_resumption(stats: CoreStats, recovered: dict[int, int],
                       last_committed_seq: int) -> ConsistencyReport:
     """After recovery, resuming at LCPC+1 and executing the rest of the
     program must converge to the full crash-free image."""
+    stores = StoreLog.of(stats.stores)
     resumed = dict(recovered)
-    for record in stats.stores:
-        if record.seq > last_committed_seq:
-            resumed[record.addr] = record.value
-    return _compare(resumed, reference_image(stats.stores))
+    for seq, addr, value in zip(stores.seq, stores.addr, stores.value):
+        if seq > last_committed_seq:
+            resumed[addr] = value
+    return _compare(resumed, reference_image(stores))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.memory.writebuffer import PersistOp
-from repro.pipeline.stats import CoreStats, StoreRecord
+from repro.pipeline.stats import CoreStats, RegionLog, StoreLog, StoreRecord
 
 
 class PowerFailureInjector:
@@ -32,10 +32,13 @@ class PowerFailureInjector:
         self.persist_log = sorted(
             (op for op in persist_log if op.submitted),
             key=lambda op: op.durable_at)
+        regions = RegionLog.of(stats.regions)
         self._region_close = {
-            r.region_id: r.boundary_time + r.drain_wait
-            for r in stats.regions
+            region_id: boundary + wait for region_id, boundary, wait
+            in zip(regions.region_id, regions.boundary_time,
+                   regions.drain_wait)
         }
+        self._stores = StoreLog.of(stats.stores)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "PowerFailureInjector":
@@ -100,10 +103,13 @@ class PowerFailureInjector:
 
     def csq_at(self, fail_time: float) -> list[StoreRecord]:
         """The CSQ contents (front to rear) at the moment of power loss."""
+        stores = self._stores
+        close = self._region_close
         return [
-            s for s in self.stats.stores
-            if s.commit_time <= fail_time
-            and self._region_close.get(s.region_id, float("inf")) > fail_time
+            stores[index] for index, (commit, region) in enumerate(
+                zip(stores.commit_time, stores.region_id))
+            if commit <= fail_time
+            and close.get(region, float("inf")) > fail_time
         ]
 
     def last_committed_seq(self, fail_time: float) -> int:
@@ -113,6 +119,8 @@ class PowerFailureInjector:
     def unpersisted_committed_stores(self, fail_time: float) -> int:
         """Committed stores whose data had not reached the persistence
         domain at ``fail_time`` — the crash-inconsistency window."""
+        stores = self._stores
         return sum(
-            1 for s in self.stats.stores
-            if s.commit_time <= fail_time and s.durable_at > fail_time)
+            1 for commit, durable in zip(stores.commit_time,
+                                         stores.durable_at)
+            if commit <= fail_time and durable > fail_time)

@@ -49,19 +49,32 @@ def _stride_fill(ranges, step: int, line_bytes: int, num_sets: int,
     inverse = pow(stride // line_bytes // g, -1, period) if period > 1 else 0
     spans = sorted((base, base + count * step) for base, count in ranges)
     disjoint = all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-    progressions = [[(base + r * step, len(range(r, count, p)))
-                     for r in range(min(p, count))] for base, count in ranges]
+    # (terms, interleaved): a range of several progressions interleaves
+    # their lines, so its finds are sorted back into fill order; ranges
+    # of one progression each already find in fill order, so a run of
+    # them shares one flat group.
+    groups: list[tuple[list, bool]] = []
+    for base, count in ranges:
+        terms = [(first, len(range(r, count, p)), first // line_bytes)
+                 for r in range(min(p, count))
+                 for first in (base + r * step,)]
+        if len(terms) > 1:
+            groups.append((terms, True))
+        elif groups and not groups[-1][1]:
+            groups[-1][0].extend(terms)
+        else:
+            groups.append((terms, False))
 
     def derive(index: int) -> dict[int, bool]:
         found = []                      # in fill order
-        for terms in progressions:
+        for terms, interleaved in groups:
             size = len(found)
-            for first, count in terms:
-                q = index - first // line_bytes
+            for first, count, first_line in terms:
+                q = index - first_line
                 if q % g == 0 and (q := q // g * inverse % period) < count:
                     found += range(first + q * stride, first + count * stride,
                                    period * stride)[-assoc:]
-            if len(terms) > 1:
+            if interleaved:
                 found[size:] = sorted(found[size:])
         if not disjoint:                # a refilled line counts once, last
             found = list(dict.fromkeys(reversed(found)))[assoc - 1::-1]

@@ -218,18 +218,18 @@ def run_cohort_payloads(points: list[SimPoint], kernel: bool = True,
     if _WORKER_STATE["imports"]:
         for payload in payloads:
             payload["worker"] = worker_info()
-    # Slow-point attribution (repro.observe.profiler): re-run a slow
-    # single-point unit under cProfile. The env check keeps the common
-    # path import-free.
-    if len(points) == 1 and os.environ.get("REPRO_SLOW_SIM_PROFILE"):
+    # Slow-point attribution (repro.observe.profiler): re-run each slow
+    # point under cProfile, a kernel lane alone as a one-lane cohort. The
+    # env check keeps the common path import-free.
+    if os.environ.get("REPRO_SLOW_SIM_PROFILE"):
         from repro.engine.batched import run_cohort
         from repro.observe.profiler import maybe_profile_slow_point
 
-        point = points[0]
-        maybe_profile_slow_point(
-            point, payloads[0]["wall_clock"],
-            (lambda: run_cohort(points)) if kernel
-            else (lambda: _scalar_simulate(point)))
+        for point, payload in zip(points, payloads):
+            maybe_profile_slow_point(
+                point, payload["wall_clock"],
+                (lambda point=point: run_cohort([point])) if kernel
+                else (lambda point=point: _scalar_simulate(point)))
     return payloads
 
 

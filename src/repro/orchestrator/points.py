@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.config import SystemConfig, skylake_default
+from repro.config import SystemConfig, check_latencies, skylake_default
 from repro.persistence.catalog import scheme_backend
 from repro.workloads.interning import ADDR_BASE, interned_trace, region_extents
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
@@ -90,6 +90,7 @@ class SimPoint:
 
     def __post_init__(self) -> None:
         check_run(self.core, self.scheme, self.thread)
+        check_latencies(self.config)
 
     @property
     def name(self) -> str:

@@ -14,13 +14,18 @@ A worker payload carries its stats envelope *packed*
 (:func:`pack_envelope`): every long list whose values all share one exact
 type (``float``, or an ``int`` that fits in signed 64 bits) becomes a
 ``{"@col": "d"|"q", "at": offset, "n": length}`` column of one shared
-zlib-compressed block of little-endian 8-byte items, and a long list of
-equal-width rows (``stores``, ``regions``) becomes ``{"@rows": [column,
-...]}``, one column per row field. Everything else (mixed types,
-``"inf"`` strings, store values of 2**63 and up) stays a plain JSON list,
-so :func:`unpack_envelope` restores the exact ``stats_to_dict`` envelope.
-A fig16 entry shrinks from about 125 KiB to about 19 KiB, and nothing is
-unpacked until someone reads the stats.
+zlib-compressed block of little-endian 8-byte items. A record log that
+the stats keep as :class:`~repro.pipeline.stats.Columns` (``CoreStats``'
+``stores`` and ``regions``, see ``to_columns``) is packed as it is,
+``{"@cols": [column, ...]}``, one column per record field; its float
+columns keep non-finite values as IEEE bytes (``"@col": "f"``). A long
+list of equal-width rows from any other envelope becomes ``{"@rows":
+[column, ...]}``. Everything else (mixed types, store values of 2**63 and
+up) stays a plain JSON list, so :func:`unpack_envelope` restores the
+exact ``stats_to_dict`` envelope. Decoding a payload's stats
+(:func:`stats_from_payload`) keeps ``"@cols"`` tables as columns and
+builds no record. A fig16 entry shrinks from about 125 KiB to about
+18 KiB, and nothing is unpacked until someone reads the stats.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import array
 import base64
 import dataclasses
 import json
+import math
 import sys
 import zlib
 from typing import Any
@@ -43,7 +49,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.memory.writebuffer import PersistOp
-from repro.pipeline.stats import decode_float, encode_float
+from repro.pipeline.stats import Columns, decode_float, encode_float
 from repro.statsbase import (
     StatsBase,
     sim_volume,
@@ -173,11 +179,14 @@ def persist_log_from_list(data: list[dict[str, Any]]) -> list[PersistOp]:
 PACK_MIN_LENGTH = 16
 # Keys that mark a packed node; an original dict using one is escaped as
 # {"@obj": {...}} so unpacking can never mistake it for a packed node.
-_MARKERS = frozenset(("@z", "@col", "@rows", "@obj"))
-# Exact value type -> array typecode of a packed column (8-byte items).
+_MARKERS = frozenset(("@z", "@col", "@rows", "@cols", "@obj"))
+# Exact value type -> code of a packed column (8-byte items).
 _TYPECODES = {float: "d", int: "q"}
+# Column code -> array typecode. "f" is a float column of a Columns table
+# that holds a non-finite value: its JSON form encodes those as strings.
+_ARRAY_CODES = {"d": "d", "q": "q", "f": "d"}
 _CODES = frozenset(_TYPECODES.values())
-_CONTAINERS = frozenset((dict, list))
+_CONTAINERS = frozenset((dict, list, Columns, array.array))
 _SWAP = sys.byteorder != "little"     # columns are stored little-endian
 
 
@@ -210,6 +219,12 @@ def _pack(node: Any, chunks: list[bytes]) -> Any:
                   if type(value) in _CONTAINERS else value
                   for key, value in node.items()}
         return packed if _MARKERS.isdisjoint(node) else {"@obj": packed}
+    if kind is Columns:
+        return {"@cols": [_pack_field(column, chunks) for column in node]}
+    if kind is array.array:           # CoreStats.commit_times
+        if len(node) < PACK_MIN_LENGTH or node.typecode not in _CODES:
+            return node.tolist()
+        return _pack_column(node.typecode, node, chunks)
     if kind is not list:
         return node
     types = set(map(type, node))
@@ -217,15 +232,7 @@ def _pack(node: Any, chunks: list[bytes]) -> Any:
         (only,) = types
         code = _TYPECODES.get(only)
         if code is not None:
-            try:
-                column = array.array(code, node)
-            except OverflowError:     # an int outside the signed 64 bits
-                return node
-            if _SWAP:
-                column.byteswap()
-            at = sum(map(len, chunks))
-            chunks.append(column.tobytes())
-            return {"@col": code, "at": at, "n": len(node)}
+            return _pack_column(code, node, chunks)
         if only is list:
             widths = set(map(len, node))
             if len(widths) == 1 and 0 not in widths:
@@ -236,9 +243,42 @@ def _pack(node: Any, chunks: list[bytes]) -> Any:
     return [_pack(item, chunks) for item in node]
 
 
-def unpack_envelope(node: Any) -> Any:
+def _pack_column(code: str, values: list, chunks: list[bytes]) -> Any:
+    try:
+        column = array.array(_ARRAY_CODES[code], values)
+    except OverflowError:             # an int outside the signed 64 bits
+        return values
+    if _SWAP:
+        column.byteswap()
+    at = sum(map(len, chunks))
+    chunks.append(column.tobytes())
+    return {"@col": code, "at": at, "n": len(values)}
+
+
+def _pack_field(values: list, chunks: list[bytes]) -> Any:
+    """One field column of a :class:`Columns` table: packed when it is
+    long and of one type, else a plain list with its floats encoded."""
+    types = set(map(type, values))
+    if len(values) >= PACK_MIN_LENGTH and len(types) == 1:
+        (only,) = types
+        code = _TYPECODES.get(only)
+        if code == "d" and not math.isfinite(sum(values)):
+            code = "f"
+        if code is not None:
+            return _pack_column(code, values, chunks)
+    if float in types:
+        return [encode_float(value) if type(value) is float else value
+                for value in values]
+    return values
+
+
+def unpack_envelope(node: Any, columns: bool = False) -> Any:
     """Inverse of :func:`pack_envelope`; unpacked input passes through.
-    A packed column that fails to decode raises :class:`ValueError`."""
+    With ``columns``, a packed column comes back as an ``array`` of its
+    raw values and a packed ``"@cols"`` table as the :class:`Columns` of
+    its fields, not as rows: what ``from_dict`` reads without converting
+    or transposing. A packed column that fails to decode raises
+    :class:`ValueError`."""
     if type(node) is dict and "@z" in node:
         try:
             shuffled = zlib.decompress(
@@ -254,34 +294,44 @@ def unpack_envelope(node: Any) -> Any:
         data = bytearray(len(shuffled))
         for lane in range(8):
             data[lane::8] = shuffled[lane * items:(lane + 1) * items]
-        return _unpack(tree, memoryview(data))
-    return _unpack(node, memoryview(b""))
+        return _unpack(tree, memoryview(data), columns)
+    return _unpack(node, memoryview(b""), columns)
 
 
-def _unpack(node: Any, data: memoryview) -> Any:
+def _unpack(node: Any, data: memoryview, columns: bool) -> Any:
     kind = type(node)
     if kind is dict:
         if "@col" in node:
-            return _unpack_column(node, data)
+            return _unpack_column(node, data, columns)
+        if "@cols" in node:
+            fields = [_unpack_column(field, data, columns)
+                      if type(field) is dict else field
+                      for field in node["@cols"]]
+            return (Columns(fields) if columns
+                    else list(map(list, zip(*fields))))
         if "@rows" in node:
-            return list(map(list, zip(*[_unpack(field, data)
+            return list(map(list, zip(*[_unpack(field, data, columns)
                                         for field in node["@rows"]])))
         if "@obj" in node:
             node = node["@obj"]
-        return {key: _unpack(value, data)
+        return {key: _unpack(value, data, columns)
                 if type(value) in _CONTAINERS else value
                 for key, value in node.items()}
     if kind is list and not _CONTAINERS.isdisjoint(map(type, node)):
-        return [_unpack(item, data) for item in node]
+        return [_unpack(item, data, columns) for item in node]
     return node
 
 
-def _unpack_column(node: dict[str, Any], data: memoryview) -> list:
+def _unpack_column(node: dict[str, Any], data: memoryview,
+                   raw: bool) -> Any:
+    """A packed column's values: the array itself if ``raw``, else a
+    list, in which an ``"f"`` column's non-finite values are their JSON
+    strings."""
     try:
         code, at, length = node["@col"], node["at"], node["n"]
-        if code not in _CODES or at < 0 or at % 8:
+        if code not in _ARRAY_CODES or at < 0 or at % 8:
             raise ValueError(f"bad column {node!r}")
-        column = array.array(code)
+        column = array.array(_ARRAY_CODES[code])
         column.frombytes(data[at:at + 8 * length])
         if len(column) != length:
             raise ValueError(f"column {node!r} overruns the packed data")
@@ -289,6 +339,10 @@ def _unpack_column(node: dict[str, Any], data: memoryview) -> list:
         raise ValueError(f"corrupt packed column: {error}") from error
     if _SWAP:
         column.byteswap()
+    if raw:
+        return column
+    if code == "f":
+        return list(map(encode_float, column))
     return column.tolist()
 
 
@@ -319,7 +373,7 @@ def payload_from_run(stats: StatsBase, persist_log: list[PersistOp] | None,
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "engine": engine,
-        "stats": pack_envelope(stats_to_dict(stats)),
+        "stats": pack_envelope(stats_to_dict(stats, columns=True)),
         "persist_log": (persist_log_to_list(persist_log)
                         if persist_log is not None else None),
         "wall_clock": wall_clock,
@@ -342,7 +396,7 @@ def check_payload_schema(payload: dict[str, Any]) -> None:
 def stats_from_payload(payload: dict[str, Any]) -> StatsBase:
     """Decode a payload's stats (packed or already unpacked envelope)."""
     check_payload_schema(payload)
-    return stats_from_dict(unpack_envelope(payload["stats"]))
+    return stats_from_dict(unpack_envelope(payload["stats"], columns=True))
 
 
 def unpacked_payload(payload: dict[str, Any]) -> dict[str, Any]:
@@ -376,7 +430,11 @@ def persist_log_from_payload(payload: dict[str, Any]) \
 # v6: the stats envelope is stored packed (pack_envelope: long numeric
 # lists and row columns as zlib-compressed little-endian arrays); a v5
 # reader would misparse the packed columns, so v5 entries must not alias.
-CACHE_SCHEMA_VERSION = 6
+# v7: CoreStats' store and region logs are packed as the columns they are
+# kept in ("@cols", with "f" float columns holding non-finite values as
+# IEEE bytes); a v6 reader knows neither node, so v6 entries must not
+# alias.
+CACHE_SCHEMA_VERSION = 7
 
 
 _canonical_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"),

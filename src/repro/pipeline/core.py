@@ -315,9 +315,11 @@ class OoOCore:
                     commit_time=commit,
                     region_id=-1,
                 )
-                stores_append(record)
+                # The policy fills in region_id and durable_at; the log
+                # keeps the record's final fields.
                 if store_committed is not None:
                     store_committed(record, merge_time)
+                stores_append(record)
 
             if mispredicted[seq]:
                 fetch_ready = max(fetch_ready, complete + penalty)

@@ -65,12 +65,21 @@ def stats_class(kind: str) -> type:
     return getattr(import_module(module_name), class_name)
 
 
-def stats_to_dict(stats: StatsBase) -> dict[str, Any]:
-    """Tagged envelope: ``{"kind": ..., "data": stats.to_dict()}``."""
+def stats_to_dict(stats: StatsBase, columns: bool = False) \
+        -> dict[str, Any]:
+    """Tagged envelope: ``{"kind": ..., "data": stats.to_dict()}``.
+
+    With ``columns``, a kind that keeps record logs as columns gives its
+    ``to_columns()`` instead: the same dict with those logs left as
+    :class:`~repro.pipeline.stats.Columns`, which
+    :func:`repro.orchestrator.serialize.pack_envelope` stores without
+    transposing. Its ``from_dict`` reads either form."""
     kind = stats.stats_kind
     if kind not in _REGISTRY:
         raise KeyError(f"stats kind {kind!r} is not registered")
-    return {"kind": kind, "data": stats.to_dict()}
+    to_columns = getattr(stats, "to_columns", None) if columns else None
+    return {"kind": kind,
+            "data": to_columns() if to_columns else stats.to_dict()}
 
 
 def stats_from_dict(envelope: dict[str, Any]) -> StatsBase:

@@ -609,6 +609,24 @@ class TestSlowPointProfiler:
         stats = pstats.Stats(str(dump))
         assert stats.total_calls > 0
 
+    def test_every_slow_lane_of_a_cohort_is_profiled(self, tmp_path,
+                                                     monkeypatch):
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        monkeypatch.setenv("REPRO_SLOW_SIM_PROFILE", "0")
+        monkeypatch.setenv("REPRO_SLOW_SIM_PROFILE_DIR",
+                           str(tmp_path / "slow"))
+        points = [p for p in build_sweep(sweep_spec("fig16", apps=["rb"],
+                                                    length=600))
+                  if p.scheme == "ppa"][:2]
+        assert len({p.name for p in points}) == 2
+        payloads = run_cohort_payloads(points)
+        assert [p["engine"] for p in payloads] == ["batched"] * 2
+        dumps = sorted((tmp_path / "slow").glob("*.pstats"))
+        assert [d.name for d in dumps] == sorted(
+            p.name.replace(":", "-").replace("/", "-") + ".pstats"
+            for p in points)
+
     def test_unset_threshold_profiles_nothing(self, tmp_path,
                                               monkeypatch):
         monkeypatch.delenv("REPRO_SLOW_SIM_PROFILE", raising=False)

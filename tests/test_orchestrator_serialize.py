@@ -189,6 +189,40 @@ class TestSchemaInvalidation:
         assert inventory["entries"] == 2
         assert inventory["stale_schema"] == 1
 
+    def test_v6_entry_is_stale_and_never_served(self, tmp_path,
+                                                monkeypatch):
+        """A v6 entry (row tables packed as "@rows", v6 key material) is
+        reported by ``inventory`` as ``stale_schema`` and is a miss under
+        v7."""
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import ResultCache, point_digest
+        from repro.orchestrator.campaign import Campaign
+
+        point = make_point("rb", "ppa", length=500, warmup=0)
+        stats, _ = simulate_point(point)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "CACHE_SCHEMA_VERSION", 6)
+            v6_digest = point_digest(point)
+        v6_stats = pack_envelope(stats_to_dict(stats))
+        assert "@rows" in v6_stats["tree"]["data"]["stores"]
+        cache = ResultCache(tmp_path)
+        cache.put(v6_digest, {"schema": 6, "engine": "batched",
+                              "stats": v6_stats, "persist_log": None,
+                              "wall_clock": 0.1, "cycles": stats.cycles,
+                              "instructions": stats.instructions})
+        assert v6_digest != point_digest(point)
+        assert cache.inventory()["stale_schema"] == 1
+
+        campaign = Campaign(cache=cache)
+        campaign.add(point)
+        [result] = campaign.run()
+        assert not result.cache_hit
+        assert result.stats == stats
+        assert "@cols" in result.payload["stats"]["tree"]["data"]["stores"]
+        inventory = cache.inventory()
+        assert inventory["entries"] == 2
+        assert inventory["stale_schema"] == 1
+
     def test_schema_bump_orphans_cache_keys(self, monkeypatch):
         """The schema version is part of the key material, so a bump
         orphans every old disk-cache entry (digest never aliases)."""
@@ -219,8 +253,38 @@ class TestKeyMaterial:
          "8a2e4ee589704da88cea6981b051cc7d75361d5507a965fd05ad8efd66445000"),
     )
 
+    # The same points' digests at the current schema (v7).
+    POINTS_V7 = (
+        (("gcc", "ppa"), {"length": 500, "warmup": 0},
+         "673de6fa4316a968cf99de72537715cf09427200f4ee5ccccb4daa66701a82b2",
+         "a2d62759ed3cabdb1b1fbf469dda91c0726e50f5dbb6ed8690cd58f78b35f3f0"),
+        (("rb", "capri"), {"length": 2000, "seed": 3, "track_values": True},
+         "40239370b518f012e0f8f83b0b58d35a7e9346233bbc1a33057fb7d5ce1b2540",
+         "0fbd8bed519c112ae41bac596c673d2cc2f142c95e559b216db25cdaa6629182"),
+        (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
+         "89f00cfa3189f92513d792bbab032fe7236e8733dcf9992172d10f7f030b16c8",
+         "bc8a86c2a603f1484408618d61bac5b1e26a748dfc38d010ab97ecb9784fdc88"),
+    )
+
     @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS)
-    def test_pinned_digests(self, args, kwargs, digest, batched):
+    def test_pinned_digests(self, args, kwargs, digest, batched,
+                            monkeypatch):
+        """``POINTS`` were pinned at schema 6: with that schema number the
+        key material is byte-identical, so a schema bump changes nothing
+        else in it."""
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import point_digest
+
+        monkeypatch.setattr(serialize, "CACHE_SCHEMA_VERSION", 6)
+        point = make_point(*args, **kwargs)
+        for _ in range(2):                  # cold, then memoized
+            assert point_digest(point, salt="fixed") == digest
+            assert point_digest(point, salt="fixed",
+                                engine="batched") == batched
+
+    @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS_V7)
+    def test_pinned_digests_at_current_schema(self, args, kwargs, digest,
+                                              batched):
         from repro.orchestrator.cache import point_digest
 
         point = make_point(*args, **kwargs)
@@ -253,13 +317,16 @@ class TestKeyMaterial:
         assert '"clock_ghz":2,' in point_key_material(variant, "s")
         assert '"clock_ghz":2.0,' in point_key_material(point, "s")
 
-    def test_default_point_material_predates_thread_points(self):
+    def test_default_point_material_predates_thread_points(self,
+                                                          monkeypatch):
         import hashlib
 
+        from repro.orchestrator import serialize
         from repro.orchestrator.serialize import point_key_material
 
-        # SHA-256 of the material as minted before SimPoint had a
-        # ``thread`` field: an unset field adds no key.
+        # SHA-256 of the material as minted (at schema 6) before SimPoint
+        # had a ``thread`` field: an unset field adds no key.
+        monkeypatch.setattr(serialize, "CACHE_SCHEMA_VERSION", 6)
         text = point_key_material(make_point("rb", "ppa"), "fixed")
         assert '"thread"' not in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -323,6 +390,31 @@ class TestPointValidation:
         for scheme in ("ppa", "baseline"):
             assert make_point("gcc", scheme, core="inorder").core \
                 == "inorder"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1])
+    @pytest.mark.parametrize("section,field", [
+        ("core", "lat_int_alu"), ("nvm", "write_latency_ns")])
+    def test_bad_latency_rejected(self, section, field, value):
+        from dataclasses import replace
+
+        from repro.orchestrator.serialize import point_from_dict
+
+        config = skylake_default()
+        if section == "core":
+            config = replace(config, core=replace(config.core,
+                                                  **{field: value}))
+            name = f"core.{field}"
+        else:
+            config = replace(config, memory=replace(
+                config.memory, nvm=replace(config.memory.nvm,
+                                           **{field: value})))
+            name = f"memory.nvm.{field}"
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            make_point("rb", "ppa", config=config, length=500)
+        wire = self._wire()
+        wire["config"] = config_to_dict(config)
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            point_from_dict(wire)
 
     @pytest.mark.parametrize("thread", [[5, 2], [2, 2], [-1, 4], [3]])
     def test_thread_out_of_bounds_rejected(self, thread):
@@ -456,6 +548,21 @@ class TestPackedEnvelope:
         restored = stats_from_payload(payload)
         assert _canonical(stats_to_dict(restored)) == _canonical(envelope)
         assert str(restored.stores[3].durable_at) == "-0.0"
+
+    def test_logs_pack_as_columns_with_non_finite_floats_as_bytes(self):
+        stats, _ = simulate_point(make_point("rb", "baseline", length=1_500,
+                                             warmup=0))
+        assert set(stats.stores.durable_at) == {float("inf")}
+        payload = _json_round_trip(payload_from_run(stats, None, 0.1))
+        stores = payload["stats"]["tree"]["data"]["stores"]["@cols"]
+        assert [column["@col"] for column in stores[:4]] == ["q"] * 4
+        assert stores[9]["@col"] == "f"           # durable_at, all inf
+        full = unpacked_payload(payload)["stats"]
+        assert _canonical(full) == _canonical(stats_to_dict(stats))
+        assert full["data"]["stores"][0][9] == "inf"
+        restored = stats_from_payload(payload)
+        assert restored == stats
+        assert type(restored.stores.durable_at[0]) is float
 
     def test_envelope_without_long_lists_is_left_as_is(self):
         envelope = {"kind": "nvm", "data": {"line_writes": 1}}

@@ -607,3 +607,65 @@ class TestSinglePointsOnTheKernel:
         results = campaign.run()
         assert all(r.ok and r.engine == "batched" for r in results)
         assert len(streams) == 2
+
+
+@pytest.mark.usefixtures("untraced_unsanitized")
+class TestNoRecordObjects:
+    """Store and region logs are columns from end to end: the kernel
+    writes them, a payload packs them and a decode reads them back
+    without building a :class:`StoreRecord` or :class:`RegionRecord`
+    (records are built only when someone iterates or indexes a log)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from repro.pipeline.stats import RegionRecord, StoreRecord
+
+        built = []
+        for cls in (StoreRecord, RegionRecord):
+            def counting(self, *args, __init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                __init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    def test_cold_fig16_campaign_and_packing_build_no_records(
+            self, built, tmp_path):
+        from repro.orchestrator.cache import ResultCache
+        from repro.orchestrator.campaign import Campaign
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        campaign = Campaign(cache=ResultCache(tmp_path), jobs=1,
+                            engine="auto")
+        campaign.extend(build_sweep(sweep_spec("fig16", apps=["rb", "mcf"],
+                                               length=2_000)))
+        results = campaign.run()
+        assert all(r.ok and not r.cache_hit for r in results)
+        assert {r.payload["engine"] for r in results} == {"batched"}
+        assert built == []
+        # The counter counts: reading a log's records builds them.
+        stats = results[0].stats
+        assert built == []
+        assert len(list(stats.stores)) == len(stats.stores) > 0
+        assert built.count("StoreRecord") == len(stats.stores)
+
+    def test_warm_run_points_over_fig8_builds_no_records(
+            self, built, tmp_path, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.figures import run_fig8
+        from repro.orchestrator.points import make_point
+
+        monkeypatch.setattr(runner, "_L2", None)
+        monkeypatch.setattr(runner, "_L2_CONFIGURED", False)
+        runner.configure_disk_cache(tmp_path)
+        points = [make_point(app, scheme, length=2_000)
+                  for app in ("rb", "gcc")
+                  for scheme in ("ppa", "capri", "baseline")]
+        cold = [stats.to_dict() for stats in runner.run_points(points)]
+        del built[:]
+        warm = runner.run_points(points)
+        assert [stats.mean_region_instrs for stats in warm]
+        assert [stats.to_dict() for stats in warm] == cold
+        figure = run_fig8(apps=["rb", "gcc"], length=2_000)
+        assert figure.rows[0][1] == warm[0].cycles / warm[2].cycles
+        assert built == []

@@ -76,12 +76,19 @@ class TestApiBasics:
         client, _ = service
         good = point_to_dict(make_point("rb", "ppa", length=LENGTH,
                                         warmup=0))
+        core = {**good["config"]["core"], "lat_int_alu": -1}
+        memory = {**good["config"]["memory"],
+                  "nvm": {**good["config"]["memory"]["nvm"],
+                          "read_latency_ns": -1}}
         for changes in ({"core": "foo"},
                         {"core": "inorder", "scheme": "replaycache"},
-                        {"thread": [5, 2]}):
+                        {"thread": [5, 2]},
+                        {"config": {**good["config"], "core": core}},
+                        {"config": {**good["config"], "memory": memory}}):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("alice", points=[{**good, **changes}])
             assert excinfo.value.status == 400, changes
+        assert "must be a finite latency" in str(excinfo.value)
 
     def test_route_miss_is_404(self, service):
         client, _ = service
