@@ -40,20 +40,33 @@ def emit_json(payload: Any) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
+# Every run limit a repro CLI takes: (attribute, the test a given value
+# must pass, the one-line refusal).
+_LIMITS = (
+    ("timeout", lambda v: v > 0, "--timeout must be > 0 seconds (got {:g})"),
+    ("length", lambda v: v >= 1,
+     "--length must be at least 1 instruction (got {})"),
+    ("threads", lambda v: v >= 1,
+     "--threads must be at least 1 thread (got {})"),
+    ("workers", lambda v: v >= 1,
+     "--workers must be at least 1 worker (got {})"),
+    ("quota", lambda v: v >= 1, "--quota must be a positive integer (got {})"),
+    ("retries", lambda v: v >= 0, "--retries must be at least 0 (got {})"),
+    ("sweeps", lambda v: v >= 0, "--sweeps must be at least 0 (got {})"),
+    ("crash", lambda v: 0 <= v <= 1,
+     "--crash must be a fraction in [0, 1] (got {:g})"),
+)
+
+
 def reject_bad_limits(args: argparse.Namespace) -> bool:
-    """Refuse a ``--timeout`` that is not positive, a ``--length`` below
-    one instruction or a ``--threads`` below one thread: print one line
-    on stderr and return True (the caller exits 2). Absent flags pass."""
-    timeout = getattr(args, "timeout", None)
-    length = getattr(args, "length", None)
-    threads = getattr(args, "threads", None)
-    if timeout is not None and timeout <= 0:
-        message = f"--timeout must be > 0 seconds (got {timeout:g})"
-    elif length is not None and length < 1:
-        message = f"--length must be at least 1 instruction (got {length})"
-    elif threads is not None and threads < 1:
-        message = f"--threads must be at least 1 thread (got {threads})"
-    else:
-        return False
-    print(message, file=sys.stderr)
-    return True
+    """Refuse a run limit that cannot mean anything (a ``--timeout`` that
+    is not positive, a ``--length``, ``--threads``, ``--workers`` or
+    ``--quota`` below one, negative ``--retries`` or ``--sweeps``, a
+    ``--crash`` fraction outside [0, 1]): print one line on stderr and
+    return True (the caller exits 2). Absent flags pass."""
+    for name, valid, message in _LIMITS:
+        value = getattr(args, name, None)
+        if value is not None and not valid(value):
+            print(message.format(value), file=sys.stderr)
+            return True
+    return False

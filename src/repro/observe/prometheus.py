@@ -212,6 +212,9 @@ def render_prometheus(scheduler) -> str:
                  "L2 result-cache hits", {}, cache.counters.hits)
         fams.add("repro_cache_misses", "counter",
                  "L2 result-cache misses", {}, cache.counters.misses)
+        fams.add("repro_cache_staged", "gauge",
+                 "entries served from memory, not yet on disk", {},
+                 cache.staged)
         inventory = None
         snapshot = getattr(scheduler, "cache_inventory", None)
         if callable(snapshot):

@@ -19,6 +19,11 @@ Concurrency contract (many processes may share one cache directory):
 * ``put`` is atomic (temp file + ``os.replace``) — concurrent writers of
   the same digest can only race to install identical bytes, and readers
   never observe a partial file.
+* ``stage`` is the write-behind form of ``put``: this process's ``get``
+  and ``contains`` serve a staged entry from memory at once, and
+  ``flush`` writes it through ``put`` later, off the caller's critical
+  path. Other processes see it once it is flushed; a flush that fails
+  drops the entry, so it is served but not cached.
 * ``get`` verifies integrity (parseable strict JSON whose stored digest
   matches the filename); a corrupt or mismatched entry counts as a miss
   and is removed.
@@ -120,6 +125,9 @@ class ResultCache:
 
     root: pathlib.Path
     counters: CacheCounters = field(default_factory=CacheCounters)
+    # digest -> (payload, meta) staged for a later flush().
+    _staged: dict[str, tuple[dict[str, Any], dict[str, Any] | None]] = \
+        field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.root = pathlib.Path(self.root)
@@ -153,7 +161,12 @@ class ResultCache:
 
         Integrity-checked: an unparseable entry, or one whose stored
         digest does not match its filename (a hand-renamed or corrupted
-        file), counts as a miss and is removed."""
+        file), counts as a miss and is removed. A staged entry is a
+        hit served from memory."""
+        staged = self._staged.get(digest)
+        if staged is not None:
+            self.counters.hits += 1
+            return staged[0]
         path = self._path(digest)
         try:
             entry = json.loads(path.read_bytes())
@@ -212,8 +225,31 @@ class ResultCache:
                         pass
                 raise
 
+    def stage(self, digest: str, payload: dict[str, Any],
+              meta: dict[str, Any] | None = None) -> None:
+        """Serve ``payload`` under ``digest`` from memory now and write
+        it to disk at the next :meth:`flush`."""
+        self._staged[digest] = (payload, meta)
+
+    def flush(self) -> None:
+        """Write every staged entry through :meth:`put`, then drop it
+        from memory. A write that raises ``OSError`` drops the entry all
+        the same: it was served, just not cached. Concurrent flushes may
+        write one entry twice, which ``put`` makes harmless."""
+        for digest, (payload, meta) in dict(self._staged).items():
+            try:
+                self.put(digest, payload, meta)
+            except OSError:
+                pass
+            self._staged.pop(digest, None)
+
+    @property
+    def staged(self) -> int:
+        """Entries served from memory and not yet on disk."""
+        return len(self._staged)
+
     def contains(self, digest: str) -> bool:
-        return self._path(digest).exists()
+        return digest in self._staged or self._path(digest).exists()
 
     # ------------------------------------------------------------------
     # Inventory and maintenance

@@ -33,7 +33,11 @@ import sys
 from repro.cli import add_json_flag, reject_bad_limits
 from repro.orchestrator.cache import ResultCache, default_cache_dir
 
-from repro.service.client import ServiceClient, default_socket_path
+from repro.service.client import (
+    ServiceClient,
+    ServiceError,
+    default_socket_path,
+)
 from repro.service.scheduler import FleetScheduler
 from repro.service.server import ServiceServer
 
@@ -144,12 +148,7 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_health(args) -> int:
-    try:
-        info = _client(args).healthz()
-    except (OSError, RuntimeError) as exc:
-        print(f"unreachable: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(info, allow_nan=False))
+    print(json.dumps(_client(args).healthz(), allow_nan=False))
     return 0
 
 
@@ -243,7 +242,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if reject_bad_limits(args):
         return 2
-    return args.func(args)
+    if args.command == "serve":
+        return args.func(args)
+    # A client command ends in one line, not a traceback: exit 2 when the
+    # daemon refuses the request (4xx), 1 when it is unreachable or fails.
+    try:
+        return args.func(args)
+    except ServiceError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2 if 400 <= exc.status < 500 else 1
+    except OSError as exc:
+        print(f"unreachable: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

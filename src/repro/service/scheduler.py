@@ -13,7 +13,9 @@ slot:
    order across tenants, each tenant bounded by a quota of lanes in
    flight, so 10,000 queued points cannot starve 10.
 2. **L2 probe** — the content-addressed :class:`ResultCache`; a hit costs
-   no worker slot at all.
+   no worker slot at all. Results land write-behind: a settled lane is
+   staged in the cache (served from memory at once), reported, and then
+   flushed to disk off the critical path.
 3. **Single-flight** — a lane whose digest is already being simulated
    (by *any* tenant) joins that flight, so a cohort shrinks to the lanes
    that remain. A flight resolves only on its leader lane's final
@@ -71,8 +73,9 @@ class TenantState:
     name: str
     quota: int
     # Planned units (a kernel unit, or one scalar point) of the tenant's
-    # campaigns; each admitted lane holds one quota slot until it
-    # finishes.
+    # campaigns; each admitted lane holds one quota slot until its result
+    # is reported, which is when the worker returns it: the cache write
+    # follows off the critical path.
     queue: deque[tuple["CampaignJob", PlanUnit]] = field(
         default_factory=deque)
     inflight: int = 0
@@ -235,6 +238,8 @@ class FleetScheduler:
         if self._point_tasks:
             await asyncio.gather(*self._point_tasks,
                                  return_exceptions=True)
+        if self.cache is not None:
+            self.cache.flush()
         self.executor.close()
 
     async def _heartbeat_loop(self) -> None:
@@ -401,8 +406,13 @@ class FleetScheduler:
         digests = [point_digest(job.points[i]) for i in unit.indices]
         payloads: list[dict[str, Any] | None] = [None] * len(digests)
         if self.cache is not None:
-            payloads = await loop.run_in_executor(
-                None, lambda: [self.cache.get(d) for d in digests])
+            # A fresh unit misses on every lane: a stat each tells so
+            # without the thread hop that reading hits needs.
+            if any(self.cache.contains(d) for d in digests):
+                payloads = await loop.run_in_executor(
+                    None, lambda: [self.cache.get(d) for d in digests])
+            else:
+                self.cache.counters.misses += len(digests)
         # No await from here to the executor hand-off, so every lane
         # joins or leads its flight atomically.
         hits, lanes = [], []
@@ -489,9 +499,9 @@ class FleetScheduler:
                             point=ticket.point.name, timeout=self.timeout)
 
     async def _land(self, finished: list[Done]) -> None:
-        """Store and report the lanes the executor settled, then every
-        ticket that joined their flights."""
-        loop = asyncio.get_running_loop()
+        """Stage and report the lanes the executor settled and every
+        ticket that joined their flights, then write the staged results
+        to disk off the critical path."""
         for lane, payload, error in finished:
             ticket = lane.tag
             wall = 0.0
@@ -507,15 +517,11 @@ class FleetScheduler:
                 self._span(ticket, "simulate", ticket.since)
                 if self.cache is not None:
                     put_start = time.time()
-                    try:
-                        await loop.run_in_executor(
-                            None, self.cache.put, ticket.digest, payload,
-                            {"point": lane.point.name})
-                    except OSError:
-                        pass            # served all the same, just not cached
+                    self.cache.stage(ticket.digest, payload,
+                                     {"point": lane.point.name})
                     self._span(ticket, "cache-put", put_start)
             # The flight ends with its leader's final outcome, after the
-            # cache put: a later lane either joins it or hits the cache.
+            # stage: a later lane either joins it or hits the cache.
             followers = self._flights.pop(ticket.digest, [])
             await self._finish_point(ticket, payload,
                                      "fail" if payload is None else "sim",
@@ -527,6 +533,12 @@ class FleetScheduler:
                     "fail" if payload is None else "dedup", 0.0,
                     None if payload is not None
                     else f"single-flight leader: {error}")
+        if self.cache is not None and self.cache.staged:
+            flush_start = time.perf_counter()
+            await asyncio.get_running_loop().run_in_executor(
+                None, self.cache.flush)
+            self.metrics.histogram("service.cache_flush_seconds").add(
+                time.perf_counter() - flush_start)
 
     async def _finish_point(self, ticket: Ticket,
                             payload: dict[str, Any] | None, source: str,
@@ -694,6 +706,9 @@ class FleetScheduler:
         now = time.monotonic()
         if self._inventory is not None and now < self._inventory[0]:
             return self._inventory[1]
+        # The scan counts every result this daemon has stored, so the
+        # entries still staged are written first.
+        self.cache.flush()
         info = self.cache.inventory()
         snapshot = {
             "entries": info["entries"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -182,6 +183,68 @@ class TestIntegrity:
         entry = json.loads(cache._path(DIGESTS[2]).read_text())
         assert entry["digest"] == DIGESTS[2]
         assert entry["salt"] == code_salt()
+
+
+class TestWriteBehind:
+    """``stage`` serves an entry from memory at once; ``flush`` writes it
+    through the atomic ``put`` later and forgets it."""
+
+    def test_staged_entry_is_a_hit_until_flushed_to_disk(self, tmp_path):
+        cache = ResultCache(tmp_path / "simcache")
+        cache.stage(DIGESTS[0], _payload(0), {"point": "x"})
+        assert cache.staged == 1
+        assert cache.contains(DIGESTS[0])
+        assert not cache._path(DIGESTS[0]).exists()
+        assert cache.get(DIGESTS[0]) == _payload(0)
+        assert (cache.counters.hits, cache.counters.misses) == (1, 0)
+        # Another process's view of the directory: not there yet.
+        assert ResultCache(cache.root).get(DIGESTS[0]) is None
+
+        cache.flush()
+        assert cache.staged == 0
+        entry = json.loads(cache._path(DIGESTS[0]).read_text())
+        assert entry["meta"] == {"point": "x"}
+        assert ResultCache(cache.root).get(DIGESTS[0]) == _payload(0)
+        assert cache.get(DIGESTS[0]) == _payload(0)
+        assert cache.counters.hits == 2
+
+    def test_failed_write_is_dropped_not_retried(self, tmp_path,
+                                                 monkeypatch):
+        cache = ResultCache(tmp_path / "simcache")
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache, "put", full_disk)
+        cache.stage(DIGESTS[0], _payload(0))
+        assert cache.get(DIGESTS[0]) == _payload(0)
+        cache.flush()                       # must not raise
+        assert cache.staged == 0
+        assert not cache.contains(DIGESTS[0])
+        assert cache.get(DIGESTS[0]) is None
+        assert (cache.counters.hits, cache.counters.misses) == (1, 1)
+
+    def test_concurrent_flushes_leave_one_valid_file_per_digest(
+            self, tmp_path):
+        cache = ResultCache(tmp_path / "simcache")
+        for i, digest in enumerate(DIGESTS):
+            cache.stage(digest, _payload(i))
+        start = threading.Barrier(2)
+
+        def flush() -> None:
+            start.wait()
+            cache.flush()
+
+        threads = [threading.Thread(target=flush) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert cache.staged == 0
+        assert len(cache.entries()) == len(DIGESTS)
+        assert cache.tmp_orphans() == []
+        for i, digest in enumerate(DIGESTS):
+            assert ResultCache(cache.root).get(digest) == _payload(i)
 
 
 class TestShardEviction:

@@ -498,6 +498,16 @@ class TestCliJson:
                   "fig16", "--apps", "nosuchapp"])
         assert excinfo.value.code == 2
 
+    def test_negative_retries_rejected_in_one_line(self, tmp_path, capsys):
+        from repro.orchestrator.__main__ import main
+
+        assert main(["run", "fig16", "--apps", "rb", "--retries", "-1",
+                     "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == \
+            "--retries must be at least 0 (got -1)"
+        assert captured.out == ""
+
     def test_meaningless_limits_are_rejected_cleanly(self, capsys):
         from repro.orchestrator.__main__ import main as orchestrator
         from repro.service.__main__ import main as service

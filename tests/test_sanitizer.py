@@ -259,6 +259,7 @@ class TestCli:
         (["--profiles", "nosuch"], "unknown workload 'nosuch'"),
         (["--length", "0"],
          "--length must be at least 1 instruction (got 0)"),
+        (["--sweeps", "-1"], "--sweeps must be at least 0 (got -1)"),
     ])
     def test_bad_arguments_exit_2_in_one_line(self, argv, message, capsys):
         from repro.sanitizer.__main__ import main

@@ -9,6 +9,9 @@ localhost TCP with an ephemeral port — Unix-socket paths can exceed the
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -230,6 +233,175 @@ class TestMultiTenant:
             assert deferred and deferred["value"] > 0
         finally:
             handle.stop()
+
+
+def _until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestWriteBehind:
+    """A simulated lane is staged in the cache and reported when the
+    worker returns it; the disk write follows off the critical path."""
+
+    def test_campaign_finishes_before_its_files_exist(self, tmp_path,
+                                                      monkeypatch):
+        cache = ResultCache(tmp_path / "simcache")
+        scheduler = FleetScheduler(cache=cache, workers=1)
+        release = threading.Event()
+        real_flush = cache.flush
+
+        def held_flush() -> None:
+            release.wait(60)
+            real_flush()
+
+        monkeypatch.setattr(cache, "flush", held_flush)
+        handle = serve_background(scheduler, port=0)
+        try:
+            client = ServiceClient(port=handle.port)
+            cold = client.wait(client.submit(
+                "alice", matrix=_matrix(["rb"]))["id"], timeout=300)
+            assert cold["state"] == "done" and cold["simulated"] == 1
+            assert cache.entries() == [] and cache.staged == 1
+
+            # Another tenant, same point, while the write is held: served
+            # from the staged entry, nothing simulated again.
+            warm = client.wait(client.submit(
+                "bob", matrix=_matrix(["rb"]))["id"], timeout=300)
+            assert warm["cache_hits"] == 1
+            assert warm["simulated"] == 0 and warm["deduped"] == 0
+            # Read in-process: a status scan would flush the entry.
+            metrics = scheduler.metrics.to_dict()
+            assert metrics["service.simulated"]["value"] == 1.0
+            assert cache.entries() == []
+
+            release.set()
+            _until(lambda: "service.cache_flush_seconds"
+                   in scheduler.metrics.to_dict())
+            assert cache.staged == 0 and len(cache.entries()) == 1
+        finally:
+            release.set()
+            handle.stop()
+
+    def test_failed_cache_write_still_serves_the_point(self, tmp_path,
+                                                       monkeypatch):
+        cache = ResultCache(tmp_path / "simcache")
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache, "put", full_disk)
+        scheduler = FleetScheduler(cache=cache, workers=1)
+        handle = serve_background(scheduler, port=0)
+        try:
+            client = ServiceClient(port=handle.port)
+            job = client.submit("alice", matrix=_matrix(["rb"]))
+            final = client.wait(job["id"], timeout=300)
+            assert final["state"] == "done" and final["simulated"] == 1
+            payload = client.results(job["id"], include_stats=True)[
+                "payloads"]["0"]
+            assert payload["cycles"] > 0
+            _until(lambda: cache.staged == 0)
+            # The dropped write is a miss next time: simulated again.
+            again = client.wait(client.submit(
+                "bob", matrix=_matrix(["rb"]))["id"], timeout=300)
+            assert again["cache_hits"] == 0 and again["simulated"] == 1
+            assert cache.entries() == []
+        finally:
+            handle.stop()
+
+    def test_stop_flushes_every_simulated_entry(self, tmp_path,
+                                                monkeypatch):
+        cache = ResultCache(tmp_path / "simcache")
+        # Background writes never run; only the shutdown flush writes.
+        monkeypatch.setattr(cache, "flush", lambda: None)
+        scheduler = FleetScheduler(cache=cache, workers=2)
+        handle = serve_background(scheduler, port=0)
+        try:
+            client = ServiceClient(port=handle.port)
+            final = client.wait(client.submit(
+                "alice", matrix=_matrix(["gcc", "rb", "mcf"]))["id"],
+                timeout=300)
+            assert final["simulated"] == 3
+            assert cache.staged == 3 and cache.entries() == []
+        finally:
+            monkeypatch.undo()
+            handle.stop()
+        assert cache.staged == 0
+        assert ResultCache(cache.root).inventory()["entries"] == 3
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestServiceCliErrors:
+    """Client commands end in one stderr line: exit 2 when the daemon
+    refuses the request, 1 when it is unreachable or fails."""
+
+    def test_refused_submission_exits_2_in_one_line(self, service,
+                                                    capsys):
+        from repro.service.__main__ import main
+
+        client, _ = service
+        assert main(["submit", "fig16", "--tenant", "a", "--apps",
+                     "nosuchapp", "--port", str(client.port)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("submit: HTTP 400: ")
+        assert "nosuchapp" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_daemon_failure_exits_1_in_one_line(self, service, capsys,
+                                                monkeypatch):
+        from repro.service.__main__ import main
+
+        client, scheduler = service
+
+        def broken():
+            raise RuntimeError("status exploded")
+
+        monkeypatch.setattr(scheduler, "status", broken)
+        assert main(["status", "--port", str(client.port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("status: HTTP 500: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "fig16", "--tenant", "a"],
+        ["status"],
+        ["shutdown"],
+        ["health"],
+    ])
+    def test_no_daemon_exits_1_in_one_line(self, argv, capsys):
+        from repro.service.__main__ import main
+
+        assert main(argv + ["--port", str(_free_port())]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("unreachable: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["serve", "--workers", "0"],
+         "--workers must be at least 1 worker (got 0)"),
+        (["serve", "--quota", "0"],
+         "--quota must be a positive integer (got 0)"),
+        (["serve", "--retries", "-1"],
+         "--retries must be at least 0 (got -1)"),
+        (["submit", "fig16", "--tenant", "a", "--quota", "0"],
+         "--quota must be a positive integer (got 0)"),
+    ])
+    def test_bad_limits_refused_before_any_connection(self, argv,
+                                                      message, capsys):
+        from repro.service.__main__ import main
+
+        assert main(argv + ["--port", str(_free_port())]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
 
 
 class TestServiceCliAndShutdown:

@@ -315,6 +315,10 @@ class TestSummariesAndCli:
          "--length must be at least 1 instruction (got 0)"),
         (["rb", "--core", "multicore", "--threads", "0"],
          "--threads must be at least 1 thread (got 0)"),
+        (["rb", "--crash", "-0.5"],
+         "--crash must be a fraction in [0, 1] (got -0.5)"),
+        (["rb", "--crash", "2"],
+         "--crash must be a fraction in [0, 1] (got 2)"),
     ])
     def test_cli_rejects_bad_limits_in_one_line(self, argv, message,
                                                  capsys):
