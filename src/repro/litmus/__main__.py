@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import add_json_flag
+from repro.cli import add_json_flag, reject_bad_limits
 
 
 def _cmd_list(args) -> int:
@@ -147,6 +147,8 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     args = parser.parse_args(argv)
+    if reject_bad_limits(args):
+        return 2
     return args.func(args)
 
 

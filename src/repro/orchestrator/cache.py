@@ -6,13 +6,23 @@ The salt hashes every ``repro`` source file, so editing the simulator
 invalidates old results instead of silently serving them; ``gc`` reclaims
 entries written under a different salt.
 
-An entry is ``{"digest", "salt", "schema", "meta", "payload"}``, encoded
-in one ``json.dumps`` call. The payload is the worker's compact form
+An entry is the object ``{"digest", "salt", "schema", "meta", "bytes",
+"crc32", "payload"}``, laid out on three lines::
+
+    {"digest":"…","salt":"…","schema":2,"meta":{…},"bytes":N,"crc32":C,"payload":
+    <the payload: N bytes of compact JSON>
+    }
+
+The first line is the header: ``schema`` is the entry layout (2), and
+``bytes`` and ``crc32`` are the length and CRC-32 of the payload line. The
+payload is the worker's compact form
 (:func:`repro.orchestrator.serialize.payload_from_run`): its stats
-envelope is packed into one zlib-compressed column block, and ``cycles``
-/ ``instructions`` sit at its top level, so reading an entry parses a few
-KiB of JSON and decodes no stats. Nothing on disk is pickled: tenants of
-one service share the directory.
+envelope is one zlib-compressed column block plus its small-value tree as
+one JSON string, and ``cycles``/``instructions`` sit at its top level, so
+reading an entry is one file read, a parse of a few short fields and one
+checksum, and decodes no stats. Every reader goes through
+:func:`read_entry`; ``gc`` reads the header line alone. Nothing on disk is
+pickled: tenants of one service share the directory.
 
 Concurrency contract (many processes may share one cache directory):
 
@@ -24,9 +34,11 @@ Concurrency contract (many processes may share one cache directory):
   ``flush`` writes it through ``put`` later, off the caller's critical
   path. Other processes see it once it is flushed; a flush that fails
   drops the entry, so it is served but not cached.
-* ``get`` verifies integrity (parseable strict JSON whose stored digest
-  matches the filename); a corrupt or mismatched entry counts as a miss
-  and is removed.
+* ``get`` verifies integrity: the header parses, is layout 2 and names
+  the digest of its filename, and the payload line has the stored length
+  and CRC-32 and parses. Any mismatch (a truncated file, a renamed one,
+  one edited or flipped byte anywhere in the payload) counts as a miss
+  and removes the file; ``evict`` removes such entries the same way.
 * ``inventory``/``gc`` tolerate entries vanishing underneath them — a
   concurrent ``gc`` or eviction from another process is not an error.
 * Maintenance that removes files (``gc``, ``evict``) serializes on an
@@ -46,6 +58,7 @@ import os
 import pathlib
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -55,13 +68,22 @@ except ImportError:  # pragma: no cover — non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.orchestrator.points import SimPoint
-from repro.orchestrator.serialize import point_key_material
+from repro.orchestrator.serialize import compact_json, point_key_material
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 # Orphaned *.tmp files younger than this are presumed to belong to a
 # live writer mid-``put`` and are left alone by ``gc``.
 TMP_MAX_AGE = 3600.0
+
+# Entry layout: v1 was one JSON object on one line; v2 puts the header
+# on its own line with the length and CRC-32 of the payload line.
+ENTRY_SCHEMA = 2
+
+_loads = json.JSONDecoder().decode
+# What ends the header line, and the line that ends the entry.
+_HEADER_END = b',"payload":'
+_ENTRY_END = b"\n}\n"
 
 _code_salt_cache: str | None = None
 
@@ -103,6 +125,39 @@ def point_digest(point: SimPoint, salt: str | None = None,
     return hashlib.sha256(material.encode()).hexdigest()
 
 
+def read_entry(path: str | os.PathLike, digest: str | None = None,
+               header_only: bool = False) -> tuple[dict[str, Any], Any]:
+    """``(header, payload)`` of the entry stored at ``path``.
+
+    Raises :class:`ValueError` unless the header line parses, is entry
+    layout :data:`ENTRY_SCHEMA` and (when ``digest`` is given) names that
+    digest, and the payload line has the header's length and CRC-32 and
+    parses; a missing or unreadable file raises :class:`OSError`. With
+    ``header_only`` only the header line is read and checked, and the
+    payload comes back as None."""
+    with open(path, "rb") as handle:
+        data = handle.readline() if header_only else handle.read()
+    end = data.find(b"\n")
+    try:
+        if end < 0 or not data.startswith(_HEADER_END,
+                                          end - len(_HEADER_END), end):
+            raise ValueError("no entry header line")
+        header = _loads(data[:end - len(_HEADER_END)].decode() + "}")
+        if header["schema"] != ENTRY_SCHEMA:
+            raise ValueError(f"entry layout {header['schema']!r}")
+        if digest is not None and header["digest"] != digest:
+            raise ValueError("digest/filename mismatch")
+        if header_only:
+            return header, None
+        stop = end + 1 + header["bytes"]
+        body = data[end + 1:stop]
+        if data[stop:] != _ENTRY_END or zlib.crc32(body) != header["crc32"]:
+            raise ValueError("payload length or CRC-32 mismatch")
+        return header, _loads(body.decode())
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"corrupt cache entry: {error!r}") from error
+
+
 @dataclass
 class CacheCounters:
     """Hit/miss accounting for one cache tier."""
@@ -132,9 +187,12 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.root = pathlib.Path(self.root)
 
-    def _path(self, digest: str) -> pathlib.Path:
+    def _file(self, digest: str) -> str:
         # Two-character shard keeps directories small at campaign scale.
-        return self.root / digest[:2] / f"{digest}.json"
+        return f"{self.root}/{digest[:2]}/{digest}.json"
+
+    def _path(self, digest: str) -> pathlib.Path:
+        return pathlib.Path(self._file(digest))
 
     @contextlib.contextmanager
     def locked(self) -> Iterator[None]:
@@ -159,25 +217,24 @@ class ResultCache:
     def get(self, digest: str) -> dict[str, Any] | None:
         """The stored payload for ``digest``, or None on miss.
 
-        Integrity-checked: an unparseable entry, or one whose stored
-        digest does not match its filename (a hand-renamed or corrupted
-        file), counts as a miss and is removed. A staged entry is a
-        hit served from memory."""
+        Integrity-checked by :func:`read_entry`: an entry that fails it
+        (unparseable, another layout, a stored digest that does not match
+        its filename, a payload line whose length or CRC-32 differs from
+        its header's) counts as a miss and is removed. A staged entry is
+        a hit served from memory."""
         staged = self._staged.get(digest)
         if staged is not None:
             self.counters.hits += 1
             return staged[0]
-        path = self._path(digest)
+        path = self._file(digest)
         try:
-            entry = json.loads(path.read_bytes())
-            if entry.get("digest") != digest:
-                raise ValueError("digest/filename mismatch")
-            payload = entry["payload"]
+            _, payload = read_entry(path, digest)
         except FileNotFoundError:
             self.counters.misses += 1
             return None
-        except (OSError, ValueError, KeyError, AttributeError):
-            path.unlink(missing_ok=True)
+        except (OSError, ValueError):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
             self.counters.misses += 1
             return None
         self.counters.hits += 1
@@ -193,17 +250,18 @@ class ResultCache:
         absorbed by retrying, not surfaced to the caller.
         """
         path = self._path(digest)
-        entry = {
+        # Whole-string encodes run the C encoder; json.dump onto a handle
+        # would stream through the pure-Python one.
+        body = compact_json(payload).encode("utf-8")
+        header = compact_json({
             "digest": digest,
             "salt": code_salt(),
-            "schema": 1,
+            "schema": ENTRY_SCHEMA,
             "meta": meta or {},
-            "payload": payload,
-        }
-        # One json.dumps call runs the C encoder; json.dump onto a handle
-        # would stream through the pure-Python one.
-        data = json.dumps(entry, allow_nan=False,
-                          separators=(",", ":")).encode("utf-8")
+            "bytes": len(body),
+            "crc32": zlib.crc32(body),
+        }).encode("utf-8")
+        data = b"".join((header[:-1], _HEADER_END, b"\n", body, _ENTRY_END))
         for attempt in range(4):
             tmp_name = None
             try:
@@ -249,7 +307,7 @@ class ResultCache:
         return len(self._staged)
 
     def contains(self, digest: str) -> bool:
-        return digest in self._staged or self._path(digest).exists()
+        return digest in self._staged or os.path.exists(self._file(digest))
 
     # ------------------------------------------------------------------
     # Inventory and maintenance
@@ -290,21 +348,19 @@ class ResultCache:
         for path in self.entries():
             try:
                 size = path.stat().st_size
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                salt = entry.get("salt", "?")
+                header, payload = read_entry(path)
+                salt = header.get("salt", "?")
             except FileNotFoundError:
                 continue            # vanished under a concurrent gc
             except (OSError, ValueError):
                 salt = "?"
-                entry = {}
+                payload = {}
                 size = 0
             scanned += 1
             total_bytes += size
             salts[salt] = salts.get(salt, 0) + 1
-            payload = entry.get("payload") or {}
             if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                # Orphaned pre-v5 (or corrupt) payload: its digest can no
+                # Orphaned older (or corrupt) payload: its digest can no
                 # longer be looked up — the key material embeds the
                 # schema — so it only wastes space until ``gc`` runs.
                 stale_schema += 1
@@ -360,16 +416,16 @@ class ResultCache:
         for path in self.entries():
             if not all_entries:
                 try:
-                    with path.open("r", encoding="utf-8") as handle:
-                        salt = json.load(handle).get("salt")
+                    salt = read_entry(path, header_only=True)[0].get("salt")
                 except FileNotFoundError:
                     continue        # vanished under a concurrent writer
                 except (OSError, ValueError):
                     salt = None
-                # Stale-schema payloads (e.g. pre-v5) are always written
-                # under an older code salt — the salt hashes the source
-                # that defines the schema — so the salt sweep reclaims
-                # them; ``inventory`` reports them as ``stale_schema``.
+                # Stale-schema payloads and older entry layouts are
+                # always written under an older code salt — the salt
+                # hashes the source that defines them — so the salt sweep
+                # reclaims them; ``inventory`` reports them as
+                # ``stale_schema``.
                 if salt == current:
                     continue
             try:
@@ -395,7 +451,7 @@ class ResultCache:
 
         Shard age is the newest entry mtime it contains, so recently
         written/refreshed shards survive. The scan integrity-checks every
-        entry (parseable, digest matches filename) and removes corrupt
+        entry as ``get`` does (:func:`read_entry`) and removes corrupt
         ones outright — they can never be served anyway. Runs under the
         advisory maintenance lock."""
         with self.locked():
@@ -410,9 +466,7 @@ class ResultCache:
                 for path in sorted(shard.glob("*.json")):
                     try:
                         stat = path.stat()
-                        with path.open("r", encoding="utf-8") as handle:
-                            if json.load(handle).get("digest") != path.stem:
-                                raise ValueError("digest mismatch")
+                        read_entry(path, path.stem)
                     except FileNotFoundError:
                         continue
                     except (OSError, ValueError):

@@ -206,12 +206,14 @@ class Campaign:
                  sanitize: bool | None = None,
                  trace_dir: str | None = None,
                  engine: str | None = None) -> None:
+        from repro.cli import check_limits
         from repro.engine import resolve_engine
 
+        check_limits(jobs=jobs, timeout=timeout, retries=retries)
         self.cache = cache
-        self.jobs = max(1, jobs)
+        self.jobs = jobs
         self.timeout = timeout
-        self.retries = max(0, retries)
+        self.retries = retries
         self.progress = progress
         self.fail_fast = fail_fast
         # Execution engine (repro.engine contract: None resolves
@@ -229,6 +231,8 @@ class Campaign:
         # Perfetto-loadable Chrome trace named after the point.
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.points: list[SimPoint] = []
+        # index -> the cache digest its probe computed, reused by put.
+        self._digests: dict[int, str] = {}
         self.telemetry = CampaignTelemetry(jobs=self.jobs)
         # Structured log (repro.observe.slog) or None; resolved per run()
         # so REPRO_LOG set between runs takes effect.
@@ -273,6 +277,7 @@ class Campaign:
                             sanitize=self.sanitize,
                             trace_dir=self.trace_dir)
         results: list[PointResult | None] = [None] * len(self.points)
+        self._digests = {}
 
         misses: list[int] = []
         for index, point in enumerate(self.points):
@@ -298,7 +303,7 @@ class Campaign:
     def _try_cache(self, index: int, point: SimPoint) -> PointResult | None:
         if self.cache is None:
             return None
-        digest = point_digest(point)
+        digest = self._digests[index] = point_digest(point)
         payload = self.cache.get(digest)
         if payload is None:
             return None
@@ -360,7 +365,7 @@ class Campaign:
             worker=worker,
         )
         if self.cache is not None:
-            self.cache.put(point_digest(point), payload,
+            self.cache.put(self._digests[index], payload,
                            meta={"point": point.name})
         return result
 

@@ -22,10 +22,12 @@ columns keep non-finite values as IEEE bytes (``"@col": "f"``). A long
 list of equal-width rows from any other envelope becomes ``{"@rows":
 [column, ...]}``. Everything else (mixed types, store values of 2**63 and
 up) stays a plain JSON list, so :func:`unpack_envelope` restores the
-exact ``stats_to_dict`` envelope. Decoding a payload's stats
+exact ``stats_to_dict`` envelope. The small-value tree that is left
+travels as one JSON string beside the block, so reading a payload builds
+none of its objects. Decoding a payload's stats
 (:func:`stats_from_payload`) keeps ``"@cols"`` tables as columns and
 builds no record. A fig16 entry shrinks from about 125 KiB to about
-18 KiB, and nothing is unpacked until someone reads the stats.
+18 KiB, and nothing is parsed or unpacked until someone reads the stats.
 """
 
 from __future__ import annotations
@@ -175,6 +177,10 @@ def persist_log_from_list(data: list[dict[str, Any]]) -> list[PersistOp]:
 # Packed stats envelopes
 # ---------------------------------------------------------------------------
 
+# Compact strict JSON: a packed envelope's tree and a cache entry's parts.
+compact_json = json.JSONEncoder(separators=(",", ":"),
+                                allow_nan=False).encode
+
 # Lists shorter than this stay plain JSON: packing them saves nothing.
 PACK_MIN_LENGTH = 16
 # Keys that mark a packed node; an original dict using one is escaped as
@@ -201,7 +207,13 @@ def pack_envelope(envelope: Any) -> Any:
     stream holds the 8-byte items byte-transposed (all first bytes, then
     all second bytes, ...), which puts the near-constant high bytes of
     cycle counts and addresses side by side: a fig16 block compresses 40%
-    smaller, and faster, than the plain bytes."""
+    smaller, and faster, than the plain bytes.
+
+    ``"tree"`` itself is stored as one compact JSON string, not as nested
+    objects: parsing a stored payload then builds two strings for the
+    whole envelope, and the tree's few hundred small dicts and lists are
+    only built by :func:`unpack_envelope`, when someone reads the stats.
+    An envelope with no packed column is returned as it is."""
     chunks: list[bytes] = []
     tree = _pack(envelope, chunks)
     if not chunks:
@@ -209,7 +221,7 @@ def pack_envelope(envelope: Any) -> Any:
     data = b"".join(chunks)
     data = b"".join([data[lane::8] for lane in range(8)])
     return {"@z": base64.b64encode(zlib.compress(data, 1)).decode("ascii"),
-            "tree": tree}
+            "tree": compact_json(tree)}
 
 
 def _pack(node: Any, chunks: list[bytes]) -> Any:
@@ -283,7 +295,7 @@ def unpack_envelope(node: Any, columns: bool = False) -> Any:
         try:
             shuffled = zlib.decompress(
                 base64.b64decode(node["@z"], validate=True))
-            tree = node["tree"]
+            tree = json.loads(node["tree"])
         except (KeyError, TypeError, ValueError, zlib.error) as error:
             raise ValueError(
                 f"corrupt packed stats: {error!r}") from error
@@ -434,28 +446,41 @@ def persist_log_from_payload(payload: dict[str, Any]) \
 # kept in ("@cols", with "f" float columns holding non-finite values as
 # IEEE bytes); a v6 reader knows neither node, so v6 entries must not
 # alias.
-CACHE_SCHEMA_VERSION = 7
+# v8: a packed envelope's "tree" is one JSON string (parsed only when the
+# stats are decoded); a v7 reader expects an object there, so v7 entries
+# must not alias.
+CACHE_SCHEMA_VERSION = 8
 
 
 _canonical_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                    allow_nan=False).encode
 
-# Canonical JSON of profile and config objects, keyed by repr: both are
-# frozen, a campaign digests each point more than once, and the service
-# rebuilds equal objects for every request. A dataclass repr names every
-# field's value in a form that keeps 2 and 2.0 (or 1 and True) apart,
-# which equality does not, so equal reprs mean equal JSON.
+# Canonical JSON of profile and config objects, memoized twice. Both are
+# frozen, a sweep shares a handful of them across all its points, and a
+# campaign digests each point on every run, so the first memo is keyed by
+# the object itself: it holds the object, so its id cannot be reused
+# while the entry lives. The service rebuilds equal objects for every
+# request, so behind it sits a memo keyed by repr: a dataclass repr names
+# every field's value in a form that keeps 2 and 2.0 (or 1 and True)
+# apart, which equality does not, so equal reprs mean equal JSON.
 _MAX_CANONICAL = 256
+_canonical_by_id: dict[int, tuple[Any, str]] = {}
 _canonical: dict[str, str] = {}
 
 
 def _canonical_json(obj) -> str:
+    known = _canonical_by_id.get(id(obj))
+    if known is not None:
+        return known[1]
     key = repr(obj)
     text = _canonical.get(key)
     if text is None:
         if len(_canonical) >= _MAX_CANONICAL:
             _canonical.pop(next(iter(_canonical)))
         text = _canonical[key] = _canonical_dump(dataclasses.asdict(obj))
+    if len(_canonical_by_id) >= _MAX_CANONICAL:
+        _canonical_by_id.pop(next(iter(_canonical_by_id)))
+    _canonical_by_id[id(obj)] = (obj, text)
     return text
 
 
@@ -466,8 +491,8 @@ def point_key_material(point: SimPoint, salt: str,
     Covers every run parameter (full profile and config, not just names)
     plus a code-version salt, so results from a different simulator version
     never alias. The string is ``json.dumps(material, sort_keys=True,
-    separators=(",", ":"))``, put together from per-key parts so the
-    profile's and config's JSON is computed once per distinct value.
+    separators=(",", ":"))``, put together from sorted parts so the
+    profile's and config's JSON is computed once per distinct object.
 
     ``engine`` is normally None — both kernels are bit-exact, so a point's
     result is engine-neutral and either producer may serve it. An
@@ -495,8 +520,13 @@ def point_key_material(point: SimPoint, salt: str,
         material["thread"] = list(point.thread)
     if engine is not None:
         material["engine"] = engine
-    parts = {key: _canonical_dump(value) for key, value in material.items()}
-    parts["profile"] = _canonical_json(point.profile)
-    parts["config"] = _canonical_json(point.config)
-    return "{" + ",".join(f"{_canonical_dump(key)}:{parts[key]}"
-                          for key in sorted(parts)) + "}"
+    # The sorted keys run: those before "config", "config", those before
+    # "profile", "profile", the rest. Each run of plain keys is one
+    # sorted dump; the memoized profile and config JSON is spliced in.
+    runs: tuple[dict[str, Any], ...] = ({}, {}, {})
+    for key, value in material.items():
+        runs[(key > "config") + (key > "profile")][key] = value
+    before, between, after = (_canonical_dump(run)[1:-1] for run in runs)
+    parts = (before, '"config":' + _canonical_json(point.config), between,
+             '"profile":' + _canonical_json(point.profile), after)
+    return "{" + ",".join(part for part in parts if part) + "}"

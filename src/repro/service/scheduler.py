@@ -164,10 +164,13 @@ class FleetScheduler:
                  engine: str | None = None,
                  trace_dir: str | None = None,
                  heartbeat: float | None = 10.0) -> None:
+        from repro.cli import check_limits
         from repro.engine import resolve_engine
 
+        check_limits(workers=workers, quota=quota, timeout=timeout,
+                     retries=retries)
         self.cache = cache
-        self.workers = max(1, workers)
+        self.workers = workers
         # Execution engine (repro.engine contract), under which
         # repro.engine.plan.plan_points plans each submission.
         self.engine = resolve_engine(engine)
@@ -176,7 +179,7 @@ class FleetScheduler:
         # moment a second tenant shows up.
         self.default_quota = quota if quota is not None else self.workers
         self.timeout = timeout
-        self.retries = max(0, retries)
+        self.retries = retries
         self.sanitize = sanitize_requested() if sanitize is None \
             else sanitize
         # Traced fleets run scalar (repro.engine.plan.scalar_reason: the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.config import skylake_default
@@ -44,6 +46,31 @@ def untraced_unsanitized(monkeypatch):
     yield
     if was_installed:
         sanitizer.install()
+
+
+# The stats tree's "cycles" in a stored cache entry (escaped inside the
+# tree's JSON string, or plain where the tree is an object): the first
+# match, since a payload's stats come before its top-level "cycles".
+_TREE_CYCLES = re.compile(rb'[{,]\\?"cycles\\?":-?(\d+)')
+
+
+@pytest.fixture
+def edit_stats_cycles():
+    """Edit one digit of the stats tree's ``cycles`` inside a stored
+    cache entry's payload: ``edit(path)`` returns the (old, new) digits
+    of that number's integer part. The entry still parses as JSON."""
+    def edit(path) -> tuple[int, int]:
+        data = path.read_bytes()
+        match = _TREE_CYCLES.search(data)
+        assert match is not None, "no stats cycles in the entry"
+        at = match.end(1) - 1
+        digit = data[at] - ord("0")
+        new = digit + 1 if digit < 9 else digit - 1
+        path.write_bytes(data[:at] + bytes([ord("0") + new])
+                         + data[at + 1:])
+        old_value = int(match.group(1))
+        return old_value, old_value - digit + new
+    return edit
 
 
 @pytest.fixture

@@ -542,7 +542,7 @@ class TestCacheEngineKeying:
 
         stats, _ = simulate_point(_pt("rb", "ppa"), engine="scalar")
         payload = payload_from_run(stats, None, 0.1, engine="batched")
-        assert payload["schema"] == CACHE_SCHEMA_VERSION == 7
+        assert payload["schema"] == CACHE_SCHEMA_VERSION == 8
         assert payload["engine"] == "batched"
 
 

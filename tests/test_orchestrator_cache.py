@@ -10,8 +10,11 @@ from repro.orchestrator.cache import (
     ResultCache,
     code_salt,
     point_digest,
+    read_entry,
 )
 from repro.orchestrator.points import make_point
+from repro.orchestrator.serialize import payload_from_run
+from repro.pipeline.stats import CoreStats
 from repro.workloads.profiles import profile_by_name
 
 
@@ -105,3 +108,78 @@ class TestResultCache:
         info = cache.inventory()
         assert info["entries"] == 0
         assert cache.gc() == 0
+
+
+def _stats_payload(cycles: float = 62965.0):
+    """A packed payload whose stats tree holds ``cycles``."""
+    stats = CoreStats(name="x", scheme="ppa", instructions=100,
+                      cycles=cycles, commit_times=[0.5, 1.5] * 16)
+    return payload_from_run(stats, None, 0.1)
+
+
+class TestChecksummedEntries:
+    """An entry's header line carries the length and CRC-32 of its
+    payload line: any edit to a stored payload is a miss, never a hit
+    with wrong numbers."""
+
+    DIGEST = "ee" + "0" * 62
+
+    def test_entry_is_a_header_line_and_a_payload_line(self, cache):
+        cache.put(self.DIGEST, _stats_payload(), meta={"point": "x"})
+        path = cache._path(self.DIGEST)
+        head, body, end = path.read_bytes().split(b"\n")[:3]
+        header, payload = read_entry(path, self.DIGEST)
+        assert header["bytes"] == len(body)
+        assert header["meta"] == {"point": "x"}
+        assert payload == _stats_payload()
+        assert end == b"}"
+        assert read_entry(path, header_only=True) == (header, None)
+        # The whole file is still one JSON object.
+        assert json.loads(path.read_bytes())["payload"] == payload
+
+    def test_edited_stats_digit_is_a_miss_and_removed(self, cache,
+                                                      edit_stats_cycles):
+        cache.put(self.DIGEST, _stats_payload())
+        path = cache._path(self.DIGEST)
+        assert edit_stats_cycles(path) == (62965, 62966)
+        assert cache.get(self.DIGEST) is None
+        assert not path.exists()
+        assert (cache.counters.hits, cache.counters.misses) == (0, 1)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "bytes",
+                                       "truncated"])
+    def test_any_damaged_payload_is_a_miss(self, cache, where):
+        cache.put(self.DIGEST, _stats_payload())
+        path = cache._path(self.DIGEST)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1
+        stop = data.rindex(b"\n}")
+        if where == "bytes":
+            data = data.replace(b'"bytes":', b'"bytes":1', 1)
+        elif where == "truncated":
+            data = data[:stop]
+        else:
+            at = {"first": start, "middle": (start + stop) // 2,
+                  "last": stop - 1}[where]
+            data[at] ^= 1
+        path.write_bytes(bytes(data))
+        assert cache.get(self.DIGEST) is None
+        assert not path.exists()
+
+    def test_evict_removes_an_edited_entry_as_corrupt(self, cache,
+                                                      edit_stats_cycles):
+        cache.put(self.DIGEST, _stats_payload())
+        cache.put("ef" + "0" * 62, _stats_payload())
+        edit_stats_cycles(cache._path(self.DIGEST))
+        report = cache.evict(max_bytes=10 ** 9)
+        assert report["corrupt_removed"] == 1
+        assert report["removed_entries"] == 0
+        assert cache.get("ef" + "0" * 62) == _stats_payload()
+
+    def test_gc_reads_only_the_header_line(self, cache, edit_stats_cycles):
+        """A damaged payload under the current salt is left to ``get``
+        and ``evict``; ``gc`` decides by salt alone."""
+        cache.put(self.DIGEST, _stats_payload())
+        edit_stats_cycles(cache._path(self.DIGEST))
+        assert cache.gc() == 0
+        assert cache.gc(all_entries=True) == 1

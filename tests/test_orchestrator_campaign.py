@@ -351,6 +351,34 @@ class TestCacheHitAccounting:
         assert 0.0 <= data["worker_utilization"] <= 1.0
 
 
+class TestCorruptEntries:
+    """A stored entry edited on disk is a miss: a warm campaign simulates
+    that point again instead of serving the edited numbers."""
+
+    def test_edited_entry_is_resimulated_and_equals_cold(
+            self, tmp_path, edit_stats_cycles):
+        from repro.orchestrator.cache import point_digest
+
+        cache = ResultCache(tmp_path)
+        cold = Campaign(cache=cache)
+        _populate(cold)
+        cold_results = cold.run()
+        edited = cold.points[1]
+        old, new = edit_stats_cycles(cache._path(point_digest(edited)))
+        assert old == int(cold_results[1].stats.cycles) and new != old
+
+        warm = Campaign(cache=cache)
+        _populate(warm)
+        warm_results = warm.run()
+        assert [r.cache_hit for r in warm_results] == \
+            [i != 1 for i in range(len(POINTS))]
+        assert warm.telemetry.simulated == 1
+        for cold_result, warm_result in zip(cold_results, warm_results):
+            assert warm_result.stats == cold_result.stats
+        # The re-simulated point was written back.
+        assert cache.get(point_digest(edited)) is not None
+
+
 class TestLazyPayloads:
     """Results keep the compact payload and decode it on first access;
     bad payloads still fail loudly and name their point."""
@@ -520,6 +548,8 @@ class TestCliJson:
                             "--timeout", "0"], "--timeout"),
             (orchestrator, ["run", *sweep, "--no-cache",
                             "--length", "0"], "--length"),
+            (orchestrator, ["run", *sweep, "--no-cache",
+                            "--jobs", "0"], "--jobs"),
             (service, ["serve", "--no-cache", "--timeout", "0"],
              "--timeout"),
             (service, ["submit", *sweep, "--tenant", "a", "--length",

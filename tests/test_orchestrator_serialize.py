@@ -41,6 +41,12 @@ def _json_round_trip(data):
     return json.loads(json.dumps(data, allow_nan=False))
 
 
+def _tree(packed):
+    """A packed envelope's small-value tree, which it carries as one JSON
+    string."""
+    return json.loads(packed["tree"])
+
+
 class TestFloatEncoding:
     def test_non_finite_floats(self):
         for value in (float("inf"), float("-inf")):
@@ -204,6 +210,7 @@ class TestSchemaInvalidation:
             patch.setattr(serialize, "CACHE_SCHEMA_VERSION", 6)
             v6_digest = point_digest(point)
         v6_stats = pack_envelope(stats_to_dict(stats))
+        v6_stats["tree"] = _tree(v6_stats)  # v6 stored it as an object
         assert "@rows" in v6_stats["tree"]["data"]["stores"]
         cache = ResultCache(tmp_path)
         cache.put(v6_digest, {"schema": 6, "engine": "batched",
@@ -218,10 +225,62 @@ class TestSchemaInvalidation:
         [result] = campaign.run()
         assert not result.cache_hit
         assert result.stats == stats
-        assert "@cols" in result.payload["stats"]["tree"]["data"]["stores"]
+        assert "@cols" in _tree(result.payload["stats"])["data"]["stores"]
         inventory = cache.inventory()
         assert inventory["entries"] == 2
         assert inventory["stale_schema"] == 1
+
+    def test_v7_entry_is_stale_and_never_served(self, tmp_path,
+                                                monkeypatch):
+        """A v7 entry (tree stored as an object, one-line entry layout,
+        v7 key material) is reported by ``inventory`` as
+        ``stale_schema``, is a miss under v8 and is reclaimed by ``gc``."""
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import (
+            ResultCache,
+            code_salt,
+            point_digest,
+        )
+        from repro.orchestrator.campaign import Campaign
+
+        point = make_point("rb", "ppa", length=500, warmup=0)
+        stats, _ = simulate_point(point)
+        with monkeypatch.context() as patch:
+            patch.setattr(serialize, "CACHE_SCHEMA_VERSION", 7)
+            v7_digest = point_digest(point)
+        v7_stats = pack_envelope(stats_to_dict(stats, columns=True))
+        v7_stats["tree"] = _tree(v7_stats)
+        cache = ResultCache(tmp_path)
+        path = cache._path(v7_digest)
+        path.parent.mkdir(parents=True)
+        # How a v7 entry was written: one JSON object on one line.
+        v7_entry = json.dumps({
+            "digest": v7_digest, "salt": code_salt(), "schema": 1,
+            "meta": {}, "payload": {
+                "schema": 7, "engine": "batched", "stats": v7_stats,
+                "persist_log": None, "wall_clock": 0.1,
+                "cycles": stats.cycles,
+                "instructions": stats.instructions}},
+            separators=(",", ":"))
+        path.write_text(v7_entry)
+        assert v7_digest != point_digest(point)
+        assert cache.inventory()["stale_schema"] == 1
+
+        campaign = Campaign(cache=cache)
+        campaign.add(point)
+        [result] = campaign.run()
+        assert not result.cache_hit
+        assert result.stats == stats
+        assert cache.inventory()["stale_schema"] == 1
+        assert cache.get(v7_digest) is None
+        assert not path.exists()
+
+        # Even under the current salt, gc reclaims the old layout.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(v7_entry)
+        assert cache.gc() == 1
+        assert cache.inventory()["entries"] == 1
+        assert cache.inventory()["stale_schema"] == 0
 
     def test_schema_bump_orphans_cache_keys(self, monkeypatch):
         """The schema version is part of the key material, so a bump
@@ -253,7 +312,7 @@ class TestKeyMaterial:
          "8a2e4ee589704da88cea6981b051cc7d75361d5507a965fd05ad8efd66445000"),
     )
 
-    # The same points' digests at the current schema (v7).
+    # The same points' digests at schema 7.
     POINTS_V7 = (
         (("gcc", "ppa"), {"length": 500, "warmup": 0},
          "673de6fa4316a968cf99de72537715cf09427200f4ee5ccccb4daa66701a82b2",
@@ -264,6 +323,19 @@ class TestKeyMaterial:
         (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
          "89f00cfa3189f92513d792bbab032fe7236e8733dcf9992172d10f7f030b16c8",
          "bc8a86c2a603f1484408618d61bac5b1e26a748dfc38d010ab97ecb9784fdc88"),
+    )
+
+    # The same points' digests at the current schema (v8).
+    POINTS_V8 = (
+        (("gcc", "ppa"), {"length": 500, "warmup": 0},
+         "f0f0f2aa3f6662b6f94add63e379adcb8a6b88de7d00da11ca4ed5f9d4a59c7a",
+         "139ae45a9aaa964344fd0c5c96dff0cae869bda5254455e660cda9c121be8ec3"),
+        (("rb", "capri"), {"length": 2000, "seed": 3, "track_values": True},
+         "bb2d0125ee37a28626c29edc9c504f1afcbd2cb1278ac070adf115edf5de4ddf",
+         "e59d43f2702421b5a58da62c62404915005a5d67da39179cbe3f6ed4d5623254"),
+        (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
+         "faaa76a3b1e297ac7cb6d52a51f4070b246f5a35f3985cf8dd60ac24e597b295",
+         "9d7f8db7cc8de556e08cabdf6a2de1323854416acae770b1ea54dcc46f26843e"),
     )
 
     @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS)
@@ -283,6 +355,21 @@ class TestKeyMaterial:
                                 engine="batched") == batched
 
     @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS_V7)
+    def test_pinned_digests_at_schema_7(self, args, kwargs, digest,
+                                        batched, monkeypatch):
+        """``POINTS_V7`` were pinned at schema 7, before the profile and
+        config JSON was memoized by identity."""
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import point_digest
+
+        monkeypatch.setattr(serialize, "CACHE_SCHEMA_VERSION", 7)
+        point = make_point(*args, **kwargs)
+        for _ in range(2):                  # cold, then memoized
+            assert point_digest(point, salt="fixed") == digest
+            assert point_digest(point, salt="fixed",
+                                engine="batched") == batched
+
+    @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS_V8)
     def test_pinned_digests_at_current_schema(self, args, kwargs, digest,
                                               batched):
         from repro.orchestrator.cache import point_digest
@@ -481,7 +568,7 @@ class TestPackedEnvelope:
     def test_long_columns_are_packed(self):
         stats = _every_stats_kind()["core"]
         packed = pack_envelope(stats_to_dict(stats))
-        data = packed["tree"]["data"]
+        data = _tree(packed)["data"]
         assert data["commit_times"]["@col"] == "d"
         stores = data["stores"]["@rows"]
         assert stores[0]["@col"] == "q"           # seq
@@ -517,7 +604,7 @@ class TestPackedEnvelope:
                             "@obj": {"@obj": 1}},
         }}
         packed = _assert_lossless(envelope)
-        data = packed["tree"]["data"]
+        data = _tree(packed)["data"]
         assert data["negative_zero"]["@col"] == "d"
         assert data["int64_bounds"]["@col"] == "q"
         for plain in ("int_float_mixed", "bool_column", "beyond_int64",
@@ -554,7 +641,7 @@ class TestPackedEnvelope:
                                              warmup=0))
         assert set(stats.stores.durable_at) == {float("inf")}
         payload = _json_round_trip(payload_from_run(stats, None, 0.1))
-        stores = payload["stats"]["tree"]["data"]["stores"]["@cols"]
+        stores = _tree(payload["stats"])["data"]["stores"]["@cols"]
         assert [column["@col"] for column in stores[:4]] == ["q"] * 4
         assert stores[9]["@col"] == "f"           # durable_at, all inf
         full = unpacked_payload(payload)["stats"]
@@ -608,7 +695,7 @@ class TestCorruptPackedColumns:
 
     def test_bad_column_node_raises_value_error(self):
         payload = self._packed()
-        data = payload["stats"]["tree"]["data"]
+        tree = _tree(payload["stats"])
         for bad in ({"@col": "b", "at": 0, "n": 1},
                     {"@col": "Q", "at": 0, "n": 1},
                     {"@col": "d", "at": -8, "n": 1},
@@ -616,7 +703,8 @@ class TestCorruptPackedColumns:
                     {"@col": "d", "at": 0, "n": 10 ** 9},
                     {"@col": "d", "n": 3},
                     {"@col": "d", "at": "0", "n": 3}):
-            data["commit_times"] = bad
+            tree["data"]["commit_times"] = bad
+            payload["stats"]["tree"] = json.dumps(tree)
             with pytest.raises(ValueError, match="corrupt packed column"):
                 stats_from_payload(payload)
 

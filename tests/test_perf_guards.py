@@ -453,6 +453,41 @@ class TestCompactLazyResults:
         assert path.stat().st_size * 3 <= v5_size, (
             f"{path.stat().st_size} B packed vs {v5_size} B unpacked")
 
+    def test_hit_leaves_the_stats_tree_a_string(self, fig16_cache):
+        """A hit parses the entry's payload line but builds none of the
+        stats tree's objects: the tree stays one JSON string until the
+        stats are decoded."""
+        from repro.orchestrator.cache import point_digest
+
+        cache, point = fig16_cache
+        payload = cache.get(point_digest(point))
+        assert type(payload["stats"]["tree"]) is str
+        assert type(payload["stats"]["@z"]) is str
+
+    def test_cold_campaign_digests_each_point_once(self, tmp_path,
+                                                   monkeypatch):
+        """The probe's digest is reused by the put of a miss."""
+        from repro.orchestrator import campaign as campaign_mod
+        from repro.orchestrator.cache import ResultCache
+        from repro.orchestrator.points import make_point
+
+        calls = []
+        digest = campaign_mod.point_digest
+
+        def counting(point, *args, **kwargs):
+            calls.append(point)
+            return digest(point, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "point_digest", counting)
+        cache = ResultCache(tmp_path)
+        campaign = campaign_mod.Campaign(cache=cache)
+        for scheme in ("ppa", "baseline"):
+            campaign.add_run("rb", scheme, length=300, warmup=0)
+        results = campaign.run()
+        assert not any(result.cache_hit for result in results)
+        assert calls == campaign.points
+        assert len(cache.entries()) == 2
+
     def test_warm_campaign_decodes_nothing_and_stats_decode_once(
             self, fig16_cache, monkeypatch):
         from repro.orchestrator import campaign as campaign_mod

@@ -404,6 +404,31 @@ class TestServiceCliErrors:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("build,argument,value,message", [
+    pytest.param(build, argument, value, message,
+                 id=f"{build.__name__}-{argument}")
+    for build, argument, value, message in (
+        (FleetScheduler, "workers", 0,
+         "workers must be at least 1 worker (got 0)"),
+        (FleetScheduler, "quota", 0,
+         "quota must be a positive integer (got 0)"),
+        (FleetScheduler, "retries", -1, "retries must be at least 0 (got -1)"),
+        (FleetScheduler, "timeout", 0, "timeout must be > 0 seconds (got 0)"),
+        (Campaign, "jobs", 0, "jobs must be at least 1 job (got 0)"),
+        (Campaign, "retries", -1, "retries must be at least 0 (got -1)"),
+        (Campaign, "timeout", -0.5,
+         "timeout must be > 0 seconds (got -0.5)"),
+    )
+])
+def test_constructors_refuse_what_the_cli_refuses(build, argument, value,
+                                                  message):
+    """In-process callers get the CLI's limits as a ValueError naming the
+    argument, not a silently clamped fleet or campaign."""
+    with pytest.raises(ValueError) as info:
+        build(cache=None, **{argument: value})
+    assert str(info.value) == message
+
+
 class TestServiceCliAndShutdown:
     def test_status_cli_against_live_daemon(self, service, capsys):
         from repro.service.__main__ import main
