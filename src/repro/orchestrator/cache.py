@@ -7,22 +7,29 @@ invalidates old results instead of silently serving them; ``gc`` reclaims
 entries written under a different salt.
 
 An entry is the object ``{"digest", "salt", "schema", "meta", "bytes",
-"crc32", "payload"}``, laid out on three lines::
+"crc32", "payload", "tree", "z"}``, laid out on five lines::
 
-    {"digest":"…","salt":"…","schema":2,"meta":{…},"bytes":N,"crc32":C,"payload":
-    <the payload: N bytes of compact JSON>
+    {"digest":"…","salt":"…","schema":3,"meta":{…},"bytes":N,"crc32":C,"payload":
+    {"schema":8,"engine":"…","stats":null,…,"cycles":…,"instructions":…}
+    ,"tree":{…the packed stats envelope's tree, as plain JSON…}
+    ,"z":"…the envelope's base64 column block…"
     }
 
-The first line is the header: ``schema`` is the entry layout (2), and
-``bytes`` and ``crc32`` are the length and CRC-32 of the payload line. The
-payload is the worker's compact form
-(:func:`repro.orchestrator.serialize.payload_from_run`): its stats
-envelope is one zlib-compressed column block plus its small-value tree as
-one JSON string, and ``cycles``/``instructions`` sit at its top level, so
-reading an entry is one file read, a parse of a few short fields and one
-checksum, and decodes no stats. Every reader goes through
-:func:`read_entry`; ``gc`` reads the header line alone. Nothing on disk is
-pickled: tenants of one service share the directory.
+The first line is the header: ``schema`` is the entry layout (3), and
+``bytes`` and ``crc32`` are the length and CRC-32 of the three body lines
+between it and the closing brace. The payload is the worker's compact
+form (:func:`repro.orchestrator.serialize.payload_from_run`), whose stats
+envelope is packed into a small-value tree (one JSON string) and one
+zlib-compressed column block (``"@z"``); ``cycles`` and ``instructions``
+sit at its top level. The entry stores that tree and block each on a
+line of its own and leaves ``null`` in the payload's ``"stats"``, so a
+read is one file read, one checksum and a parse of two short lines:
+:func:`read_entry` slices the tree and block back into the envelope as
+strings, and no stats are decoded until someone reads them. A payload
+whose stats are not such an envelope stays whole on the payload line,
+and its tree and block lines hold ``null``. Every reader goes through
+:func:`read_entry`; ``gc`` reads the header line alone. Nothing on disk
+is pickled: tenants of one service share the directory.
 
 Concurrency contract (many processes may share one cache directory):
 
@@ -34,11 +41,12 @@ Concurrency contract (many processes may share one cache directory):
   ``flush`` writes it through ``put`` later, off the caller's critical
   path. Other processes see it once it is flushed; a flush that fails
   drops the entry, so it is served but not cached.
-* ``get`` verifies integrity: the header parses, is layout 2 and names
-  the digest of its filename, and the payload line has the stored length
-  and CRC-32 and parses. Any mismatch (a truncated file, a renamed one,
-  one edited or flipped byte anywhere in the payload) counts as a miss
-  and removes the file; ``evict`` removes such entries the same way.
+* ``get`` verifies integrity: the header parses, is layout 3 and names
+  the digest of its filename, the body lines have the stored length and
+  CRC-32, and the payload line parses. Any mismatch (a truncated file, a
+  renamed one, one edited or flipped byte anywhere in the payload, tree
+  or block) counts as a miss and removes the file; ``evict`` removes
+  such entries the same way.
 * ``inventory``/``gc`` tolerate entries vanishing underneath them — a
   concurrent ``gc`` or eviction from another process is not an error.
 * Maintenance that removes files (``gc``, ``evict``) serializes on an
@@ -77,12 +85,18 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 TMP_MAX_AGE = 3600.0
 
 # Entry layout: v1 was one JSON object on one line; v2 puts the header
-# on its own line with the length and CRC-32 of the payload line.
-ENTRY_SCHEMA = 2
+# on its own line with the length and CRC-32 of the payload line; v3
+# moves the packed stats tree (as plain JSON, not an escaped string) and
+# the base64 column block out of the payload onto lines of their own, so
+# a read parses no long string, and the CRC-32 covers all three lines.
+ENTRY_SCHEMA = 3
 
 _loads = json.JSONDecoder().decode
-# What ends the header line, and the line that ends the entry.
+# What ends the header line, what starts the tree and block lines, and
+# the line that ends the entry.
 _HEADER_END = b',"payload":'
+_TREE = b',"tree":'
+_BLOCK = b',"z":'
 _ENTRY_END = b"\n}\n"
 
 _code_salt_cache: str | None = None
@@ -131,10 +145,14 @@ def read_entry(path: str | os.PathLike, digest: str | None = None,
 
     Raises :class:`ValueError` unless the header line parses, is entry
     layout :data:`ENTRY_SCHEMA` and (when ``digest`` is given) names that
-    digest, and the payload line has the header's length and CRC-32 and
-    parses; a missing or unreadable file raises :class:`OSError`. With
-    ``header_only`` only the header line is read and checked, and the
-    payload comes back as None."""
+    digest, the body lines have the header's length and CRC-32, and the
+    payload line parses; a missing or unreadable file raises
+    :class:`OSError`. Only the header and payload lines go through the
+    JSON decoder: the tree and block lines are sliced back into the
+    payload's packed stats envelope, ``{"@z": block, "tree": tree}``, as
+    the strings :func:`repro.orchestrator.serialize.unpack_envelope`
+    reads. With ``header_only`` only the header line is read and
+    checked, and the payload comes back as None."""
     with open(path, "rb") as handle:
         data = handle.readline() if header_only else handle.read()
     end = data.find(b"\n")
@@ -149,13 +167,42 @@ def read_entry(path: str | os.PathLike, digest: str | None = None,
             raise ValueError("digest/filename mismatch")
         if header_only:
             return header, None
-        stop = end + 1 + header["bytes"]
-        body = data[end + 1:stop]
-        if data[stop:] != _ENTRY_END or zlib.crc32(body) != header["crc32"]:
-            raise ValueError("payload length or CRC-32 mismatch")
-        return header, _loads(body.decode())
+        start = end + 1
+        stop = start + header["bytes"]
+        if data[stop:] != _ENTRY_END or \
+                zlib.crc32(memoryview(data)[start:stop]) != header["crc32"]:
+            raise ValueError("body length or CRC-32 mismatch")
+        # Each line is sliced out of ``data`` once: splitting the body
+        # first would copy the block twice.
+        tree_at = data.find(b"\n", start, stop) + 1
+        block_at = data.find(b"\n", tree_at, stop) + 1
+        if not (tree_at and data.startswith(_TREE, tree_at)
+                and data.startswith(_BLOCK, block_at)):
+            raise ValueError("no tree or block line")
+        payload = _loads(data[start:tree_at - 1].decode())
+        tree_at += len(_TREE)
+        if not data.startswith(b"null\n", tree_at):
+            payload["stats"] = {
+                "@z": data[block_at + len(_BLOCK) + 1:stop - 1].decode(),
+                "tree": data[tree_at:block_at - 1].decode()}
+        return header, payload
     except (KeyError, TypeError) as error:
         raise ValueError(f"corrupt cache entry: {error!r}") from error
+
+
+def _entry_body(payload: dict[str, Any]) -> bytes:
+    """The three body lines of ``payload``'s entry: the payload, then a
+    packed stats envelope's tree and block (``null`` when the payload
+    keeps its stats). Both are written as they are, so
+    :func:`read_entry` slices back exactly these strings."""
+    stats = payload.get("stats")
+    if type(stats) is dict and stats.keys() == {"@z", "tree"} \
+            and type(stats["tree"]) is str and type(stats["@z"]) is str:
+        return b"\n".join((compact_json({**payload, "stats": None}).encode(),
+                           _TREE + stats["tree"].encode(),
+                           b'%s"%s"' % (_BLOCK, stats["@z"].encode())))
+    return b"\n".join((compact_json(payload).encode(), _TREE + b"null",
+                       _BLOCK + b"null"))
 
 
 @dataclass
@@ -219,8 +266,8 @@ class ResultCache:
 
         Integrity-checked by :func:`read_entry`: an entry that fails it
         (unparseable, another layout, a stored digest that does not match
-        its filename, a payload line whose length or CRC-32 differs from
-        its header's) counts as a miss and is removed. A staged entry is
+        its filename, body lines whose length or CRC-32 differs from the
+        header's) counts as a miss and is removed. A staged entry is
         a hit served from memory."""
         staged = self._staged.get(digest)
         if staged is not None:
@@ -252,7 +299,7 @@ class ResultCache:
         path = self._path(digest)
         # Whole-string encodes run the C encoder; json.dump onto a handle
         # would stream through the pure-Python one.
-        body = compact_json(payload).encode("utf-8")
+        body = _entry_body(payload)
         header = compact_json({
             "digest": digest,
             "salt": code_salt(),

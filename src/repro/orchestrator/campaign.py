@@ -130,6 +130,10 @@ class CampaignTelemetry:
     engine: str = "scalar"          # resolved engine mode for this run
     cohorts: int = 0                # kernel cohorts planned (>= 2 lanes)
     batched_points: int = 0         # points whose result ran batched
+    # Simulated points whose kernel lane diverged and re-ran on the
+    # scalar kernel (the payload's "diverged_at"), counted as the
+    # service counts service.lane_divergences; hits never count.
+    lane_divergences: int = 0
     # reason -> count: why planned points stayed on the scalar kernel
     # (repro.engine.plan.scalar_reason: engine choice, campaign-wide
     # sanitize/trace instrumentation, an active tracer or sanitizer
@@ -168,6 +172,7 @@ class CampaignTelemetry:
             "engine": self.engine,
             "cohorts": self.cohorts,
             "batched_points": self.batched_points,
+            "lane_divergences": self.lane_divergences,
             "scalar_reasons": dict(sorted(self.scalar_reasons.items())),
             "jobs": self.jobs,
             "busy_seconds": self.busy_seconds,
@@ -182,7 +187,8 @@ class CampaignTelemetry:
                 f"L2 {self.cache_hits} hit / {self.cache_misses} miss, "
                 f"{self.simulated} simulated "
                 f"({self.batched_points} batched in {self.cohorts} "
-                f"cohorts), {self.retries} retries, "
+                f"cohorts, {self.lane_divergences} diverged), "
+                f"{self.retries} retries, "
                 f"{self.failures} failed, "
                 f"{self.elapsed:.1f}s elapsed, "
                 f"{100.0 * self.worker_utilization:.0f}% "
@@ -331,6 +337,8 @@ class Campaign:
                 telemetry.busy_seconds += result.wall_clock
                 if result.engine == "batched":
                     telemetry.batched_points += 1
+                if result.payload.get("diverged_at") is not None:
+                    telemetry.lane_divergences += 1
             else:
                 telemetry.failures += 1
         if self._slog is not None:

@@ -210,9 +210,11 @@ def pack_envelope(envelope: Any) -> Any:
     smaller, and faster, than the plain bytes.
 
     ``"tree"`` itself is stored as one compact JSON string, not as nested
-    objects: parsing a stored payload then builds two strings for the
-    whole envelope, and the tree's few hundred small dicts and lists are
-    only built by :func:`unpack_envelope`, when someone reads the stats.
+    objects: reading a stored payload then builds two strings for the
+    whole envelope (the cache keeps each on a line of its own, outside
+    the payload's JSON), and the tree's few hundred small dicts and lists
+    are only built by :func:`unpack_envelope`, when someone reads the
+    stats.
     An envelope with no packed column is returned as it is."""
     chunks: list[bytes] = []
     tree = _pack(envelope, chunks)
@@ -454,6 +456,8 @@ CACHE_SCHEMA_VERSION = 8
 
 _canonical_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                    allow_nan=False).encode
+# The JSON string form _canonical_dump gives a str (ensure_ascii).
+_encode_str = json.encoder.encode_basestring_ascii
 
 # Canonical JSON of profile and config objects, memoized twice. Both are
 # frozen, a sweep shares a handful of them across all its points, and a
@@ -484,6 +488,19 @@ def _canonical_json(obj) -> str:
     return text
 
 
+def _json_scalar(value: Any) -> str:
+    """``_canonical_dump(value)``, formatted directly for the exact
+    ``str``, ``bool`` and ``int`` values a point's run parameters are."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    return _canonical_dump(value)
+
+
 def point_key_material(point: SimPoint, salt: str,
                        engine: str | None = None) -> str:
     """Canonical JSON string hashed into the point's cache key.
@@ -491,42 +508,37 @@ def point_key_material(point: SimPoint, salt: str,
     Covers every run parameter (full profile and config, not just names)
     plus a code-version salt, so results from a different simulator version
     never alias. The string is ``json.dumps(material, sort_keys=True,
-    separators=(",", ":"))``, put together from sorted parts so the
-    profile's and config's JSON is computed once per distinct object.
+    separators=(",", ":"))`` of the material dict: ``schema``, ``salt``,
+    ``kind`` (``"app"``), ``scheme``, ``length``, ``warmup``, ``seed``,
+    ``track_values``, ``capture_persist_log``, ``config`` and ``profile``,
+    plus ``core``, ``thread`` and ``engine`` where they apply. It is
+    formatted directly, key by key in sorted order, around the memoized
+    profile and config JSON.
 
     ``engine`` is normally None — both kernels are bit-exact, so a point's
     result is engine-neutral and either producer may serve it. An
     engine-drift audit passes the engine it insists on, giving that audit
     a disjoint key space: a scalar-cached result is never served to a
     ``engine="batched"`` audit (and vice versa)."""
-    material = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "salt": salt,
-        "kind": "app",
-        "scheme": point.scheme,
-        "length": point.length,
-        "warmup": point.warmup,
-        "seed": point.seed,
-        "track_values": point.track_values,
-        "capture_persist_log": point.capture_persist_log,
-    }
+    parts = ['{"capture_persist_log":'
+             + _json_scalar(point.capture_persist_log),
+             '"config":' + _canonical_json(point.config)]
     # Only non-default cores enter the key material, so every digest
     # minted before the in-order core joined the point schema stays
     # valid — "ooo" points hash exactly as they always did.
     if point.core != "ooo":
-        material["core"] = point.core
+        parts.append('"core":' + _json_scalar(point.core))
+    if engine is not None:
+        parts.append('"engine":' + _json_scalar(engine))
+    parts.append(f'"kind":"app","length":{_json_scalar(point.length)},'
+                 f'"profile":{_canonical_json(point.profile)},'
+                 f'"salt":{_json_scalar(salt)},'
+                 f'"schema":{CACHE_SCHEMA_VERSION},'
+                 f'"scheme":{_json_scalar(point.scheme)},'
+                 f'"seed":{_json_scalar(point.seed)}')
     # Likewise only thread points carry their ``[tid, threads]``.
     if point.thread is not None:
-        material["thread"] = list(point.thread)
-    if engine is not None:
-        material["engine"] = engine
-    # The sorted keys run: those before "config", "config", those before
-    # "profile", "profile", the rest. Each run of plain keys is one
-    # sorted dump; the memoized profile and config JSON is spliced in.
-    runs: tuple[dict[str, Any], ...] = ({}, {}, {})
-    for key, value in material.items():
-        runs[(key > "config") + (key > "profile")][key] = value
-    before, between, after = (_canonical_dump(run)[1:-1] for run in runs)
-    parts = (before, '"config":' + _canonical_json(point.config), between,
-             '"profile":' + _canonical_json(point.profile), after)
-    return "{" + ",".join(part for part in parts if part) + "}"
+        parts.append('"thread":' + _canonical_dump(list(point.thread)))
+    parts.append(f'"track_values":{_json_scalar(point.track_values)},'
+                 f'"warmup":{_json_scalar(point.warmup)}}}')
+    return ",".join(parts)

@@ -48,10 +48,10 @@ def untraced_unsanitized(monkeypatch):
         sanitizer.install()
 
 
-# The stats tree's "cycles" in a stored cache entry (escaped inside the
-# tree's JSON string, or plain where the tree is an object): the first
-# match, since a payload's stats come before its top-level "cycles".
-_TREE_CYCLES = re.compile(rb'[{,]\\?"cycles\\?":-?(\d+)')
+# The stats tree's "cycles" in a stored cache entry: the first match on
+# the entry's tree line, where the tree is plain JSON (the payload line
+# before it carries the payload's own top-level "cycles").
+_TREE_CYCLES = re.compile(rb'\n,"tree":[^\n]*?[{,]"cycles":-?(\d+)')
 
 
 @pytest.fixture

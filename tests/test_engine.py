@@ -406,16 +406,15 @@ class TestDivergence:
             want = simulate_point(point, engine="scalar")[0]
             assert lane.stats.to_dict() == want.to_dict()
 
-    def test_raise_mid_walk_diverges_only_that_lane(self, monkeypatch):
-        # Lanes walk one after another and a ppa lane persists each store
-        # once, so the persist_store call number picks the lane and the
-        # store; the scalar re-run has its own write buffer and never
-        # sees the injected binding.
+    @staticmethod
+    def _fail_second_lanes_fifth_store(monkeypatch, points):
+        """Make the batched kernel raise at the second lane's fifth store;
+        returns the first lane's store seqs. Lanes walk one after another
+        and a ppa lane persists each store once, so the persist_store
+        call number picks the lane and the store; the scalar re-run has
+        its own write buffer and never sees the injected binding."""
         from repro.engine import batched
 
-        points = _prf_sweep(3, length=1_200)
-        want = [simulate_point(p, engine="scalar")[0].to_dict()
-                for p in points]
         stores = _store_seqs(points[0])
         real_buffer = batched.write_buffer
         calls = [0]
@@ -434,6 +433,13 @@ class TestDivergence:
             return closures
 
         monkeypatch.setattr(batched, "write_buffer", write_buffer)
+        return stores
+
+    def test_raise_mid_walk_diverges_only_that_lane(self, monkeypatch):
+        points = _prf_sweep(3, length=1_200)
+        want = [simulate_point(p, engine="scalar")[0].to_dict()
+                for p in points]
+        stores = self._fail_second_lanes_fifth_store(monkeypatch, points)
         lanes = run_cohort(points)
         assert lanes[1].engine == "scalar"
         assert lanes[1].diverged_at == stores[4]
@@ -442,6 +448,33 @@ class TestDivergence:
         for lane, expected in zip(lanes, want):
             assert lane.error is None
             assert lane.stats.to_dict() == expected
+
+    @pytest.mark.usefixtures("untraced_unsanitized")
+    def test_campaign_counts_the_divergence_as_the_service_does(
+            self, monkeypatch, tmp_path):
+        """A simulated point whose lane diverged counts once in
+        ``lane_divergences``; the same point served warm counts none."""
+        from repro.orchestrator.cache import ResultCache
+
+        points = _prf_sweep(3, length=1_200)
+        self._fail_second_lanes_fifth_store(monkeypatch, points)
+        cold = Campaign(cache=ResultCache(tmp_path), engine="batched")
+        cold.extend(points)
+        results = cold.run()
+        assert [r.engine for r in results] == ["batched", "scalar",
+                                               "batched"]
+        telemetry = cold.telemetry
+        assert telemetry.lane_divergences == 1
+        assert telemetry.to_dict()["lane_divergences"] == 1
+        assert " 3 simulated (2 batched in 1 cohorts, 1 diverged)" \
+            in telemetry.summary_line()
+
+        warm = Campaign(cache=ResultCache(tmp_path), engine="batched")
+        warm.extend(points)
+        assert all(r.cache_hit for r in warm.run())
+        assert warm.telemetry.lane_divergences == 0
+        assert " 0 simulated (0 batched in 0 cohorts, 0 diverged)" \
+            in warm.telemetry.summary_line()
 
 
 @pytest.mark.usefixtures("untraced_unsanitized")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import zlib
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.orchestrator.cache import (
     read_entry,
 )
 from repro.orchestrator.points import make_point
-from repro.orchestrator.serialize import payload_from_run
+from repro.orchestrator.serialize import compact_json, payload_from_run
 from repro.pipeline.stats import CoreStats
 from repro.workloads.profiles import profile_by_name
 
@@ -117,25 +118,44 @@ def _stats_payload(cycles: float = 62965.0):
     return payload_from_run(stats, None, 0.1)
 
 
+def _reject(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
 class TestChecksummedEntries:
-    """An entry's header line carries the length and CRC-32 of its
-    payload line: any edit to a stored payload is a miss, never a hit
-    with wrong numbers."""
+    """An entry's header line carries the length and CRC-32 of its body
+    lines (payload, stats tree, column block): any edit to a stored
+    payload is a miss, never a hit with wrong numbers."""
 
     DIGEST = "ee" + "0" * 62
 
-    def test_entry_is_a_header_line_and_a_payload_line(self, cache):
-        cache.put(self.DIGEST, _stats_payload(), meta={"point": "x"})
+    def test_entry_is_one_json_object_on_five_lines(self, cache):
+        payload = _stats_payload()
+        cache.put(self.DIGEST, payload, meta={"point": "x"})
         path = cache._path(self.DIGEST)
-        head, body, end = path.read_bytes().split(b"\n")[:3]
-        header, payload = read_entry(path, self.DIGEST)
-        assert header["bytes"] == len(body)
+        data = path.read_bytes()
+        head, line, tree, block, end, rest = data.split(b"\n")
+        header, read = read_entry(path, self.DIGEST)
+        assert read == payload
+        assert header["bytes"] == len(line) + len(tree) + len(block) + 2
         assert header["meta"] == {"point": "x"}
-        assert payload == _stats_payload()
-        assert end == b"}"
+        assert (tree[:9], block[:6], end, rest) == \
+            (b',"tree":{', b',"z":"', b"}", b"")
         assert read_entry(path, header_only=True) == (header, None)
-        # The whole file is still one JSON object.
-        assert json.loads(path.read_bytes())["payload"] == payload
+        # The whole file is one strict JSON object: the header's fields,
+        # the payload (its stats on their own lines), the tree, the block.
+        entry = json.loads(data, parse_constant=_reject)
+        assert {key: entry.pop(key) for key in header} == header
+        assert entry == {"payload": {**payload, "stats": None},
+                         "tree": json.loads(payload["stats"]["tree"]),
+                         "z": payload["stats"]["@z"]}
+
+    def test_unpacked_stats_stay_on_the_payload_line(self, cache):
+        cache.put(self.DIGEST, {"stats": {"tree": 1}, "x": "\n"})
+        path = cache._path(self.DIGEST)
+        assert read_entry(path)[1] == {"stats": {"tree": 1}, "x": "\n"}
+        entry = json.loads(path.read_bytes())
+        assert (entry["tree"], entry["z"]) == (None, None)
 
     def test_edited_stats_digit_is_a_miss_and_removed(self, cache,
                                                       edit_stats_cycles):
@@ -165,6 +185,61 @@ class TestChecksummedEntries:
         path.write_bytes(bytes(data))
         assert cache.get(self.DIGEST) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("where", ["tree", "block", "payload",
+                                       "truncated"])
+    def test_damaged_line_is_a_miss_and_corrupt_to_evict(self, cache,
+                                                          where):
+        """One edited digit in the tree, one flipped base64 character in
+        the block, an edit to the payload line, or a truncated file."""
+        other = "ef" + "0" * 62
+        for digest in (self.DIGEST, other):
+            cache.put(digest, _stats_payload())
+        path = cache._path(self.DIGEST)
+        data = path.read_bytes()
+        _, _, tree, block, _ = data.split(b"\n", 4)
+        pristine = data
+        if where == "tree":
+            at = data.index(b'"cycles":6', data.index(tree)) + 9
+            data = data[:at] + b"7" + data[at + 1:]
+        elif where == "block":
+            at = data.index(block) + len(block) // 2
+            data = data[:at] + (b"B" if data[at:at + 1] == b"A" else b"A") \
+                + data[at + 1:]
+        elif where == "payload":
+            data = data.replace(b'"cycles":62965.0', b'"cycles":62966.0', 1)
+        else:
+            data = data[:data.index(block)]
+        assert data != pristine
+        path.write_bytes(data)
+        assert cache.get(self.DIGEST) is None
+        assert not path.exists()
+        path.write_bytes(data)
+        report = cache.evict(max_bytes=10 ** 9)
+        assert (report["corrupt_removed"], report["removed_entries"]) \
+            == (1, 0)
+        assert not path.exists()
+        assert cache.get(other) == _stats_payload()
+
+    def test_layout_2_entry_is_a_miss_and_gc_reclaims_it(self, cache):
+        """The layout before the tree and block had lines of their own:
+        the header line, the whole payload on one line, then ``}``."""
+        payload = _stats_payload()
+        body = compact_json(payload).encode()
+        header = compact_json({
+            "digest": self.DIGEST, "salt": code_salt(), "schema": 2,
+            "meta": {}, "bytes": len(body), "crc32": zlib.crc32(body),
+        }).encode()
+        data = header[:-1] + b',"payload":\n' + body + b"\n}\n"
+        assert json.loads(data)["payload"] == payload
+        path = cache._path(self.DIGEST)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(data)
+        assert cache.get(self.DIGEST) is None
+        assert not path.exists()
+        path.write_bytes(data)
+        assert cache.gc() == 1
+        assert cache.entries() == []
 
     def test_evict_removes_an_edited_entry_as_corrupt(self, cache,
                                                       edit_stats_cycles):

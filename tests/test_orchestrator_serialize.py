@@ -5,7 +5,9 @@ import functools
 import json
 import zlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.config import skylake_default
 from repro.orchestrator.execute import simulate_point
@@ -418,6 +420,48 @@ class TestKeyMaterial:
         assert '"thread"' not in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f46cec57698a65a268737122c2e24a4730ff64e81270eac38002205d29bcfdd8")
+
+    @settings(max_examples=150, deadline=None)
+    @given(core=st.sampled_from(("ooo", "inorder")),
+           scheme=st.one_of(st.sampled_from(("ppa", "baseline")),
+                            st.text(max_size=6)),
+           thread=st.none() | st.integers(1, 64).flatmap(
+               lambda n: st.tuples(st.integers(0, n - 1), st.just(n))),
+           engine=st.sampled_from((None, "scalar", "batched")),
+           capture_persist_log=st.booleans(), track_values=st.booleans(),
+           seed=st.integers(-2 ** 70, 2 ** 70),
+           length=st.integers(1, 10 ** 9), salt=st.text(max_size=6))
+    def test_direct_builder_equals_sorted_dump(self, core, scheme, thread,
+                                               engine, capture_persist_log,
+                                               track_values, seed, length,
+                                               salt):
+        from repro.orchestrator import serialize
+        from repro.orchestrator.points import SimPoint
+
+        if core == "inorder" and scheme not in ("ppa", "baseline"):
+            scheme = "ppa"
+        point = SimPoint(profile=profile_by_name("rb"), scheme=scheme,
+                         config=skylake_default(), length=length,
+                         seed=seed, track_values=track_values,
+                         capture_persist_log=capture_persist_log,
+                         core=core, thread=thread)
+        material = {
+            "schema": serialize.CACHE_SCHEMA_VERSION, "salt": salt,
+            "kind": "app", "scheme": scheme, "length": length,
+            "warmup": point.warmup, "seed": seed,
+            "track_values": track_values,
+            "capture_persist_log": capture_persist_log,
+            "profile": profile_to_dict(point.profile),
+            "config": config_to_dict(point.config),
+        }
+        if core != "ooo":
+            material["core"] = core
+        if thread is not None:
+            material["thread"] = list(thread)
+        if engine is not None:
+            material["engine"] = engine
+        assert serialize.point_key_material(point, salt, engine) == \
+            json.dumps(material, sort_keys=True, separators=(",", ":"))
 
     def test_thread_point_wire_round_trip(self):
         from repro.orchestrator.cache import point_digest

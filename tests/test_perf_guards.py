@@ -440,14 +440,15 @@ class TestCompactLazyResults:
     def test_entry_is_a_third_of_its_v5_size(self, fig16_cache):
         import json
 
+        from repro.orchestrator.cache import read_entry
         from repro.orchestrator.serialize import unpacked_payload
 
         cache, _ = fig16_cache
         [path] = cache.entries()
-        entry = json.loads(path.read_bytes())
+        header, payload = read_entry(path)
         # The same entry as schema v5 stored it: the full stats envelope.
-        entry["payload"] = {**unpacked_payload(entry["payload"]),
-                            "schema": 5}
+        entry = {**header, "payload": {**unpacked_payload(payload),
+                                       "schema": 5}}
         v5_size = len(json.dumps(entry, allow_nan=False,
                                  separators=(",", ":")))
         assert path.stat().st_size * 3 <= v5_size, (
@@ -463,6 +464,39 @@ class TestCompactLazyResults:
         payload = cache.get(point_digest(point))
         assert type(payload["stats"]["tree"]) is str
         assert type(payload["stats"]["@z"]) is str
+
+    def test_hit_hands_only_short_lines_to_the_json_decoder(
+            self, fig16_cache, monkeypatch):
+        """The tree and block lines are sliced out, not parsed: a hit
+        decodes its header and payload lines, well under 1 KB."""
+        from repro.orchestrator import cache as cache_mod
+
+        cache, point = fig16_cache
+        lengths = []
+        loads = cache_mod._loads
+
+        def recording(text):
+            lengths.append(len(text))
+            return loads(text)
+
+        monkeypatch.setattr(cache_mod, "_loads", recording)
+        payload = cache.get(cache_mod.point_digest(point))
+        assert payload is not None
+        assert len(lengths) == 2 and sum(lengths) <= 1024, lengths
+        assert type(payload["stats"]["tree"]) is str
+        assert type(payload["stats"]["@z"]) is str
+
+    def test_put_writes_the_tree_line_unescaped(self, fig16_cache):
+        import json
+
+        from repro.orchestrator.cache import point_digest
+        from repro.orchestrator.serialize import compact_json
+
+        cache, point = fig16_cache
+        tree = json.loads(cache.get(point_digest(point))["stats"]["tree"])
+        [path] = cache.entries()
+        line = path.read_bytes().split(b"\n")[2]
+        assert line == b',"tree":' + compact_json(tree).encode()
 
     def test_cold_campaign_digests_each_point_once(self, tmp_path,
                                                    monkeypatch):
