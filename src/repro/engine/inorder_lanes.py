@@ -26,6 +26,7 @@ replays only the cache/NVM side effects of store merges.
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 
 from repro.engine.batched import (
@@ -37,10 +38,10 @@ from repro.engine.batched import (
 )
 from repro.engine.memscript import MODE_CONST, memory_script, value_stream
 from repro.inorder.core import InOrderStats
-from repro.inorder.value_csq import ValueCsqEntry
+from repro.inorder.value_csq import CsqLog
 from repro.isa.decoded import OP_LOAD, OP_STORE, OP_SYNC
 from repro.pipeline.core import _SYNC_LATENCY
-from repro.pipeline.stats import RegionRecord
+from repro.pipeline.stats import RegionLog
 
 
 def run_inorder_cohort(points, *, diverge_at=None):
@@ -59,8 +60,15 @@ def run_inorder_cohort(points, *, diverge_at=None):
     dec = trace.decoded()
     length = dec.length
     columns = (dec.opcode_ids, dec.dest_cls, dec.dest_idx, dec.srcs,
-               script.entries, dec.addrs, dec.line_addrs, dec.mispredicted)
-    stream = value_stream(trace) if persistent else ()
+               script.entries, dec.line_addrs, dec.mispredicted)
+    # The CSQ log's lane-invariant columns: every store of a persistent
+    # lane enters the CSQ, at the same seq and with the same value in
+    # every lane; only its commit time varies.
+    if persistent:
+        csq_seqs = [seq for seq, op in enumerate(dec.opcode_ids)
+                    if op == OP_STORE]
+        csq_addrs = [dec.addrs[seq] for seq in csq_seqs]
+        csq_values = value_stream(trace).tolist()
     l1_hit = p0.config.memory.l1d.hit_latency
     SYNC_LAT = _SYNC_LATENCY
 
@@ -82,23 +90,20 @@ def run_inorder_cohort(points, *, diverge_at=None):
         iss_used = 0
         ready_pair = ([0.0] * core.int_arch_regs, [0.0] * core.fp_arch_regs)
         commit_times = []
-        csq_log = []
-        regions = []
+        csq_commits = []
+        regions = RegionLog()
+        add_region = regions.add
         csq_cnt = 0
         csq_entries = ppa.csq_entries
         region_id = region_start = region_stores = 0
-        next_value = iter(stream).__next__
 
         def close_region(end_seq, boundary, cause):
             """InOrderCore._close_region; returns the drain cycle."""
             nonlocal csq_cnt, region_id, region_start, region_stores
             drained = seal_region(boundary)
             csq_cnt = 0
-            regions.append(RegionRecord(
-                region_id=region_id, start_seq=region_start,
-                end_seq=end_seq, store_count=region_stores,
-                boundary_time=boundary, drain_wait=drained - boundary,
-                cause=cause))
+            add_region(region_id, region_start, end_seq, region_stores,
+                       boundary, drained - boundary, cause)
             region_id += 1
             region_start = end_seq
             region_stores = 0
@@ -106,7 +111,7 @@ def run_inorder_cohort(points, *, diverge_at=None):
 
         seq = 0
         try:
-            for seq, (opcode, dcls, didx, srcs, mem_entry, addr, line,
+            for seq, (opcode, dcls, didx, srcs, mem_entry, line,
                       mis) in enumerate(zip(columns[0][:end], *columns[1:])):
                 ready = time_
                 for cls, index in srcs:
@@ -153,9 +158,7 @@ def run_inorder_cohort(points, *, diverge_at=None):
                             drain = close_region(seq, commit, "csq")
                             if drain > commit:
                                 commit = drain
-                        csq_log.append(ValueCsqEntry(
-                            seq=seq, addr=addr, value=next_value(),
-                            commit_time=commit))
+                        csq_commits.append(commit)
                         csq_cnt += 1
                         region_stores += 1
                         # store_merge(line, commit)
@@ -192,12 +195,14 @@ def run_inorder_cohort(points, *, diverge_at=None):
         end_time = commit_times[-1] if commit_times else 0.0
         if persistent:
             close_region(length, end_time, "end")
-        stats = InOrderStats(name=trace.name)
+        stats = InOrderStats(name=trace.name,
+                             commit_times=array("d", commit_times))
         stats.instructions = length
         stats.cycles = end_time
         stats.regions = regions
-        stats.entries = csq_log
-        stats.commit_times = commit_times
+        if persistent:
+            stats.entries = CsqLog((csq_seqs, csq_addrs, csq_values,
+                                    csq_commits))
         stats.nvm_line_writes = nvm_counts()[0]
         stats.wb_full_stall_cycles = wb_totals()[2]
         return stats, None

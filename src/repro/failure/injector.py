@@ -40,24 +40,6 @@ class PowerFailureInjector:
         }
         self._stores = StoreLog.of(stats.stores)
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PowerFailureInjector":
-        """Build an injector from an orchestrator worker/cache payload
-        (a point simulated with ``capture_persist_log=True``), so crash
-        campaigns can replay failures against cached runs without
-        re-simulating."""
-        from repro.orchestrator.serialize import (
-            persist_log_from_payload,
-            stats_from_payload,
-        )
-
-        log = persist_log_from_payload(payload)
-        if log is None:
-            raise ValueError(
-                "payload has no persist log; simulate the point with "
-                "capture_persist_log=True")
-        return cls(stats_from_payload(payload), log)
-
     def durability_times(self) -> list[float]:
         """Sorted distinct instants at which some write became durable.
 

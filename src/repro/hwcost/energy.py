@@ -64,10 +64,6 @@ class EnergyBudget:
     def supercap_core_ratio(self) -> float:
         return self.supercap_mm3 / CORE_AREA_MM2
 
-    @property
-    def li_thin_core_ratio(self) -> float:
-        return self.li_thin_mm3 / CORE_AREA_MM2
-
 
 def _budget(scheme: str, model: str, flush_bytes: int) -> EnergyBudget:
     energy = flush_energy_uj(flush_bytes)

@@ -2,10 +2,11 @@
 Register Renaming")."""
 
 from repro.inorder.core import InOrderCore, InOrderStats
-from repro.inorder.value_csq import ValueCsq, ValueCsqEntry
+from repro.inorder.value_csq import CsqLog, ValueCsq, ValueCsqEntry
 from repro.inorder.processor import InOrderPersistentProcessor
 
 __all__ = [
+    "CsqLog",
     "InOrderCore",
     "InOrderPersistentProcessor",
     "InOrderStats",

@@ -14,6 +14,7 @@ preservation is needed because the CSQ carries the data itself.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,27 +26,31 @@ from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemorySystem
 from repro.memory.writebuffer import WriteBuffer
 from repro.pipeline.resources import BandwidthLimiter
-from repro.pipeline.stats import RegionRecord
-from repro.inorder.value_csq import ValueCsq, ValueCsqEntry
+from repro.pipeline.stats import ColumnarStats, RegionLog
+from repro.inorder.value_csq import CsqLog, ValueCsq, ValueCsqEntry
 
 _SYNC_LATENCY = 20
 _VALUE_MASK = (1 << 64) - 1
 
 
 @dataclass
-class InOrderStats:
-    """Outcome of one in-order run."""
+class InOrderStats(ColumnarStats):
+    """Outcome of one in-order run. The region and value-CSQ logs are
+    kept as columns, as :class:`repro.pipeline.stats.CoreStats` keeps
+    its logs."""
 
     name: str = ""
     instructions: int = 0
     cycles: float = 0.0
-    regions: list[RegionRecord] = field(default_factory=list)
-    entries: list[ValueCsqEntry] = field(default_factory=list)
-    commit_times: list[float] = field(default_factory=list)
+    regions: RegionLog = field(default_factory=RegionLog)
+    entries: CsqLog = field(default_factory=CsqLog)
+    # Commit cycle of every instruction, in program order.
+    commit_times: array = field(default_factory=lambda: array("d"))
     nvm_line_writes: int = 0
     wb_full_stall_cycles: float = 0.0
 
     stats_kind = "inorder"
+    logs = {"regions": RegionLog, "entries": CsqLog}
 
     @property
     def ipc(self) -> float:
@@ -53,30 +58,33 @@ class InOrderStats:
 
     @property
     def region_end_stall_cycles(self) -> float:
-        return sum(r.drain_wait for r in self.regions)
+        return sum(RegionLog.of(self.regions).drain_wait)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Full-fidelity JSON form (bit-exact round trip)."""
+    def to_columns(self) -> dict[str, Any]:
+        """``to_dict`` with the logs left as :class:`Columns` and
+        ``commit_times`` not copied (see ``CoreStats.to_columns``)."""
         return {
             "name": self.name,
             "instructions": self.instructions,
             "cycles": self.cycles,
-            "regions": [r.to_row() for r in self.regions],
-            "entries": [e.to_row() for e in self.entries],
-            "commit_times": list(self.commit_times),
+            "regions": RegionLog.of(self.regions).columns,
+            "entries": CsqLog.of(self.entries).columns,
+            "commit_times": self.commit_times,
             "nvm_line_writes": self.nvm_line_writes,
             "wb_full_stall_cycles": self.wb_full_stall_cycles,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "InOrderStats":
+        """Inverse of ``to_dict``; also reads ``to_columns`` as a packed
+        payload decodes it, building no record."""
         return cls(
             name=data["name"],
             instructions=data["instructions"],
             cycles=data["cycles"],
-            regions=[RegionRecord.from_row(r) for r in data["regions"]],
-            entries=[ValueCsqEntry.from_row(e) for e in data["entries"]],
-            commit_times=list(data["commit_times"]),
+            regions=RegionLog.from_json(data["regions"]),
+            entries=CsqLog.from_json(data["entries"]),
+            commit_times=array("d", data["commit_times"]),
             nvm_line_writes=data["nvm_line_writes"],
             wb_full_stall_cycles=data["wb_full_stall_cycles"],
         )

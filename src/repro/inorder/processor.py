@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.config import SystemConfig, skylake_default
 from repro.inorder.core import InOrderCore, InOrderStats
@@ -46,16 +47,11 @@ class InOrderPersistentProcessor:
         self.core = InOrderCore(self.config, memory=memory, persistent=True)
         self.stats: InOrderStats | None = None
         self._trace: Trace | None = None
-        self._region_close: dict[int, float] = {}
 
     def run(self, trace: Trace) -> InOrderStats:
         """Simulate the trace to completion on the in-order core."""
         self._trace = trace
         self.stats = self.core.run(trace)
-        self._region_close = {
-            r.region_id: r.boundary_time + r.drain_wait
-            for r in self.stats.regions
-        }
         return self.stats
 
     def _require_run(self) -> InOrderStats:
@@ -83,17 +79,19 @@ class InOrderPersistentProcessor:
 
     def _csq_at(self, fail_time: float) -> list[ValueCsqEntry]:
         stats = self._require_run()
+        regions, log = stats.regions, stats.entries
+        closes = list(map(add, regions.boundary_time, regions.drain_wait))
+        ends = regions.end_seq
         entries = []
         region_index = 0
-        closes = [r.boundary_time + r.drain_wait for r in stats.regions]
-        ends = [r.end_seq for r in stats.regions]
-        for entry in stats.entries:
-            while region_index < len(ends) and entry.seq >= ends[region_index]:
+        for index, (seq, commit) in enumerate(zip(log.seq,
+                                                  log.commit_time)):
+            while region_index < len(ends) and seq >= ends[region_index]:
                 region_index += 1
             close = closes[region_index] if region_index < len(closes) \
                 else float("inf")
-            if entry.commit_time <= fail_time < close:
-                entries.append(entry)
+            if commit <= fail_time < close:
+                entries.append(log[index])
         return entries
 
     def crash_at(self, fail_time: float) -> InOrderCrashState:

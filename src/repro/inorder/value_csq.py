@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from repro.pipeline.stats import _ColumnLog
+
 VALUE_ENTRY_BYTES = 16    # 64-bit value + 48-bit address, padded
 
 
@@ -26,13 +28,15 @@ class ValueCsqEntry:
     value: int
     commit_time: float
 
-    def to_row(self) -> list:
-        """Compact JSON row (field order matches the dataclass)."""
-        return [self.seq, self.addr, self.value, self.commit_time]
 
-    @classmethod
-    def from_row(cls, row: list) -> "ValueCsqEntry":
-        return cls(row[0], row[1], row[2], row[3])
+class CsqLog(_ColumnLog):
+    """The value-CSQ log of one in-order run, one column per
+    :class:`ValueCsqEntry` field."""
+
+    __slots__ = ()
+    record = ValueCsqEntry
+    fields = ("seq", "addr", "value", "commit_time")
+    encoded = 3
 
 
 class ValueCsq:

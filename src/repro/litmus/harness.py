@@ -38,6 +38,7 @@ honor neither SYNC fences nor cache-line persist FIFOs by design.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Any, Callable
 
 from repro.litmus.compile import (
@@ -453,8 +454,9 @@ def _check_inorder(check: _Check, scheme: str, config, inters) -> None:
                        interleaving)
         recovery_times = sorted(
             set(times)
-            | {entry.commit_time for entry in stats.entries}
-            | {r.boundary_time + r.drain_wait for r in stats.regions})
+            | set(stats.entries.commit_time)
+            | set(map(add, stats.regions.boundary_time,
+                      stats.regions.drain_wait)))
         for fail_time in [0.0] + recovery_times:
             recovery = proc.recover(proc.crash_at(fail_time))
             check.note(fail_time, recovery.nvm_image, "recovered",

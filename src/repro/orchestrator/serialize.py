@@ -1,30 +1,36 @@
 """JSON round-tripping for everything a campaign ships across processes.
 
-``CoreStats`` (with its ``StoreRecord``/``RegionRecord`` logs) serializes
-via the methods on the dataclasses themselves; this module adds the
-surrounding pieces — ``SystemConfig``, ``WorkloadProfile``, persist-op
-logs, and whole worker payloads — and the canonical key material that the
-content-addressed cache hashes.
+Stats serialize via the methods on their dataclasses themselves
+(:mod:`repro.statsbase`); this module adds the surrounding pieces —
+``SystemConfig``, ``WorkloadProfile``, persist-op logs, and whole worker
+payloads — and the canonical key material that the content-addressed
+cache hashes.
 
 Everything is strict JSON (``allow_nan=False``): non-finite floats are
 encoded as the strings ``"inf"``/``"-inf"``/``"nan"`` by
 :func:`repro.pipeline.stats.encode_float`.
 
 A worker payload carries its stats envelope *packed*
-(:func:`pack_envelope`): every long list whose values all share one exact
-type (``float``, or an ``int`` that fits in signed 64 bits) becomes a
-``{"@col": "d"|"q", "at": offset, "n": length}`` column of one shared
-zlib-compressed block of little-endian 8-byte items. A record log that
-the stats keep as :class:`~repro.pipeline.stats.Columns` (``CoreStats``'
-``stores`` and ``regions``, see ``to_columns``) is packed as it is,
-``{"@cols": [column, ...]}``, one column per record field; its float
-columns keep non-finite values as IEEE bytes (``"@col": "f"``). A long
-list of equal-width rows from any other envelope becomes ``{"@rows":
-[column, ...]}``. Everything else (mixed types, store values of 2**63 and
-up) stays a plain JSON list, so :func:`unpack_envelope` restores the
-exact ``stats_to_dict`` envelope. The small-value tree that is left
-travels as one JSON string beside the block, so reading a payload builds
-none of its objects. Decoding a payload's stats
+(:func:`pack_envelope`), and only what the stats declare as columns is
+packed. Two rules cover it:
+
+* a record log that the stats keep as
+  :class:`~repro.pipeline.stats.Columns` (``CoreStats``' ``stores`` and
+  ``regions``, ``InOrderStats``' ``regions`` and ``entries``; see their
+  ``to_columns``) becomes ``{"@cols": [column, ...]}``, one column per
+  record field. A long field column whose values all share one exact
+  type (``float``, or an ``int`` that fits in signed 64 bits) is packed;
+  its float columns keep non-finite values as IEEE bytes (``"@col":
+  "f"``). Any other field column (mixed types, store values of 2**63
+  and up) stays a plain JSON list.
+* a long ``array`` of 8-byte items (``commit_times``) is packed.
+
+A packed column is a ``{"@col": "d"|"q"|"f", "at": offset, "n":
+length}`` node over one shared zlib-compressed block of little-endian
+8-byte items. A plain list always stays JSON, so :func:`unpack_envelope`
+restores the exact ``stats_to_dict`` envelope. The small-value tree that
+is left travels as one JSON string beside the block, so reading a
+payload builds none of its objects. Decoding a payload's stats
 (:func:`stats_from_payload`) keeps ``"@cols"`` tables as columns and
 builds no record. A fig16 entry shrinks from about 125 KiB to about
 18 KiB, and nothing is parsed or unpacked until someone reads the stats.
@@ -185,8 +191,8 @@ compact_json = json.JSONEncoder(separators=(",", ":"),
 PACK_MIN_LENGTH = 16
 # Keys that mark a packed node; an original dict using one is escaped as
 # {"@obj": {...}} so unpacking can never mistake it for a packed node.
-_MARKERS = frozenset(("@z", "@col", "@rows", "@cols", "@obj"))
-# Exact value type -> code of a packed column (8-byte items).
+_MARKERS = frozenset(("@z", "@col", "@cols", "@obj"))
+# Exact value type -> code of a packed field column (8-byte items).
 _TYPECODES = {float: "d", int: "q"}
 # Column code -> array typecode. "f" is a float column of a Columns table
 # that holds a non-finite value: its JSON form encodes those as strings.
@@ -199,6 +205,11 @@ _SWAP = sys.byteorder != "little"     # columns are stored little-endian
 def pack_envelope(envelope: Any) -> Any:
     """Compact form of a ``stats_to_dict`` envelope (or any JSON value);
     :func:`unpack_envelope` inverts it exactly.
+
+    Two rules pack, both on what the stats declare as columns (see the
+    module docstring): a :class:`Columns` table becomes an ``"@cols"``
+    node of its field columns, and a long ``array`` one packed column. A
+    plain list always stays JSON.
 
     Every packed column's bytes go into one zlib stream, ``"@z"``, and the
     column itself becomes ``{"@col": typecode, "at": byte offset, "n":
@@ -215,7 +226,8 @@ def pack_envelope(envelope: Any) -> Any:
     the payload's JSON), and the tree's few hundred small dicts and lists
     are only built by :func:`unpack_envelope`, when someone reads the
     stats.
-    An envelope with no packed column is returned as it is."""
+    An envelope with no packed column is returned as its tree, with no
+    ``"@z"``."""
     chunks: list[bytes] = []
     tree = _pack(envelope, chunks)
     if not chunks:
@@ -235,26 +247,13 @@ def _pack(node: Any, chunks: list[bytes]) -> Any:
         return packed if _MARKERS.isdisjoint(node) else {"@obj": packed}
     if kind is Columns:
         return {"@cols": [_pack_field(column, chunks) for column in node]}
-    if kind is array.array:           # CoreStats.commit_times
+    if kind is array.array:           # commit_times
         if len(node) < PACK_MIN_LENGTH or node.typecode not in _CODES:
             return node.tolist()
         return _pack_column(node.typecode, node, chunks)
-    if kind is not list:
-        return node
-    types = set(map(type, node))
-    if len(node) >= PACK_MIN_LENGTH and len(types) == 1:
-        (only,) = types
-        code = _TYPECODES.get(only)
-        if code is not None:
-            return _pack_column(code, node, chunks)
-        if only is list:
-            widths = set(map(len, node))
-            if len(widths) == 1 and 0 not in widths:
-                return {"@rows": [_pack(list(field), chunks)
-                                  for field in zip(*node)]}
-    if _CONTAINERS.isdisjoint(types):
-        return node
-    return [_pack(item, chunks) for item in node]
+    if kind is list and not _CONTAINERS.isdisjoint(map(type, node)):
+        return [_pack(item, chunks) for item in node]
+    return node
 
 
 def _pack_column(code: str, values: list, chunks: list[bytes]) -> Any:
@@ -323,9 +322,6 @@ def _unpack(node: Any, data: memoryview, columns: bool) -> Any:
                       for field in node["@cols"]]
             return (Columns(fields) if columns
                     else list(map(list, zip(*fields))))
-        if "@rows" in node:
-            return list(map(list, zip(*[_unpack(field, data, columns)
-                                        for field in node["@rows"]])))
         if "@obj" in node:
             node = node["@obj"]
         return {key: _unpack(value, data, columns)
@@ -451,7 +447,12 @@ def persist_log_from_payload(payload: dict[str, Any]) \
 # v8: a packed envelope's "tree" is one JSON string (parsed only when the
 # stats are decoded); a v7 reader expects an object there, so v7 entries
 # must not alias.
-CACHE_SCHEMA_VERSION = 8
+# v9: InOrderStats' region and value-CSQ logs are packed as the columns
+# they are kept in ("@cols"), and the transposed row tables and the
+# packing of plain long lists are gone; a v8 reader would take an
+# in-order "@cols" table's columns for rows, and a v9 reader cannot read
+# a row table, so v8 entries must not alias.
+CACHE_SCHEMA_VERSION = 9
 
 
 _canonical_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"),

@@ -14,7 +14,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, ClassVar
 
 
 def encode_float(value: float) -> float | str:
@@ -53,19 +53,6 @@ class StoreRecord:
     region_id: int
     durable_at: float = float("inf")
 
-    def to_row(self) -> list:
-        """Compact JSON row (field order matches the dataclass)."""
-        return [self.seq, self.pc, self.addr, self.line_addr, self.value,
-                self.data_preg, self.data_cls, self.commit_time,
-                self.region_id, encode_float(self.durable_at)]
-
-    @classmethod
-    def from_row(cls, row: list) -> "StoreRecord":
-        # Positional: about half the cost of keywords, and decoding one
-        # fig16 sweep builds some 60,000 of these.
-        return cls(row[0], row[1], row[2], row[3], row[4], row[5], row[6],
-                   row[7], row[8], decode_float(row[9]))
-
 
 @dataclass(slots=True)
 class RegionRecord:
@@ -86,17 +73,6 @@ class RegionRecord:
     @property
     def other_count(self) -> int:
         return self.instr_count - self.store_count
-
-    def to_row(self) -> list:
-        """Compact JSON row (field order matches the dataclass)."""
-        return [self.region_id, self.start_seq, self.end_seq,
-                self.store_count, self.boundary_time,
-                encode_float(self.drain_wait), self.cause]
-
-    @classmethod
-    def from_row(cls, row: list) -> "RegionRecord":
-        return cls(row[0], row[1], row[2], row[3], row[4],
-                   decode_float(row[5]), row[6])
 
 
 class Columns(tuple):
@@ -232,7 +208,8 @@ class _ColumnLog:
                 self.append(record)
 
     def rows(self) -> list[list]:
-        """The ``to_dict`` form: one row per record, as ``to_row``."""
+        """The ``to_dict`` form: one row per record, its values in field
+        order, the ``encoded`` field through :func:`encode_float`."""
         columns = list(self.columns)
         columns[self.encoded] = map(encode_float, columns[self.encoded])
         return list(map(list, zip(*columns)))
@@ -260,8 +237,30 @@ class RegionLog(_ColumnLog):
     encoded = 5
 
 
+class ColumnarStats:
+    """The ``to_dict`` shared by the stats kinds that keep their record
+    logs as columns (:class:`CoreStats`,
+    :class:`repro.inorder.core.InOrderStats`): each defines
+    ``to_columns()`` and names its logs in ``logs``."""
+
+    # Field name -> kind of each record log ``to_columns`` gives as
+    # :class:`Columns`.
+    logs: ClassVar[dict[str, type[_ColumnLog]]] = {}
+
+    def to_dict(self) -> dict[str, Any]:
+        """Full-fidelity JSON form: every field survives a
+        ``to_dict``/``from_dict`` round trip bit-exactly. It is
+        ``to_columns()`` with each record log as its rows (``rows()``)
+        and ``commit_times`` as a list."""
+        data = self.to_columns()
+        for name, log in self.logs.items():
+            data[name] = log(data[name]).rows()
+        data["commit_times"] = list(data["commit_times"])
+        return data
+
+
 @dataclass
-class CoreStats:
+class CoreStats(ColumnarStats):
     """Aggregate outcome of simulating one trace on one core."""
 
     name: str = ""
@@ -288,6 +287,7 @@ class CoreStats:
     extra: dict[str, Any] = field(default_factory=dict)
 
     stats_kind = "core"
+    logs = {"regions": RegionLog, "stores": StoreLog}
 
     @property
     def ipc(self) -> float:
@@ -344,21 +344,11 @@ class CoreStats:
             "extra": dict(self.extra),
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        """Full-fidelity JSON form: every field the figures and the failure
-        injector consume survives a ``to_dict``/``from_dict`` round trip
-        bit-exactly (unlike :meth:`to_summary_dict`, which is a digest).
-        The record logs are lists of rows (``to_row``)."""
-        data = self.to_columns()
-        data["regions"] = RegionLog(data["regions"]).rows()
-        data["stores"] = StoreLog(data["stores"]).rows()
-        data["commit_times"] = list(self.commit_times)
-        return data
-
     def to_columns(self) -> dict[str, Any]:
-        """:meth:`to_dict` with the record logs left as :class:`Columns`
-        of raw field values and ``commit_times`` not copied: what a
-        payload packs as it is (read it, do not mutate it)."""
+        """``to_dict`` (unlike :meth:`to_summary_dict`, a full-fidelity
+        form) with the record logs left as :class:`Columns` of raw field
+        values and ``commit_times`` not copied: what a payload packs as
+        it is (read it, do not mutate it)."""
         return {
             "name": self.name,
             "scheme": self.scheme,

@@ -65,22 +65,6 @@ def crash_state_at(stats: CoreStats, injector: PowerFailureInjector,
     )
 
 
-def crash_states(stats: CoreStats, persist_log: list[PersistOp],
-                 fail_times: list[float] | None = None,
-                 samples: int = 64, seed: int = 0) -> list[CrashStatePoint]:
-    """Per-crash-point final NVM states for a finished run.
-
-    ``fail_times`` pins the probed instants; by default the sweep's own
-    :func:`failure_points` (uniform sample + region-close straddles) are
-    used, so this returns exactly the states :func:`crash_sweep`
-    verifies.
-    """
-    injector = PowerFailureInjector(stats, persist_log)
-    if fail_times is None:
-        fail_times = failure_points(stats, injector, samples, seed)
-    return [crash_state_at(stats, injector, t) for t in fail_times]
-
-
 @dataclass
 class CrashCheck:
     """Outcome of recovery at one power-cut instant."""

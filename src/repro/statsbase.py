@@ -14,6 +14,15 @@ contract:
   kind (counts and cycle accumulators sum, end times take the max, logs
   concatenate, histograms add).
 
+The two kinds with record logs, ``CoreStats`` and ``InOrderStats``, keep
+them as column logs (:class:`repro.pipeline.stats.RegionLog`,
+``StoreLog``, :class:`repro.inorder.value_csq.CsqLog`) and ``commit_times``
+as an ``array("d")``. They also give ``to_columns()``, the ``to_dict``
+form with those logs left as
+:class:`~repro.pipeline.stats.Columns`; their ``to_dict`` is derived
+from it (:class:`repro.pipeline.stats.ColumnarStats`), and it is all a
+packed payload packs.
+
 This module holds the :class:`typing.Protocol` describing that contract
 and the tagged-envelope helpers the orchestrator cache uses, so that
 serialization code dispatches on ``stats_kind`` instead of hard-coding

@@ -75,18 +75,29 @@ def _store_seqs(point):
     return [seq for seq, op in enumerate(dec.opcode_ids) if op == OP_STORE]
 
 
-def _raise_on_call(monkeypatch, module, name, target):
-    """Make ``module.name`` raise on its ``target``-th call (1-based)."""
-    real = getattr(module, name)
+def _fail_persist_store(monkeypatch, module, target):
+    """Make the ``target``-th ``persist_store`` call (1-based) of the
+    kernel in ``module`` raise. Lanes walk one after another and a ppa
+    lane persists each store once, so the call number picks the lane and
+    the store; the scalar re-run has its own write buffer and never sees
+    the injected binding."""
+    real_buffer = module.write_buffer
     calls = [0]
 
-    def flaky(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] == target:
-            raise RuntimeError(f"injected into call {target} of {name}")
-        return real(*args, **kwargs)
+    def write_buffer(*args):
+        closures = list(real_buffer(*args))
+        persist_store = closures[1]
 
-    monkeypatch.setattr(module, name, flaky)
+        def flaky(*call):
+            calls[0] += 1
+            if calls[0] == target:
+                raise RuntimeError("injected into a persist_store call")
+            return persist_store(*call)
+
+        closures[1] = flaky
+        return closures
+
+    monkeypatch.setattr(module, "write_buffer", write_buffer)
 
 
 class TestEngineResolution:
@@ -409,30 +420,11 @@ class TestDivergence:
     @staticmethod
     def _fail_second_lanes_fifth_store(monkeypatch, points):
         """Make the batched kernel raise at the second lane's fifth store;
-        returns the first lane's store seqs. Lanes walk one after another
-        and a ppa lane persists each store once, so the persist_store
-        call number picks the lane and the store; the scalar re-run has
-        its own write buffer and never sees the injected binding."""
+        returns the first lane's store seqs."""
         from repro.engine import batched
 
         stores = _store_seqs(points[0])
-        real_buffer = batched.write_buffer
-        calls = [0]
-
-        def write_buffer(*args):
-            closures = list(real_buffer(*args))
-            persist_store = closures[1]
-
-            def flaky(*call):
-                calls[0] += 1
-                if calls[0] == len(stores) + 5:
-                    raise RuntimeError("injected into a persist_store call")
-                return persist_store(*call)
-
-            closures[1] = flaky
-            return closures
-
-        monkeypatch.setattr(batched, "write_buffer", write_buffer)
+        _fail_persist_store(monkeypatch, batched, len(stores) + 5)
         return stores
 
     def test_raise_mid_walk_diverges_only_that_lane(self, monkeypatch):
@@ -575,7 +567,7 @@ class TestCacheEngineKeying:
 
         stats, _ = simulate_point(_pt("rb", "ppa"), engine="scalar")
         payload = payload_from_run(stats, None, 0.1, engine="batched")
-        assert payload["schema"] == CACHE_SCHEMA_VERSION == 8
+        assert payload["schema"] == CACHE_SCHEMA_VERSION == 9
         assert payload["engine"] == "batched"
 
 
@@ -837,8 +829,8 @@ class TestInOrderBatching:
         want = [simulate_point(p, engine="scalar")[0].to_dict()
                 for p in points]
         stores = _store_seqs(points[0])
-        _raise_on_call(monkeypatch, inorder_lanes, "ValueCsqEntry",
-                       2 * len(stores) + 3)
+        _fail_persist_store(monkeypatch, inorder_lanes,
+                            2 * len(stores) + 3)
         lanes = run_cohort(points)
         assert lanes[2].engine == "scalar"
         assert lanes[2].diverged_at == stores[2]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import zlib
+from array import array
 
 import pytest
 
@@ -114,7 +115,8 @@ class TestResultCache:
 def _stats_payload(cycles: float = 62965.0):
     """A packed payload whose stats tree holds ``cycles``."""
     stats = CoreStats(name="x", scheme="ppa", instructions=100,
-                      cycles=cycles, commit_times=[0.5, 1.5] * 16)
+                      cycles=cycles,
+                      commit_times=array("d", [0.5, 1.5] * 16))
     return payload_from_run(stats, None, 0.1)
 
 

@@ -4,6 +4,7 @@ import base64
 import functools
 import json
 import zlib
+from array import array
 
 import hypothesis.strategies as st
 import pytest
@@ -28,8 +29,11 @@ from repro.orchestrator.serialize import (
     unpacked_payload,
 )
 from repro.pipeline.stats import (
+    Columns,
     CoreStats,
+    RegionLog,
     RegionRecord,
+    StoreLog,
     StoreRecord,
     decode_float,
     encode_float,
@@ -49,6 +53,17 @@ def _tree(packed):
     return json.loads(packed["tree"])
 
 
+def _rows_tree(envelope, *logs):
+    """``envelope`` with each named log's rows transposed into an
+    ``{"@rows": [column, ...]}`` node, as schemas 6 to 8 stored a long
+    row table (here with plain-list columns)."""
+    data = dict(envelope["data"])
+    for name in logs:
+        data[name] = {"@rows": [list(column)
+                                for column in zip(*data[name])]}
+    return {**envelope, "data": data}
+
+
 class TestFloatEncoding:
     def test_non_finite_floats(self):
         for value in (float("inf"), float("-inf")):
@@ -62,26 +77,40 @@ class TestFloatEncoding:
 
 
 class TestRecordRoundTrip:
+    """A record survives its log's rows, strict JSON and ``from_json``."""
+
+    @staticmethod
+    def _round_trip(log_kind, record):
+        rows = _json_round_trip(log_kind.of([record]).rows())
+        [restored] = log_kind.from_json(rows)
+        return restored
+
     def test_store_record(self):
         record = StoreRecord(seq=7, pc=28, addr=1000, line_addr=960,
                              value=123, data_preg=5, data_cls=1,
                              commit_time=17.5, region_id=2)
-        assert StoreRecord.from_row(_json_round_trip(record.to_row())) \
-            == record
+        assert record.durable_at == float("inf")
+        assert self._round_trip(StoreLog, record) == record
 
     def test_store_record_with_finite_durability(self):
         record = StoreRecord(seq=0, pc=0, addr=0, line_addr=0, value=0,
                              data_preg=0, data_cls=0, commit_time=1.0,
                              region_id=0, durable_at=42.125)
-        assert StoreRecord.from_row(_json_round_trip(record.to_row())) \
-            == record
+        assert self._round_trip(StoreLog, record) == record
+
+    def test_store_record_with_negative_zero_durability(self):
+        record = StoreRecord(seq=1, pc=4, addr=8, line_addr=0, value=2,
+                             data_preg=3, data_cls=0, commit_time=0.5,
+                             region_id=0, durable_at=-0.0)
+        restored = self._round_trip(StoreLog, record)
+        assert restored == record
+        assert str(restored.durable_at) == "-0.0"
 
     def test_region_record(self):
         record = RegionRecord(region_id=3, start_seq=10, end_seq=40,
                               store_count=4, boundary_time=99.5,
                               drain_wait=3.25, cause="csq")
-        assert RegionRecord.from_row(_json_round_trip(record.to_row())) \
-            == record
+        assert self._round_trip(RegionLog, record) == record
 
 
 class TestStatsRoundTrip:
@@ -197,29 +226,30 @@ class TestSchemaInvalidation:
         assert inventory["entries"] == 2
         assert inventory["stale_schema"] == 1
 
-    def test_v6_entry_is_stale_and_never_served(self, tmp_path,
-                                                monkeypatch):
-        """A v6 entry (row tables packed as "@rows", v6 key material) is
-        reported by ``inventory`` as ``stale_schema`` and is a miss under
-        v7."""
+    @staticmethod
+    def _check_row_table_entry(tmp_path, monkeypatch, point, stats, schema,
+                               logs, salt=None):
+        """Store ``stats`` as a schema-``schema`` entry with its ``logs``
+        as ``"@rows"`` tables, under that schema's key material (and code
+        ``salt``). Check that ``inventory`` reports it as
+        ``stale_schema``, that it is a miss, and that the re-simulated
+        entry packs those logs as ``"@cols"``; returns the cache."""
+        from repro.orchestrator import cache as cache_module
         from repro.orchestrator import serialize
-        from repro.orchestrator.cache import ResultCache, point_digest
         from repro.orchestrator.campaign import Campaign
 
-        point = make_point("rb", "ppa", length=500, warmup=0)
-        stats, _ = simulate_point(point)
+        rows = _rows_tree(stats_to_dict(stats), *logs)
+        cache = cache_module.ResultCache(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(serialize, "CACHE_SCHEMA_VERSION", 6)
-            v6_digest = point_digest(point)
-        v6_stats = pack_envelope(stats_to_dict(stats))
-        v6_stats["tree"] = _tree(v6_stats)  # v6 stored it as an object
-        assert "@rows" in v6_stats["tree"]["data"]["stores"]
-        cache = ResultCache(tmp_path)
-        cache.put(v6_digest, {"schema": 6, "engine": "batched",
-                              "stats": v6_stats, "persist_log": None,
-                              "wall_clock": 0.1, "cycles": stats.cycles,
-                              "instructions": stats.instructions})
-        assert v6_digest != point_digest(point)
+            patch.setattr(serialize, "CACHE_SCHEMA_VERSION", schema)
+            if salt is not None:
+                patch.setattr(cache_module, "_code_salt_cache", salt)
+            digest = cache_module.point_digest(point)
+            cache.put(digest, {"schema": schema, "engine": "batched",
+                               "stats": rows, "persist_log": None,
+                               "wall_clock": 0.1, "cycles": stats.cycles,
+                               "instructions": stats.instructions})
+        assert digest != cache_module.point_digest(point)
         assert cache.inventory()["stale_schema"] == 1
 
         campaign = Campaign(cache=cache)
@@ -227,10 +257,22 @@ class TestSchemaInvalidation:
         [result] = campaign.run()
         assert not result.cache_hit
         assert result.stats == stats
-        assert "@cols" in _tree(result.payload["stats"])["data"]["stores"]
-        inventory = cache.inventory()
-        assert inventory["entries"] == 2
-        assert inventory["stale_schema"] == 1
+        data = _tree(result.payload["stats"])["data"]
+        for name in logs:
+            assert "@cols" in data[name], name
+        assert cache.inventory()["stale_schema"] == 1
+        return cache
+
+    def test_v6_entry_is_stale_and_never_served(self, tmp_path,
+                                                monkeypatch):
+        """A v6 entry (row tables packed as "@rows", v6 key material) is
+        reported by ``inventory`` as ``stale_schema`` and is a miss under
+        v7."""
+        point = make_point("rb", "ppa", length=500, warmup=0)
+        stats, _ = simulate_point(point)
+        cache = self._check_row_table_entry(tmp_path, monkeypatch, point,
+                                            stats, 6, ("stores", "regions"))
+        assert cache.inventory()["entries"] == 2
 
     def test_v7_entry_is_stale_and_never_served(self, tmp_path,
                                                 monkeypatch):
@@ -284,6 +326,26 @@ class TestSchemaInvalidation:
         assert cache.inventory()["entries"] == 1
         assert cache.inventory()["stale_schema"] == 0
 
+    def test_v8_inorder_entry_is_stale_and_never_served(self, tmp_path,
+                                                        monkeypatch):
+        """A v8 in-order entry (regions and CSQ entries as row tables,
+        written under its own code salt and v8 key material) is reported
+        by ``inventory`` as ``stale_schema``, is a miss under v9 and is
+        reclaimed by ``gc``."""
+        from repro.orchestrator.cache import point_digest
+
+        point = make_point("rb", "ppa", length=500, warmup=0,
+                           core="inorder")
+        stats, _ = simulate_point(point)
+        assert len(stats.regions) and len(stats.entries) >= PACK_MIN_LENGTH
+        cache = self._check_row_table_entry(
+            tmp_path, monkeypatch, point, stats, 8, ("regions", "entries"),
+            salt="v8-code-salt")
+        assert cache.gc() == 1
+        assert cache.inventory()["entries"] == 1
+        assert cache.inventory()["stale_schema"] == 0
+        assert cache.get(point_digest(point)) is not None
+
     def test_schema_bump_orphans_cache_keys(self, monkeypatch):
         """The schema version is part of the key material, so a bump
         orphans every old disk-cache entry (digest never aliases)."""
@@ -327,7 +389,7 @@ class TestKeyMaterial:
          "bc8a86c2a603f1484408618d61bac5b1e26a748dfc38d010ab97ecb9784fdc88"),
     )
 
-    # The same points' digests at the current schema (v8).
+    # The same points' digests at schema 8.
     POINTS_V8 = (
         (("gcc", "ppa"), {"length": 500, "warmup": 0},
          "f0f0f2aa3f6662b6f94add63e379adcb8a6b88de7d00da11ca4ed5f9d4a59c7a",
@@ -338,6 +400,19 @@ class TestKeyMaterial:
         (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
          "faaa76a3b1e297ac7cb6d52a51f4070b246f5a35f3985cf8dd60ac24e597b295",
          "9d7f8db7cc8de556e08cabdf6a2de1323854416acae770b1ea54dcc46f26843e"),
+    )
+
+    # The same points' digests at the current schema (v9).
+    POINTS_V9 = (
+        (("gcc", "ppa"), {"length": 500, "warmup": 0},
+         "16ddfbae011ebce62e4c46edbbfd8414edf24e2156ad59102d789bb851a32335",
+         "ed2fce2df95e3c04c2726d30cea2c13a04fff6129efb46b151a69e35216b16f3"),
+        (("rb", "capri"), {"length": 2000, "seed": 3, "track_values": True},
+         "fe918a9a9688c98e305123efe0eb7b9d6ab80ae901cebdf1f80ebe056946e944",
+         "b910fd9549980f0cfb8551409bbec0df96c148f18e1fa5c56562fb2f84bb6beb"),
+        (("mcf", "ppa"), {"core": "inorder", "capture_persist_log": True},
+         "a3a821d47af316592e05015fdf50661f0d14223c76bc679d12bf9fb23e7030b2",
+         "a7b4800047e05742d406990b3956a5f71810a66a94f21b54ba50206a10982fb1"),
     )
 
     @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS)
@@ -372,10 +447,27 @@ class TestKeyMaterial:
                                 engine="batched") == batched
 
     @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS_V8)
-    def test_pinned_digests_at_current_schema(self, args, kwargs, digest,
-                                              batched):
+    def test_pinned_digests_at_schema_8(self, args, kwargs, digest,
+                                        batched, monkeypatch):
+        """``POINTS_V8`` were pinned at schema 8, after the key material
+        was formatted directly."""
+        from repro.orchestrator import serialize
         from repro.orchestrator.cache import point_digest
 
+        monkeypatch.setattr(serialize, "CACHE_SCHEMA_VERSION", 8)
+        point = make_point(*args, **kwargs)
+        for _ in range(2):                  # cold, then memoized
+            assert point_digest(point, salt="fixed") == digest
+            assert point_digest(point, salt="fixed",
+                                engine="batched") == batched
+
+    @pytest.mark.parametrize("args,kwargs,digest,batched", POINTS_V9)
+    def test_pinned_digests_at_current_schema(self, args, kwargs, digest,
+                                              batched):
+        from repro.orchestrator import serialize
+        from repro.orchestrator.cache import point_digest
+
+        assert serialize.CACHE_SCHEMA_VERSION == 9
         point = make_point(*args, **kwargs)
         for _ in range(2):                  # cold, then memoized
             assert point_digest(point, salt="fixed") == digest
@@ -560,14 +652,17 @@ def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def _assert_lossless(envelope):
+def _assert_lossless(envelope, want=None):
     """Packing, a strict-JSON trip and unpacking restore the envelope
-    byte for byte — with and without the JSON trip in between."""
+    byte for byte — with and without the JSON trip in between. ``want``
+    is the envelope's ``to_dict`` form when that differs (its
+    :class:`Columns` tables as rows)."""
+    want = envelope if want is None else want
     packed = pack_envelope(envelope)
-    assert _canonical(unpack_envelope(packed)) == _canonical(envelope)
-    if "NaN" not in _canonical(envelope):
+    assert _canonical(unpack_envelope(packed)) == _canonical(want)
+    if "NaN" not in _canonical(want):
         tripped = _json_round_trip(packed)
-        assert _canonical(unpack_envelope(tripped)) == _canonical(envelope)
+        assert _canonical(unpack_envelope(tripped)) == _canonical(want)
     return packed
 
 
@@ -609,12 +704,42 @@ class TestPackedEnvelope:
             payload = _json_round_trip(payload_from_run(stats, None, 0.1))
             assert stats_from_payload(payload) == stats
 
+    def test_no_payload_holds_a_row_table(self):
+        for kind, stats in _every_stats_kind().items():
+            payload = payload_from_run(stats, None, 0.1)
+            assert "@rows" not in json.dumps(payload), kind
+
+    def test_inorder_logs_pack_and_decode_as_columns(self, monkeypatch):
+        from repro.inorder.value_csq import CsqLog
+
+        stats = _every_stats_kind()["inorder"]
+        assert len(stats.entries) >= PACK_MIN_LENGTH
+        payload = _json_round_trip(payload_from_run(stats, None, 0.1))
+        data = _tree(payload["stats"])["data"]
+        assert set(data["regions"]) == set(data["entries"]) == {"@cols"}
+        seq, addr, __, commit_time = data["entries"]["@cols"]
+        assert seq["@col"] == addr["@col"] == "q"
+        assert commit_time["@col"] == "d"
+        assert data["commit_times"]["@col"] == "d"
+
+        def no_record(*args):
+            raise AssertionError("a decode built a ValueCsqEntry")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CsqLog, "record", no_record)
+            restored = stats_from_payload(payload)
+            assert type(restored.entries) is CsqLog
+            assert type(restored.commit_times) is array
+            assert restored.entries.columns == stats.entries.columns
+        assert restored == stats
+        assert unpacked_payload(payload)["stats"] == stats_to_dict(stats)
+
     def test_long_columns_are_packed(self):
         stats = _every_stats_kind()["core"]
-        packed = pack_envelope(stats_to_dict(stats))
+        packed = pack_envelope(stats_to_dict(stats, columns=True))
         data = _tree(packed)["data"]
         assert data["commit_times"]["@col"] == "d"
-        stores = data["stores"]["@rows"]
+        stores = data["stores"]["@cols"]
         assert stores[0]["@col"] == "q"           # seq
         assert stores[7]["@col"] == "d"           # commit_time
         # track_values stores 64-bit values: those >= 2**63 do not fit
@@ -622,44 +747,88 @@ class TestPackedEnvelope:
         values = stores[4]
         assert isinstance(values, list)
         assert any(value >= 2 ** 63 for value in values)
+        # The to_dict form declares no columns: its lists stay plain.
+        assert pack_envelope(stats_to_dict(stats)) == stats_to_dict(stats)
 
     def test_edge_values(self):
         n = PACK_MIN_LENGTH
-        store = [1, 2, 3, 4, 2 ** 63, 5, 6, 7.5, 8, "inf"]
-        envelope = {"kind": "core", "data": {
-            # Non-finite durable_at values are "inf"/"-inf"/"nan" strings
-            # among floats: the column stays plain.
-            "stores": [[i, 2, 3, 4, 2 ** 64 - 1 - i, 5, 6, 7.5, 8,
-                        ["inf", "-inf", "nan", 1.5][i % 4]]
-                       for i in range(n)],
-            "one_store": [store],
+        m = 2 * n
+        fields = [
+            [-0.0] * m,                                   # negative zero
+            [[float("inf"), float("-inf"), float("nan"), 1.5][i % 4]
+             for i in range(m)],                          # non-finite
+            [[-2 ** 63, 2 ** 63 - 1][i % 2] for i in range(m)],
+            [2 ** 63] * m,                                # beyond int64
+            [[1, 1.0][i % 2] for i in range(m)],          # mixed
+            [[True, False][i % 2] for i in range(m)],     # bools
+        ]
+        short = [column[:n - 1] for column in fields]
+        plain = {
             "negative_zero": [-0.0] * n,
-            "non_finite": [float("inf"), float("-inf"), float("nan")] * n,
-            "int_float_mixed": [1, 1.0] * n,
-            "bool_column": [True, False] * n,
             "int64_bounds": [-2 ** 63, 2 ** 63 - 1] * n,
             "beyond_int64": [2 ** 63] * n,
+            "int_float_mixed": [1, 1.0] * n,
+            "bool_column": [True, False] * n,
+            "floats": [0.5] * n,
             "empty": [],
-            "short": [1.5] * (n - 1),
             "empty_rows": [[]] * n,
             "ragged_rows": [[1], [1, 2]] * n,
+            "equal_rows": [[1, 2.5]] * n,
             "nested": [{"commit_times": [0.5] * n}, [[1.0] * n]],
+        }
+
+        def rows(columns):
+            return [[encode_float(value) if type(value) is float
+                     else value for value in row]
+                    for row in zip(*columns)]
+
+        envelope = {"kind": "core", "data": {
+            "table": Columns(fields), "short_table": Columns(short),
+            "empty_table": Columns([[], []]),
+            "doubles": array("d", [-0.0, 1e308] * n),
+            "int64s": array("q", [-2 ** 63, 2 ** 63 - 1] * n),
+            "short_doubles": array("d", [2.5] * (n - 1)),
+            **plain,
             "marker_keys": {"@col": "d", "@rows": [1] * n, "@z": "x",
                             "@obj": {"@obj": 1}},
         }}
-        packed = _assert_lossless(envelope)
+        want = {"kind": "core", "data": {
+            **envelope["data"], "table": rows(fields),
+            "short_table": rows(short), "empty_table": [],
+            "doubles": [-0.0, 1e308] * n,
+            "int64s": [-2 ** 63, 2 ** 63 - 1] * n,
+            "short_doubles": [2.5] * (n - 1)}}
+        packed = _assert_lossless(envelope, want)
         data = _tree(packed)["data"]
-        assert data["negative_zero"]["@col"] == "d"
-        assert data["int64_bounds"]["@col"] == "q"
-        for plain in ("int_float_mixed", "bool_column", "beyond_int64",
-                      "empty", "short", "empty_rows", "ragged_rows",
-                      "one_store"):
-            assert isinstance(data[plain], list), plain
+        table = data["table"]["@cols"]
+        assert [column["@col"] for column in table[:3]] == ["d", "f", "q"]
+        for column in table[3:]:          # beyond int64, mixed, bools
+            assert isinstance(column, list)
+        assert all(isinstance(column, list)
+                   for column in data["short_table"]["@cols"])
+        assert data["doubles"]["@col"] == "d"
+        assert data["int64s"]["@col"] == "q"
+        assert data["short_doubles"] == [2.5] * (n - 1)
+        # A plain list always stays as it is, however long and uniform.
+        for key, value in plain.items():
+            assert data[key] == value, key
         assert "@obj" in data["marker_keys"]
         restored = unpack_envelope(packed)["data"]
+        assert str(restored["table"][0][0]) == "-0.0"
+        assert restored["table"][0][1:3] == ["inf", -2 ** 63]
+        assert restored["table"][2][1] == "nan"
+        assert restored["table"][1][3] == 2 ** 63
+        assert [type(row[4]) for row in restored["table"][:2]] == \
+            [int, float]
+        assert restored["table"][0][5] is True
+        assert str(restored["doubles"][0]) == "-0.0"
         assert str(restored["negative_zero"][0]) == "-0.0"
         assert type(restored["int_float_mixed"][0]) is int
         assert type(restored["int_float_mixed"][1]) is float
+        columns = unpack_envelope(packed, columns=True)["data"]
+        assert type(columns["table"]) is Columns
+        assert type(columns["table"][0]) is array
+        assert columns["table"][3] == [2 ** 63] * m
 
     def test_edge_core_stats_round_trip_through_a_payload(self):
         n = PACK_MIN_LENGTH
