@@ -1,50 +1,19 @@
-"""The simulator performance observatory.
+"""Looking at the simulator as software.
 
-PR 3 made the *simulated hardware* observable; this package makes the
-*simulator as software* observable:
-
-* :mod:`repro.bench.harness` — deterministic benchmark runs (pinned
-  seeds, warmup, min-of-N) measuring wall-clock, simulated cycles/s, and
-  retired instructions/s for a curated suite, written as schema-versioned
-  ``BENCH_<date>_<shortsha>.json`` artifacts;
-* :mod:`repro.bench.profile` — cProfile hot-path attribution folded into
-  per-component tables (WriteBuffer / NvmModel / rename / checkpoint),
-  plus telemetry-metric attribution via :class:`MetricsRegistry`;
-* :mod:`repro.bench.compare` — diff two BENCH artifacts and gate on
-  regressions beyond a noise threshold;
+* :mod:`repro.bench.profile` — cProfile hot-path attribution of one
+  default :func:`repro.simulate` call, folded into per-component tables
+  (WriteBuffer / NvmModel / MemScript / Kernel / ...), plus
+  telemetry-metric attribution via :class:`MetricsRegistry`;
 * :mod:`repro.bench.fidelity` — score reproduced paper trends against the
   claims recorded in EXPERIMENTS.md, so perf work can't silently bend
   model outputs.
 
+Speed is measured by ``perfbench/run.py`` (the three user paths, host
+calibrated, with digest pins); exact model counts are pinned by
+``tests/test_golden_counts.py``.
+
 Nothing in the simulator imports this package: ``import repro`` and an
 untraced :func:`repro.simulate` must never pull in ``repro.bench`` (the
-zero-overhead guard in ``tests/test_bench.py`` enforces it, like PR 3's
+zero-overhead guard in ``tests/test_bench.py`` enforces it, like the
 tracer guard). Use ``python -m repro.bench`` or import it explicitly.
 """
-
-from repro.bench.compare import CompareReport, compare_reports
-from repro.bench.fingerprint import EnvFingerprint, collect_fingerprint
-from repro.bench.harness import (
-    BENCH_SCHEMA,
-    BenchReport,
-    BenchResult,
-    artifact_name,
-    load_report,
-    run_suite,
-)
-from repro.bench.suite import SUITES, suite_benchmarks
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchReport",
-    "BenchResult",
-    "CompareReport",
-    "EnvFingerprint",
-    "SUITES",
-    "artifact_name",
-    "collect_fingerprint",
-    "compare_reports",
-    "load_report",
-    "run_suite",
-    "suite_benchmarks",
-]

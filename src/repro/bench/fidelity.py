@@ -12,9 +12,9 @@ tiers:
   :data:`repro.analysis.report.PAPER_EXPECTATIONS` at the default
   figure lengths; minutes, not seconds.
 
-A fidelity failure alongside a bench-compare "model drift" flag is the
-observatory's core contract: a perf PR that changes simulated outputs
-trips both, loudly.
+A fidelity failure alongside a golden-count failure
+(``tests/test_golden_counts.py``) is the observatory's core contract: a
+perf PR that changes simulated outputs trips both, loudly.
 """
 
 from __future__ import annotations

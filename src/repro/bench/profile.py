@@ -1,12 +1,14 @@
 """Hot-path attribution: where does a simulation's wall-clock go?
 
-Wraps ``cProfile`` around one suite benchmark and folds the flat function
-profile into per-component buckets (WriteBuffer, NvmModel, rename/PRF,
-checkpoint, ...), so an optimisation PR knows where to aim before it
-touches anything. For ``simulate`` benchmarks a second, traced execution
-attributes *simulated work* through the existing
-:class:`repro.telemetry.MetricsRegistry` — events recorded per component —
-next to the *software cost* the profiler measured.
+Wraps ``cProfile`` around one default :func:`repro.simulate` call, named
+``sim:<core>:<scheme>:<app>``, and folds the flat function profile into
+per-component buckets (WriteBuffer, NvmModel, MemScript, Kernel, ...), so
+an optimisation PR knows where to aim before it touches anything. The
+engine is left to ``REPRO_ENGINE`` (default ``auto``), so the profile
+shows the path users run. A second, traced call attributes *simulated
+work* through the existing :class:`repro.telemetry.MetricsRegistry` —
+events recorded per component — next to the *software cost* the
+profiler measured.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import cProfile
 import pstats
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.bench.suite import Benchmark, suite_benchmarks
 
 # Ordered (path fragment -> component) mapping; first match wins. Paths
 # are matched against the profiled function's source file, normalised to
@@ -45,7 +45,8 @@ COMPONENTS: tuple[tuple[str, str], ...] = (
     ("repro/multicore/", "Multicore"),
     ("repro/telemetry/", "Telemetry"),
     ("repro/orchestrator/", "Orchestrator"),
-    ("repro/engine/", "Engine"),
+    ("repro/engine/memscript", "MemScript"),
+    ("repro/engine/", "Kernel"),
     ("repro/service/", "Service"),
     ("repro/observe/", "Observability"),
     ("repro/", "repro (other)"),
@@ -67,21 +68,21 @@ class ComponentSlice:
 
 @dataclass
 class ProfileReport:
-    """Attribution tables for one profiled benchmark."""
+    """Attribution tables for one profiled call."""
 
-    benchmark: str
+    spec: str
     total_time: float
     components: list[ComponentSlice] = field(default_factory=list)
     # (function label, self time, calls) for the hottest functions.
     top_functions: list[tuple[str, float, int]] = field(
         default_factory=list)
     # Telemetry counter/histogram digests from a traced re-run, keyed by
-    # metric name (empty when the benchmark can't run traced).
+    # metric name (empty when the traced re-run is skipped).
     metrics: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "benchmark": self.benchmark,
+            "spec": self.spec,
             "total_time": self.total_time,
             "components": [c.to_dict() for c in self.components],
             "top_functions": [
@@ -91,7 +92,7 @@ class ProfileReport:
         }
 
     def to_text(self, top: int = 10) -> str:
-        lines = [f"== profile: {self.benchmark} "
+        lines = [f"== profile: {self.spec} "
                  f"({self.total_time:.3f}s total) ==",
                  f"{'component':<20} {'self s':>8} {'% run':>7} "
                  f"{'calls':>10}"]
@@ -150,44 +151,53 @@ def _attribute(stats: pstats.Stats) -> tuple[list[ComponentSlice],
     return components, functions, total
 
 
-def _traced_metrics(benchmark: Benchmark) -> dict[str, Any]:
-    if benchmark.group != "simulate":
-        return {}
+def parse_spec(spec: str) -> dict[str, Any]:
+    """The :func:`repro.simulate` keyword arguments ``spec`` names.
+
+    Raises ``ValueError`` with a one-line message when ``spec`` is not
+    ``sim:<core>:<scheme>:<app>`` or names an unknown core, scheme or app,
+    or a scheme its core does not run.
+    """
+    from repro.facade import CORES
+    from repro.orchestrator.points import check_run
+    from repro.persistence.catalog import scheme_backend
+    from repro.workloads.profiles import profile_by_name
+
+    parts = spec.split(":")
+    if len(parts) != 4 or parts[0] != "sim":
+        raise ValueError(f"malformed profile spec {spec!r}; expected "
+                         f"sim:<core>:<scheme>:<app>")
+    _, core, scheme, app = parts
+    if core not in CORES:
+        raise ValueError(f"unknown core {core!r} in {spec!r}; options: "
+                         f"{', '.join(CORES)}")
+    scheme_backend(scheme)
+    check_run("ooo" if core == "multicore" else core, scheme)
+    profile_by_name(app)
+    # Seed 0 and 12,000 instructions, or 4 threads of 3,000: long enough
+    # for every layer to show, short enough to profile in about a second.
+    kwargs: dict[str, Any] = {"trace_or_profile": app, "scheme": scheme,
+                              "core": core, "seed": 0, "length": 12_000}
+    if core == "multicore":
+        kwargs.update(threads=4, length=3_000)
+    return kwargs
+
+
+def profile_spec(spec: str, top: int = 20,
+                 with_metrics: bool = True) -> ProfileReport:
+    """Profile the ``simulate`` call ``spec`` names, per component."""
     from repro.facade import simulate
 
-    result = simulate(**dict(benchmark.sim_kwargs, trace=True))
-    if result.telemetry is None:
-        return {}
-    return result.telemetry.metrics.to_dict()
-
-
-def profile_benchmark(benchmark: Benchmark, top: int = 20,
-                      with_metrics: bool = True) -> ProfileReport:
-    """Profile one benchmark execution and attribute it per component."""
+    kwargs = parse_spec(spec)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        benchmark.run()
+        simulate(**kwargs)
     finally:
         profiler.disable()
-    stats = pstats.Stats(profiler)
-    components, functions, total = _attribute(stats)
-    return ProfileReport(
-        benchmark=benchmark.name,
-        total_time=total,
-        components=components,
-        top_functions=functions[:top],
-        metrics=_traced_metrics(benchmark) if with_metrics else {},
-    )
-
-
-def profile_by_name(name: str, suite: str = "quick", top: int = 20,
-                    with_metrics: bool = True) -> ProfileReport:
-    """Profile the named benchmark from a suite."""
-    for benchmark in suite_benchmarks(suite):
-        if benchmark.name == name:
-            return profile_benchmark(benchmark, top=top,
-                                     with_metrics=with_metrics)
-    known = [b.name for b in suite_benchmarks(suite)]
-    raise ValueError(f"no benchmark {name!r} in suite {suite!r}; "
-                     f"known: {known}")
+    components, functions, total = _attribute(pstats.Stats(profiler))
+    metrics = (simulate(**kwargs, trace=True).telemetry.metrics.to_dict()
+               if with_metrics else {})
+    return ProfileReport(spec=spec, total_time=total,
+                         components=components,
+                         top_functions=functions[:top], metrics=metrics)

@@ -8,7 +8,7 @@ All repro CLIs follow the same contract:
   off so the output is strict JSON);
 * the exit status is the verdict — 0 on success, nonzero when the
   command's check failed (a failing point, a violated invariant, a
-  regressed benchmark) — in both output modes, so scripts can drop the
+  failed fidelity claim) — in both output modes, so scripts can drop the
   table parsing and keep the ``if``;
 * a run limit that cannot mean anything (:func:`reject_bad_limits`) is refused
   with one line on stderr and exit status 2; the constructors behind the

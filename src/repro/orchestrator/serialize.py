@@ -371,7 +371,7 @@ def payload_from_run(stats: StatsBase, persist_log: list[PersistOp] | None,
     and the disk cache without this module knowing the concrete class.
     Simulated cycles (``float(stats.cycles)``, or a multicore makespan)
     and retired instructions are also lifted to the top level, so sweep
-    summaries, cache inventories and the bench harness read them without
+    summaries, cache inventories and campaign totals read them without
     decoding the envelope.
 
     ``engine`` records which kernel actually produced the stats

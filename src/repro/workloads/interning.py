@@ -6,7 +6,7 @@ from ``(profile.name, seed)`` and neither the constructor nor
 ``(profile, length, seed, addr_base, sync_interval, name)`` tuple is a
 pure function of that key. The generator writes the predecoded columns
 directly: 12k instructions take 15-25 ms, against ~130 ms for a warm
-``ppa`` ``simulate()`` of them (2-vCPU x86-64 host). The bench harness,
+``ppa`` ``simulate()`` of them (2-vCPU x86-64 host). Benchmarks,
 campaign sweeps, and repeated ``simulate()`` calls all replay identical
 traces, so interning builds each trace once per process and hands out
 the shared (immutable) :class:`~repro.isa.trace.Trace` with its columns

@@ -710,16 +710,6 @@ class TestDeprecatedEntryPoints:
                     if issubclass(w.category, DeprecationWarning)]
 
 
-class TestBatchedBenchSuite:
-    def test_batched_suite_registered(self):
-        from repro.bench.suite import SUITES, suite_benchmarks
-
-        assert "batched" in SUITES
-        names = [b.name for b in suite_benchmarks("batched")]
-        assert "campaign:fig16:rb" in names
-        assert "campaign:fig16:rb:batched" in names
-
-
 @pytest.mark.usefixtures("untraced_unsanitized")
 class TestLaneErrorTransport:
     """Lane failures must cross the process pool as picklable records,

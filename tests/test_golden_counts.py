@@ -4,8 +4,10 @@ Perf work on the simulator must be *bit-exact*: only data representation
 and access patterns may change, never the event order or arithmetic.
 These tests pin exact cycle, instruction, and persist totals for one
 (core x scheme x workload) configuration per scheme — captured from the
-pre-optimization tree — so any accidental model drift fails loudly with
-the numbers in hand, long before the bench gate's artifact diff runs.
+pre-optimization tree — plus 12,000-instruction runs and two uncached
+sweep campaigns on both engines, so any accidental model drift fails
+loudly with the numbers in hand. ``perfbench/run.py`` checks the three
+timed user paths against its own digest pins.
 
 Every value here is a *model output*, deterministic across machines and
 Python versions (seeded RNG, pure-float timing math); a legitimate model
@@ -76,6 +78,65 @@ class TestMulticoreGoldenCounts:
         assert stats.total_instructions == 6000
         assert stats.makespan == 1071.0
         assert stats.nvm_line_writes == 86
+
+
+# (core, scheme, app, cycles) at seed 0 and 12,000 instructions.
+LONG_GOLDEN = [
+    ("ooo", "baseline", "gcc", 7566.0),
+    ("ooo", "ppa", "gcc", 7608.0),
+    ("ooo", "ppa", "mcf", 32821.0),
+    ("ooo", "capri", "gcc", 9689.0),
+    ("ooo", "psp-undolog", "rb", 84860.0),
+    ("inorder", "ppa", "rb", 388472.0),
+]
+
+
+class TestLongRunGoldenCounts:
+    @pytest.mark.parametrize(
+        "core,scheme,app,cycles", LONG_GOLDEN,
+        ids=[f"{core}-{scheme}-{app}" for core, scheme, app, _
+             in LONG_GOLDEN])
+    def test_12000(self, core, scheme, app, cycles):
+        stats = simulate(app, scheme=scheme, core=core, length=12_000,
+                         seed=0).stats
+        assert stats.instructions == 12_000
+        assert stats.cycles == cycles
+
+    def test_multicore_ppa_water_ns_4x3000(self):
+        stats = simulate("water-ns", scheme="ppa", core="multicore",
+                         threads=4, length=3000, seed=0).stats
+        assert stats.total_instructions == 12_000
+        assert stats.makespan == 2331.0
+
+
+# (sweep, apps, total cycles, total instructions) of an uncached
+# campaign at 4,000 instructions per point.
+CAMPAIGN_GOLDEN = [
+    ("fig16", ("rb",), 47707.0, 48_000),
+    ("fig15", ("rb", "mcf", "lbm", "water-ns"), 149054.0, 96_000),
+]
+
+
+class TestCampaignGoldenCounts:
+    """Both engines give the same totals: the batched cohort kernel is
+    bit-exact with the scalar reference over a whole sweep."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "sweep,apps,cycles,instructions", CAMPAIGN_GOLDEN,
+        ids=[row[0] for row in CAMPAIGN_GOLDEN])
+    def test_sweep_totals(self, sweep, apps, cycles, instructions, engine):
+        from repro.orchestrator.campaign import Campaign
+        from repro.orchestrator.campaigns import build_sweep, sweep_spec
+
+        campaign = Campaign(cache=None, engine=engine)
+        campaign.extend(build_sweep(sweep_spec(sweep, apps=apps,
+                                               length=4000)))
+        results = campaign.run()
+        assert all(result.ok for result in results)
+        assert sum(result.cycles for result in results) == cycles
+        assert sum(result.instructions for result in results) \
+            == instructions
 
 
 class TestCrashOracleGolden:
